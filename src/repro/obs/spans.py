@@ -94,7 +94,9 @@ class Span:
     __slots__ = ("_tracer", "ctx", "name", "node", "attrs", "status",
                  "_t_wall", "_t_mono", "_ended", "_cv_token")
 
-    def __init__(self, tracer: "Tracer", ctx: TraceContext, name: str, node, attrs: dict):
+    def __init__(
+        self, tracer: "Tracer", ctx: TraceContext, name: str, node, attrs: dict, t_mono: float
+    ):
         self._tracer = tracer
         self.ctx = ctx
         self.name = name
@@ -102,7 +104,7 @@ class Span:
         self.attrs = attrs
         self.status = "ok"
         self._t_wall = time.time()
-        self._t_mono = time.perf_counter()
+        self._t_mono = t_mono
         self._ended = False
         self._cv_token = set_current_trace_id(ctx.trace_id)
 
@@ -115,7 +117,6 @@ class Span:
         if self._ended:
             return
         self._ended = True
-        duration = time.perf_counter() - self._t_mono
         if status is not None:
             self.status = status
         if self._cv_token is not None:
@@ -133,7 +134,10 @@ class Span:
                 "node": self.node,
                 "t_wall": self._t_wall,
                 "t_mono": self._t_mono,
-                "duration_s": duration,
+                # read last, as the start clock is read first: a span owns
+                # its own bookkeeping, so tracing overhead lands in the stage
+                # that incurred it, not as unexplained time in the parent
+                "duration_s": time.perf_counter() - self._t_mono,
                 "status": self.status,
                 **({"attrs": self.attrs} if self.attrs else {}),
             }
@@ -216,24 +220,25 @@ class Tracer:
                 sampled = self._rng.random() < self.sample_rate
             if not sampled:
                 return NULL_SPAN
-        return self._start(TraceContext.root(), name, attrs)
+        return self._start(TraceContext.root(), name, attrs, time.perf_counter())
 
     def start_span(self, name: str, parent: ParentLike, **attrs) -> SpanLike:
         """Child span under a local span or a remote (extracted) context."""
         if not self.enabled or parent is None:
             return NULL_SPAN
+        t_mono = time.perf_counter()  # the clock starts before the span's own set-up
         if isinstance(parent, (Span, NullSpan)):
             if parent.ctx is None:
                 return NULL_SPAN  # unsampled trace: stay dark end-to-end
             ctx = parent.ctx.child()
         else:
             ctx = parent.child()
-        return self._start(ctx, name, attrs)
+        return self._start(ctx, name, attrs, t_mono)
 
-    def _start(self, ctx: TraceContext, name: str, attrs: dict) -> Span:
+    def _start(self, ctx: TraceContext, name: str, attrs: dict, t_mono: float) -> Span:
         with self._lock:
             self.started += 1
-        return Span(self, ctx, name, self.node, dict(attrs))
+        return Span(self, ctx, name, self.node, dict(attrs), t_mono)
 
     def _record(self, record: dict) -> None:
         with self._lock:

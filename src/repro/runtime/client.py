@@ -231,7 +231,8 @@ class FTCacheClient:
 
     def _read_routed(self, path: str) -> tuple[bytes, str]:
         for _ in range(self.max_reroute_rounds):
-            candidates = self._candidates(path)
+            with self.tracer.start_span("client.route", self._op_ctx.span):
+                candidates = self._candidates(path)
             if candidates is None:  # policy says PFS
                 self._bump(pfs_direct_reads=1)
                 return self.pfs.read(path), "pfs_direct"

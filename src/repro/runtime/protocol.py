@@ -57,7 +57,7 @@ __all__ = [
     "encode_binary_request",
     "encode_binary_response_header",
     "encode_json_frame",
-    "read_frame_async",
+    "parse_frame",
     "set_nodelay",
     "ProtocolError",
     "BIN_OPS",
@@ -248,7 +248,7 @@ def send_message(sock: socket.socket, message: Message) -> None:
     _send_vectored(sock, encode_json_frame(message), message.payload)
 
 
-def _parse_json_header(raw: bytes) -> tuple[dict, int]:
+def _parse_json_header(raw) -> tuple[dict, int]:
     """Decode header bytes; validate and return ``(header, payload_len)``."""
     try:
         header = json.loads(raw.decode("utf-8"))
@@ -368,10 +368,12 @@ def encode_binary_response_header(
     )
 
 
-def _parse_bin_header(packed: bytes) -> tuple[int, str, int, int, int, int, int, int]:
-    """Validate a packed 22-byte header; return
+def _parse_bin_header(buf, pos: int = 0) -> tuple[int, str, int, int, int, int, int, int]:
+    """Validate the packed 22-byte header at ``buf[pos]``; return
     ``(kind, op, flags, key_len, ext_len, seq, aux, payload_len)``."""
-    magic, version, kind, code, flags, key_len, ext_len, seq, aux, plen = _BIN_HDR.unpack(packed)
+    magic, version, kind, code, flags, key_len, ext_len, seq, aux, plen = _BIN_HDR.unpack_from(
+        buf, pos
+    )
     if magic != BIN_MAGIC:
         raise ProtocolError(f"bad binary magic {magic!r}")
     if version != BIN_VERSION:
@@ -443,28 +445,39 @@ def recv_message(sock: socket.socket) -> Message:
     return Message(header=header, payload=payload)
 
 
-# -- async receive (event-loop server core) -----------------------------------------
-async def read_frame_async(reader) -> tuple[Message, str]:
-    """Read one frame from an ``asyncio.StreamReader``.
+# -- incremental decode (event-loop server core) ------------------------------------
+def parse_frame(buf, pos: int = 0) -> tuple[Optional[Message], bool, int]:
+    """Decode the frame that starts at ``buf[pos]``, if all of it is there.
 
-    Returns ``(message, wire)`` with ``wire`` in ``("binary", "json")`` so
-    the server can answer in the codec the request arrived on.  Raises
-    :class:`ProtocolError` on malformed frames and lets
-    ``asyncio.IncompleteReadError`` (EOF mid-frame / clean close) surface
-    to the caller.
+    Returns ``(message, binary, end)``: ``binary`` names the codec the
+    frame arrived on (the server answers in kind) and ``end`` is the
+    offset just past the frame.  While the frame is incomplete
+    ``message`` is None and ``end`` is the buffer length worth calling
+    again at.  Every length field is bounded as soon as the fixed header
+    that carries it is in — before any body byte is waited for — so a
+    hostile length raises :class:`ProtocolError` on arrival.
     """
-    first = await reader.readexactly(1)
-    if first[0] == BIN_MAGIC[0]:
-        rest = await reader.readexactly(_BIN_HDR.size - 1)
-        kind, op, flags, key_len, ext_len, seq, aux, plen = _parse_bin_header(first + rest)
-        body = await reader.readexactly(key_len + ext_len + plen)
+    if len(buf) > pos and buf[pos] == BIN_MAGIC[0]:
+        body = pos + _BIN_HDR.size
+        if len(buf) < body:
+            return None, True, body
+        kind, op, flags, key_len, ext_len, seq, aux, plen = _parse_bin_header(buf, pos)
+        end = body + key_len + ext_len + plen
+        if len(buf) < end:
+            return None, True, end
         msg = _build_bin_message(
-            kind, op, flags, seq, aux, memoryview(body), key_len, ext_len
+            kind, op, flags, seq, aux, memoryview(buf)[body:end], key_len, ext_len
         )
-        return msg, "binary"
-    rest = await reader.readexactly(_LEN.size - 1)
-    (hlen,) = _LEN.unpack(first + rest)
+        return msg, True, end
+    body = pos + _LEN.size
+    if len(buf) < body:
+        return None, False, body
+    (hlen,) = _LEN.unpack_from(buf, pos)
     _check_json_hlen(hlen)
-    header, plen = _parse_json_header(await reader.readexactly(hlen))
-    payload = await reader.readexactly(plen) if plen else b""
-    return Message(header=header, payload=payload), "json"
+    if len(buf) < body + hlen:
+        return None, False, body + hlen
+    header, plen = _parse_json_header(buf[body : body + hlen])
+    end = body + hlen + plen
+    if len(buf) < end:
+        return None, False, end
+    return Message(header=header, payload=bytes(buf[body + hlen : end])), False, end

@@ -6,19 +6,25 @@ directory, serves the bytes, and hands them to a background *data mover*
 for recaching — the Sec IV-B retrieve → serve → cache sequence, now with
 actual files over an asyncio data plane.
 
-The core is **one event loop per server**, not a thread per connection:
-thousands of concurrent sockets multiplex onto a single selector thread,
-framing and the binary READ fast path run on the loop, and anything that
-may block (PFS reads, NVMe installs, STAT aggregation) is handed to a
-small bounded dispatch executor.  Binary-framed requests carry a ``seq``
-correlation id and are **pipelined** — each becomes its own task, and
-responses complete out of order under a per-connection write lock — while
-JSON frames keep the legacy strictly-in-order, one-at-a-time contract so
-old clients observe exactly the pre-rewrite behaviour.  A binary READ
-that hits the cache is served **zero-copy**: the reply header is written
-from the loop and the entry's bytes move kernel-side via
-``loop.sendfile`` (``os.sendfile``) straight from the NVMe file to the
-socket, never entering Python.
+The core is **one event loop per server** and **one
+``asyncio.Protocol`` per connection** (:class:`_Conn`), not a thread or a
+reader coroutine per socket: ``data_received`` appends to a receive
+buffer and decodes every complete frame in it (``protocol.parse_frame``;
+every length bound is checked the moment a fixed header is in), so a
+pipelined ``read_many`` batch costs one ``recv`` and one loop turn.  A
+binary READ that hits the cache is answered **in that same turn, with
+no task and no await**: ``NVMeDir.open_read`` → books → header →
+one non-blocking ``os.sendfile`` straight from the NVMe file to the
+socket.  Whatever the socket did not take (large entries, slow readers)
+is finished by ``loop.sendfile`` from the offset reached, so payload
+bytes never enter Python at any entry size.  Anything that may block
+(a miss, PUT, TRANSFER, STAT/OBS/PING/JOIN_PLAN) becomes a task on the
+small bounded dispatch executor.  Binary requests carry a ``seq``
+correlation id and complete out of order; ``_PIPELINE_DEPTH`` tasks in
+flight pause the transport's reading.  JSON frames keep the legacy
+strictly-in-order, one-at-a-time contract: nothing past a JSON frame is
+decoded until its reply is written.  :class:`_Conn` states the two rules
+every reply path keeps: *write ordering* and *books before reply*.
 
 The data mover is a **bounded worker pool** (:class:`DataMoverPool`), not
 a thread per miss: a miss storm (cold cache, failover re-homing a node's
@@ -38,10 +44,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -63,16 +70,19 @@ from .protocol import (
     ProtocolError,
     encode_binary_response_header,
     encode_json_frame,
-    read_frame_async,
+    parse_frame,
     set_nodelay,
 )
 from .storage import NVMeDir, PFSDir
 
 __all__ = ["FTCacheServer", "ServerStats", "DataMoverPool"]
 
-#: max binary requests in flight per connection before the read loop
-#: stops pulling frames (pipelining backpressure, not a hard error)
+#: max request tasks in flight per connection before the connection stops
+#: decoding frames and pauses reading (pipelining backpressure, not an error)
 _PIPELINE_DEPTH = 64
+
+#: the reply header of every cache hit is encoded from this one message
+_HIT_REPLY = Message.ok_response(source="cache")
 
 #: every monotone per-server counter, in one place so cluster aggregation,
 #: STAT responses, and snapshot dictionaries can never drift apart
@@ -264,15 +274,277 @@ class DataMoverPool:
             t.join(timeout=max(0.1, deadline / max(1, len(self._threads))))
 
 
+class _WriteLock:
+    """Loop-confined FIFO mutex over one connection's write side, with the
+    synchronous ``try_acquire`` the one-turn hit needs and ``asyncio.Lock``
+    lacks.  ``release`` hands ownership straight to the oldest waiter — the
+    lock never reads free in between — so an inline hit cannot overtake a
+    reply that was already queued."""
+
+    def __init__(self) -> None:
+        self._held = False
+        self._waiters: deque = deque()
+
+    def try_acquire(self) -> bool:
+        free = not self._held
+        self._held = True
+        return free
+
+    async def acquire(self) -> None:
+        if self.try_acquire():
+            return
+        fut = asyncio.get_running_loop().create_future()
+        self._waiters.append(fut)
+        try:
+            await fut
+        except asyncio.CancelledError:
+            if fut.done() and not fut.cancelled():
+                self.release()  # ownership had already been handed to us
+            raise
+
+    def release(self) -> None:
+        while self._waiters:
+            fut = self._waiters.popleft()
+            if not fut.done():
+                return fut.set_result(None)
+        self._held = False
+
+
+class _Conn(asyncio.Protocol):
+    """One client connection: frame decoding, the one-turn hit, reply tasks.
+
+    All state is loop-confined.  Two rules hold on every reply path:
+
+    * **write ordering** — whoever touches the transport holds ``wlock``.
+      ``data_received`` takes it only synchronously, and only while the
+      transport's write buffer is empty (its direct ``os.sendfile`` must
+      not overtake buffered bytes); everything else awaits it in a task.
+    * **books before reply** — counters are bumped, the latency observed
+      and the request's spans ended *before* the call that hands the
+      reply's last bytes to the kernel, so a client holding a reply never
+      reads server-side books that are behind it.
+    """
+
+    def __init__(self, server: "FTCacheServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.fd = -1
+        self.buf = bytearray()
+        self.need = 0  # buffered bytes below which the frame at buf[0] is incomplete
+        self.wlock = _WriteLock()
+        self.tasks: set[asyncio.Task] = set()
+        #: the JSON request whose reply is still owed; nothing is decoded past it
+        self.json_task: Optional[asyncio.Task] = None
+        self.paused = self.eof = False
+        #: pending while the transport is above its write high-water mark
+        self.drain: Optional[asyncio.Future] = None
+
+    # -- transport callbacks -----------------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        sock = transport.get_extra_info("socket")
+        set_nodelay(sock)
+        self.fd = sock.fileno()
+        self.server._conns.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._conns.discard(self)
+        for task in self.tasks:
+            task.cancel()  # no reply can be delivered: leave no task behind
+
+    def sever(self) -> None:
+        """Abort the connection once its tasks have unwound: asyncio cannot
+        abort a transport under a ``loop.sendfile`` in flight (it resolves
+        the sendfile's waiter a second time), so cancel now, abort a callback
+        later."""
+        for task in self.tasks:
+            task.cancel()
+        self.server._loop.call_soon(self.transport.abort)
+
+    def pause_writing(self) -> None:
+        self.drain = self.server._loop.create_future()
+
+    def resume_writing(self) -> None:
+        if not self.drain.done():  # a cancelled waiter cancels the future it awaits
+            self.drain.set_result(None)
+        self.drain = None
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        return bool(self.tasks)  # keep the write side open for replies still owed
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        if len(self.buf) >= self.need:
+            self._parse()
+
+    # -- decode + one-turn hit ---------------------------------------------------------
+    def _parse(self) -> None:
+        """Serve every complete frame in the buffer that the gate lets through."""
+        srv, buf, transport = self.server, self.buf, self.transport
+        pos = self.need = 0
+        if srv.dropped.is_set():
+            return self.sever()  # hard failure: the connection dies mid-conversation
+        if srv.hung.is_set():
+            # Drained node: swallow requests until shutdown; the client's TTL
+            # is the only way it learns anything (Sec IV-A).
+            del buf[:]
+            return
+        try:
+            while (
+                pos < len(buf)
+                and self.json_task is None
+                and len(self.tasks) < _PIPELINE_DEPTH
+                and not transport.is_closing()
+            ):
+                msg, binary, end = parse_frame(buf, pos)
+                if msg is None:
+                    self.need = end - pos
+                    break
+                pos = end
+                if binary:
+                    # Pipelined lane: replies complete out of order, matched by seq.
+                    srv.stats.bump(binary_reqs=1)
+                    if msg.op != OP_READ or not self._serve_hit(msg):
+                        self._spawn(self._serve(msg, True))
+                else:
+                    # Legacy lane: strictly one at a time, in order.
+                    srv.stats.bump(json_reqs=1)
+                    self.json_task = self._spawn(self._serve(msg, False))
+        except ProtocolError as exc:
+            srv.stats.bump(errors=1)
+            srv.log.warning("protocol error from %s: %s", transport.get_extra_info("peername"), exc)
+            del buf[:]
+            return self.sever()
+        del buf[:pos]
+        if self.json_task is not None or len(self.tasks) >= _PIPELINE_DEPTH:
+            transport.pause_reading()
+            self.paused = True
+        elif self.paused:
+            transport.resume_reading()
+            self.paused = False
+
+    def _serve_hit(self, msg: Message) -> bool:
+        """Answer a binary READ from the cache within this loop turn.
+
+        False sends the caller down the dispatch path (miss, raced eviction,
+        empty path).  True: the reply is with the kernel, or — what the
+        socket did not take — left to :meth:`_send_tail`.  The open file
+        pins the inode, so an eviction after ``open_read`` is harmless.
+        """
+        srv, transport = self.server, self.transport
+        path = msg.header["path"]
+        t0 = time.perf_counter()
+        entry = srv.nvme.open_read(path) if path else None
+        if entry is None:
+            return False
+        f, size = entry
+        span = srv.tracer.start_span(
+            "server.read", extract(msg.header), path=path, mode="sendfile", nbytes=size
+        )
+        head = encode_binary_response_header(OP_READ, _HIT_REPLY, seq=msg.seq, payload_len=size)
+        srv.stats.bump(hits=1, sendfile_serves=1)
+        srv.telemetry.observe("op_read_s", time.perf_counter() - t0)
+        span.end()
+        sent = 0
+        owned = not transport.get_write_buffer_size() and self.wlock.try_acquire()
+        if owned:
+            transport.write(head)
+            head = b""
+            try:
+                if not transport.get_write_buffer_size():  # the header is with the kernel
+                    sent = os.sendfile(self.fd, f.fileno(), 0, size)
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                transport.abort()  # peer went away mid-reply (we hold the lock: no tail in flight)
+                sent = size
+            if sent == size:
+                self.wlock.release()
+                f.close()
+                return True
+        # the callback runs even if the task is cancelled before its first step
+        self._spawn(self._send_tail(f, head, sent, size, owned)).add_done_callback(
+            lambda _task: f.close()
+        )
+        return True
+
+    async def _send_tail(self, f, head: bytes, sent: int, size: int, owned: bool) -> None:
+        """Finish a hit the one-turn path could not: under the write lock,
+        the header if it is still owed, then ``loop.sendfile`` from ``sent``."""
+        if not owned:
+            await self.wlock.acquire()
+        try:
+            if head:
+                self.transport.write(head)
+            if sent < size:
+                await self.server._loop.sendfile(self.transport, f, sent, size - sent)
+        except (OSError, RuntimeError):
+            self.transport.abort()  # part of a payload is on the wire: the stream is unusable
+        finally:
+            self.wlock.release()
+
+    # -- everything that may block -----------------------------------------------------
+    def _spawn(self, coro) -> asyncio.Task:
+        task = self.server._loop.create_task(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self._task_done)
+        return task
+
+    def _task_done(self, task: asyncio.Task) -> None:
+        self.tasks.discard(task)
+        if task is self.json_task:
+            self.json_task = None
+        if not self.transport.is_closing():
+            self._parse()  # frames the gate held back
+            if self.eof and not self.tasks:
+                self.transport.close()
+
+    async def _serve(self, msg: Message, binary: bool) -> None:
+        """Dispatch one request on the executor and write its reply."""
+        srv, transport = self.server, self.transport
+        ctx = extract(msg.header)
+        qspan = srv.tracer.start_span("server.exec_queue", ctx)
+        try:
+            response = await srv._loop.run_in_executor(srv._executor, srv._dispatch_queued, msg, qspan)
+            sspan = srv.tracer.start_span("server.serialize", ctx, nbytes=len(response.payload))
+            if binary:
+                head = encode_binary_response_header(msg.op, response, seq=msg.seq)
+            else:
+                head = encode_json_frame(response)
+            await self.wlock.acquire()
+            try:
+                sspan.end()  # encode + write-lock wait: closed before the write
+                if not transport.is_closing():
+                    transport.write(head)
+                    if response.payload:
+                        # Separate write: the framed payload is never copied
+                        # into a header+payload concatenation.
+                        transport.write(response.payload)
+                    if self.drain is not None:
+                        await self.drain
+            finally:
+                self.wlock.release()
+        except Exception:
+            # A dispatch or encode bug, or the executor torn down under us
+            # (shutdown): the request cannot be answered, so the connection
+            # is severed rather than left waiting for a reply.
+            if not srv._closed:
+                srv.log.exception("unhandled error serving %s", msg.op)
+                srv.stats.bump(errors=1)
+            self.sever()
+
+
 class FTCacheServer:
     """One node's cache daemon: an asyncio event loop over a real TCP socket.
 
     The listening socket is bound synchronously in ``__init__`` (so
     :attr:`address` is valid before :meth:`start`); :meth:`start` spawns
-    one thread running the event loop, which accepts connections, frames
-    requests (binary or JSON, auto-detected per message), and either
-    serves a binary READ cache hit inline via ``loop.sendfile`` or hands
-    the request to a bounded dispatch executor.
+    one thread running the event loop, which accepts connections (one
+    :class:`_Conn` each), decodes requests (binary or JSON, auto-detected
+    per message), and either answers a binary READ cache hit within the
+    loop turn via ``sendfile`` or hands the request to a bounded dispatch
+    executor.
     """
 
     def __init__(
@@ -305,9 +577,6 @@ class FTCacheServer:
         self.telemetry.gauge("evictions", lambda: self.nvme.evictions)
         self.hung = threading.Event()
         self.dropped = threading.Event()
-        #: released only at shutdown so hung handlers can exit (legacy name,
-        #: kept for chaos tooling; the loop-side twin is ``_hang_release``)
-        self.hang_barrier = threading.Event()
         if dispatch_workers < 1:
             raise ValueError(f"dispatch_workers must be >= 1, got {dispatch_workers}")
         # Bound before start() so callers can learn the ephemeral port —
@@ -319,13 +588,10 @@ class FTCacheServer:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         #: loop-confined state (touched only from the loop thread, or via
-        #: call_soon_threadsafe): live StreamWriters, their handler tasks,
-        #: and the shutdown/hang events
-        self._writers: set = set()
-        self._conn_tasks: set = set()
+        #: call_soon_threadsafe): live connections and the shutdown event
+        self._conns: set[_Conn] = set()
         self._aio_server: Optional[asyncio.base_events.Server] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._hang_release: Optional[asyncio.Event] = None
         self._closed = False
         #: blocking work (PFS reads, NVMe installs, STAT aggregation) runs
         #: here, never on the event loop; the name prefix keeps these
@@ -379,8 +645,8 @@ class FTCacheServer:
         try:
             loop.run_until_complete(self._serve_main())
         finally:
-            # Mirror asyncio.run()'s teardown: cancel stragglers (pipelined
-            # handlers severed mid-write), then close the loop for real.
+            # Mirror asyncio.run()'s teardown: cancel stragglers (request
+            # tasks severed mid-write), then close the loop for real.
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()
@@ -393,28 +659,28 @@ class FTCacheServer:
 
     async def _serve_main(self) -> None:
         self._stop_event = asyncio.Event()
-        self._hang_release = asyncio.Event()
         try:
-            self._aio_server = await asyncio.start_server(self._serve_conn, sock=self._listen_sock)
+            self._aio_server = await self._loop.create_server(
+                lambda: _Conn(self), sock=self._listen_sock
+            )
         finally:
             self._ready.set()
         await self._stop_event.wait()
-        # Shutdown sequence: release hung handlers, stop accepting, then
-        # sever live connections so pooled client sockets observe the
-        # restart instead of silently talking to a dead instance.
-        self._hang_release.set()
+        # Shutdown sequence: stop accepting, then sever live connections so
+        # pooled client sockets observe the restart instead of silently
+        # talking to a dead instance.
         server = self._aio_server
         if server is not None:
             server.close()
             await server.wait_closed()
-        for writer in list(self._writers):
-            writer.transport.abort()
-        # Severed handlers see EOF/reset and return on their own; waiting
-        # for them here (instead of cancelling them in loop teardown)
-        # avoids 3.11's noisy cancelled-connection-task log callback.
-        pending = [t for t in self._conn_tasks if not t.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=2.0)
+        for conn in list(self._conns):
+            conn.sever()
+        # Every connection cancels its request tasks and is gone within a
+        # few callbacks; turning the loop until then means close() returns
+        # with no task, transport or socket left behind.
+        deadline = self._loop.time() + 2.0
+        while self._conns and self._loop.time() < deadline:
+            await asyncio.sleep(0)
 
     def kill(self, mode: str = "hang") -> None:
         """Simulate node failure.
@@ -460,18 +726,10 @@ class FTCacheServer:
             return
         self._closed = True
         self._alive = False
-        self.hang_barrier.set()
         loop, thread = self._loop, self._thread
         if loop is not None and thread is not None and thread.is_alive():
-
-            def _shutdown() -> None:
-                if self._hang_release is not None:
-                    self._hang_release.set()
-                if self._stop_event is not None:
-                    self._stop_event.set()
-
             try:
-                loop.call_soon_threadsafe(_shutdown)
+                loop.call_soon_threadsafe(self._stop_event.set)
             except RuntimeError:  # pragma: no cover - loop raced to a close
                 pass
             thread.join(timeout=10)
@@ -484,153 +742,11 @@ class FTCacheServer:
         self._executor.shutdown(wait=True)
         self.mover.close(drain=True)
 
-    # -- event-loop data plane --------------------------------------------------------
-    async def _serve_conn(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            set_nodelay(sock)
-        self._writers.add(writer)
-        self._conn_tasks.add(asyncio.current_task())
-        loop = asyncio.get_running_loop()
-        wlock = asyncio.Lock()  # one frame on the wire at a time
-        sem = asyncio.Semaphore(_PIPELINE_DEPTH)
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    msg, wire = await read_frame_async(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break  # client went away / server shutting down
-                except ProtocolError as exc:
-                    self.stats.bump(errors=1)
-                    self.log.warning("protocol error from %s: %s",
-                                     writer.get_extra_info("peername"), exc)
-                    break
-                if self.dropped.is_set():
-                    break  # hard failure: sever the connection mid-conversation
-                if self.hung.is_set():
-                    # Drained node: swallow the request until shutdown; the
-                    # client's TTL is the only way it learns anything (Sec IV-A).
-                    assert self._hang_release is not None
-                    await self._hang_release.wait()
-                    break
-                if wire == "binary":
-                    # Pipelined lane: every frame becomes its own task and
-                    # completes out of order, correlated by the echoed seq.
-                    self.stats.bump(binary_reqs=1)
-                    await sem.acquire()
-                    task = loop.create_task(self._handle_pipelined(msg, writer, wlock, sem))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                else:
-                    # Legacy lane: JSON frames keep the strict one-at-a-time,
-                    # in-order contract old clients were written against.
-                    self.stats.bump(json_reqs=1)
-                    if not await self._handle_one(msg, "json", writer, wlock):
-                        break
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            self._writers.discard(writer)
-            self._conn_tasks.discard(asyncio.current_task())
-            writer.transport.abort()
-
-    async def _handle_pipelined(self, msg: Message, writer, wlock, sem) -> None:
-        try:
-            await self._handle_one(msg, "binary", writer, wlock)
-        finally:
-            sem.release()
-
-    async def _handle_one(self, msg: Message, wire: str, writer, wlock) -> bool:
-        """Serve one framed request; False when the connection is unusable."""
-        loop = asyncio.get_running_loop()
-        try:
-            if wire == "binary" and msg.op == OP_READ:
-                if await self._serve_read_sendfile(msg, writer, wlock):
-                    return True
-            ctx = extract(msg.header)
-            qspan = self.tracer.start_span("server.exec_queue", ctx)
-
-            def _run() -> Message:
-                qspan.end()  # duration == decode→executor-pickup wait
-                return self.dispatch(msg)
-
-            response = await loop.run_in_executor(self._executor, _run)
-            sspan = self.tracer.start_span("server.serialize", ctx, nbytes=len(response.payload))
-            try:
-                if wire == "binary":
-                    head = encode_binary_response_header(msg.op, response, seq=msg.seq)
-                else:
-                    head = encode_json_frame(response)
-                async with wlock:
-                    writer.write(head)
-                    if response.payload:
-                        # Separate write: the framed payload is never copied
-                        # into a header+payload concatenation.
-                        writer.write(response.payload)
-                    await writer.drain()
-            finally:
-                sspan.end()
-            return True
-        except (ConnectionError, OSError):
-            return False  # client went away mid-response
-        except RuntimeError:
-            return False  # executor/transport torn down under us (shutdown)
-        except asyncio.CancelledError:
-            raise
-        except Exception:  # pragma: no cover - dispatch bug, not wire state
-            self.log.exception("unhandled error serving %s", msg.op)
-            self.stats.bump(errors=1)
-            return False
-
-    async def _serve_read_sendfile(self, msg: Message, writer, wlock) -> bool:
-        """Zero-copy fast path for a binary READ that hits the cache.
-
-        Returns True when the request was fully served from the loop (the
-        reply header + ``loop.sendfile`` of the NVMe entry); False sends
-        the caller down the normal dispatch path (miss, raced eviction,
-        or a malformed request).
-        """
-        path = msg.header.get("path", "")
-        if not path:
-            return False
-        entry = self.nvme.open_read(path)
-        if entry is None:
-            return False
-        f, size = entry
-        loop = asyncio.get_running_loop()
-        ctx = extract(msg.header)
-        t0 = time.perf_counter()
-        span = self.tracer.start_span("server.read", ctx, path=path, mode="sendfile", nbytes=size)
-        head = encode_binary_response_header(
-            OP_READ, Message.ok_response(source="cache"), seq=msg.seq, payload_len=size
-        )
-        try:
-            async with wlock:
-                writer.write(head)
-                await writer.drain()
-                if size:
-                    fspan = self.tracer.start_span("server.sendfile", span, nbytes=size)
-                    try:
-                        await loop.sendfile(writer.transport, f, count=size, fallback=True)
-                    except NotImplementedError:  # pragma: no cover - exotic loop
-                        writer.write(f.read(size))
-                        await writer.drain()
-                    fspan.end()
-        except (ConnectionError, OSError, RuntimeError):
-            # Request was consumed; the reader loop learns of the dead
-            # connection on its next frame.  RuntimeError: transport
-            # closed under sendfile during shutdown.
-            span.end(status="conn_error")
-            return True
-        finally:
-            f.close()
-        self.stats.bump(hits=1, sendfile_serves=1)
-        self.telemetry.observe("op_read_s", time.perf_counter() - t0)
-        span.end()
-        return True
-
     # -- request handling -----------------------------------------------------------
+    def _dispatch_queued(self, msg: Message, qspan) -> Message:
+        qspan.end()  # duration == decode→executor-pickup wait
+        return self.dispatch(msg)
+
     def dispatch(self, msg: Message) -> Message:
         """Route one request; every op gets a span (when the request carries
         a trace context) and a latency observation in the telemetry registry."""
@@ -703,6 +819,10 @@ class FTCacheServer:
             pspan.end(status="enoent")
             self.stats.bump(errors=1)
             return Message.error_response(f"no such file: {path}", code="ENOENT")
+        except PermissionError as exc:  # key resolves outside the PFS root
+            pspan.end(status="eacces")
+            self.stats.bump(errors=1)
+            return Message.error_response(str(exc))
         pspan.end()
         self.stats.bump(misses=1, pfs_reads=1)
         self.mover.submit(path, data, ctx=parent.ctx)

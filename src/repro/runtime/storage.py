@@ -23,9 +23,9 @@ from ..obs.events import get_event_log
 
 __all__ = ["NVMeDir", "PFSDir"]
 
-#: in-flight atomic-write staging files: distinguishable by prefix so scans
-#: (entry_count, the __init__ rescan) can exclude them, and a rescan can
-#: safely unlink leftovers from a writer that died mid-install
+#: in-flight atomic-write staging files: distinguishable by prefix so the
+#: __init__ rescan can exclude them and safely unlink leftovers from a
+#: writer that died mid-install
 _TMP_PREFIX = ".tmp-"
 
 
@@ -51,6 +51,8 @@ class NVMeDir:
     def __init__(self, root: str | Path, capacity_bytes: Optional[int] = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: pre-joined for the hit path: one ``open(prefix + name)``, no Path built
+        self._prefix = os.path.join(str(self.root), "")
         self.capacity_bytes = capacity_bytes
         self._lock = lockwitness.named_lock("nvme-lru")
         self.evictions = 0
@@ -83,9 +85,9 @@ class NVMeDir:
         return self._path(key).exists()
 
     def read(self, key: str) -> bytes:
-        data = self._path(key).read_bytes()
+        name = _entry_name(key)
+        data = (self.root / name).read_bytes()
         with self._lock:  # LRU refresh on hit
-            name = _entry_name(key)
             if name in self._lru:
                 self._lru.move_to_end(name)
         return data
@@ -100,13 +102,13 @@ class NVMeDir:
         stream from the still-open file.  The LRU refresh mirrors
         :meth:`read`.
         """
+        name = _entry_name(key)
         try:
-            f = self._path(key).open("rb")
+            f = open(self._prefix + name, "rb", buffering=0)
         except OSError:
             return None
         size = os.fstat(f.fileno()).st_size
         with self._lock:  # LRU refresh on hit
-            name = _entry_name(key)
             if name in self._lru:
                 self._lru.move_to_end(name)
         return f, size
@@ -188,11 +190,11 @@ class NVMeDir:
                 pass
 
     def entry_count(self) -> int:
-        """Installed entries only — in-flight ``.tmp-*`` staging files are
-        not cache entries and must not inflate occupancy reports."""
-        return sum(
-            1 for f in self.root.iterdir() if f.is_file() and not f.name.startswith(_TMP_PREFIX)
-        )
+        """Installed entries only, answered from the LRU index (every
+        install goes through :meth:`write`) — in-flight ``.tmp-*`` staging
+        files are never in it, and a STAT costs no directory scan."""
+        with self._lock:
+            return len(self._lru)
 
 
 class PFSDir:
@@ -201,6 +203,9 @@ class PFSDir:
     def __init__(self, root: str | Path, read_delay: float = 0.0):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: symlink-free form of the root, resolved once: the containment
+        #: test in :meth:`resolve` compares against it on every read
+        self._real_root = self.root.resolve()
         if read_delay < 0:
             raise ValueError("read_delay must be >= 0")
         self.read_delay = read_delay
@@ -212,10 +217,14 @@ class PFSDir:
         return self._reads
 
     def resolve(self, key: str) -> Path:
-        """Map a dataset key (absolute-ish path) into this PFS root."""
-        rel = key.lstrip("/")
-        path = (self.root / rel).resolve()
-        if not str(path).startswith(str(self.root.resolve())):
+        """Map a dataset key (absolute-ish path) into this PFS root.
+
+        Raises ``PermissionError`` for a key that resolves outside it —
+        ``..`` climbs, symlinks, and sibling directories that merely share
+        the root's name as a prefix (``/x/pfs-evil`` against ``/x/pfs``).
+        """
+        path = (self._real_root / key.lstrip("/")).resolve()
+        if not path.is_relative_to(self._real_root):
             raise PermissionError(f"path escape: {key!r}")
         return path
 

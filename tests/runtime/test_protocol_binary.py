@@ -30,6 +30,7 @@ from repro.runtime.protocol import (
     encode_binary_request,
     encode_binary_response_header,
     encode_json_frame,
+    parse_frame,
     send_binary_request,
     set_nodelay,
 )
@@ -184,6 +185,30 @@ class TestTruncation:
         frame = encode_json_frame(msg) + msg.payload
         self._truncated_outcomes(frame)
 
+    @pytest.mark.parametrize("codec", ["binary", "json"])
+    def test_incremental_parser_every_offset(self, codec):
+        """The server-side decoder (``parse_frame``) on the same frames: a
+        prefix of any length is "not yet" with a target beyond what it
+        has — never a message, never an error — and the whole frame, with
+        the next one already behind it, decodes exactly once."""
+        if codec == "binary":
+            msg = Message.request(OP_PUT, path="/dataset/x.bin")
+            msg.payload = b"payload-bytes"
+            frame = encode_binary_request(msg, seq=5) + msg.payload
+        else:
+            msg = Message(header={"op": "STAT", "k": "v"}, payload=b"tail")
+            frame = encode_json_frame(msg) + msg.payload
+        for cut in range(len(frame)):
+            got, binary, need = parse_frame(bytearray(frame[:cut]))
+            assert got is None and cut < need <= len(frame)
+            assert binary == (codec == "binary") or cut == 0
+        buf = bytearray(b"\0\0\0" + frame + frame[:5])  # mid-buffer, trailing partial
+        got, binary, end = parse_frame(buf, 3)
+        assert end == 3 + len(frame) and binary == (codec == "binary")
+        assert got.payload == msg.payload and got.op == msg.op
+        assert got.seq == (5 if codec == "binary" else 0)
+        del buf[:end]  # no view of the buffer outlives the call
+
 
 class TestSizeBounds:
     def test_json_payload_len_2_pow_40_rejected(self):
@@ -272,6 +297,34 @@ class TestSizeBounds:
         finally:
             a.close()
             b.close()
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            (slice(18, 22), (_MAX_PAYLOAD + 1).to_bytes(4, "big"), "payload length"),
+            (slice(8, 10), (_MAX_EXT + 1).to_bytes(2, "big"), "ext length"),
+            (slice(1, 2), b"\x00", "magic"),
+            (slice(4, 5), b"\xee", "op code"),
+        ],
+    )
+    def test_incremental_parser_rejects_on_the_fixed_header(self, field, value, match):
+        """``parse_frame`` fails a hostile frame with 22 bytes in hand — it
+        never asks for the body the bad length describes."""
+        header = bytearray(encode_binary_request(Message.request(OP_READ, path="/k"))[:22])
+        header[field] = value
+        assert parse_frame(header[:21])[0] is None  # one byte short: no verdict yet
+        with pytest.raises(ProtocolError, match=match):
+            parse_frame(header)
+
+    def test_incremental_parser_json_bounds(self):
+        import json as _json
+
+        with pytest.raises(ProtocolError, match="header length"):
+            parse_frame(bytearray((_MAX_HEADER + 1).to_bytes(4, "big")))
+        for bad, match in (({"payload_len": 2**40}, "payload length"), ({"payload_len": -1}, "payload_len")):
+            header = _json.dumps(bad).encode()
+            with pytest.raises(ProtocolError, match=match):
+                parse_frame(bytearray(len(header).to_bytes(4, "big") + header))
 
     def test_oversized_payload_refused_at_send_time(self):
         class Huge(bytes):
@@ -405,11 +458,7 @@ class TestNodelay:
             sock.settimeout(5)
             send_message(sock, Message.request("PING"))
             assert recv_message(sock).ok
-            accepted = [
-                w.get_extra_info("socket")
-                for w in list(server._writers)
-                if w.get_extra_info("socket") is not None
-            ]
+            accepted = [c.transport.get_extra_info("socket") for c in list(server._conns)]
             assert accepted, "server tracked no live connection"
             assert all(
                 s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1 for s in accepted

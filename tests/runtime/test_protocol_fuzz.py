@@ -6,8 +6,16 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import Message, recv_message, send_message
-from repro.runtime.protocol import BIN_OPS, send_binary_request
+import pytest
+
+from repro.runtime import Message, PFSDir, recv_message, send_message
+from repro.runtime.protocol import (
+    BIN_OPS,
+    encode_binary_request,
+    encode_json_frame,
+    parse_frame,
+    send_binary_request,
+)
 
 _header_values = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-(2**31), max_value=2**31)
@@ -100,3 +108,107 @@ class TestProtocolRoundTrip:
         finally:
             a.close()
             b.close()
+
+
+_frames = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(sorted(BIN_OPS)),
+            st.text(max_size=60),
+            st.binary(max_size=300),
+            st.integers(min_value=0, max_value=2**32 - 1),
+        ),
+        st.tuples(st.none(), _headers, st.binary(max_size=300), st.just(0)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestIncrementalDecode:
+    """``parse_frame`` — the server's decoder — fed a mixed-codec stream in
+    arbitrary segments yields exactly the messages that were framed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=_frames, data=st.data())
+    def test_any_segmentation_decodes_the_same_messages(self, frames, data):
+        stream = bytearray()
+        sent = []
+        for op, head, payload, seq in frames:
+            if op is not None:
+                msg = Message.request(op, path=head)
+                msg.payload = payload
+                stream += encode_binary_request(msg, seq=seq) + payload
+                sent.append((True, {"op": op, "path": head}, payload, seq))
+            else:
+                msg = Message(header=dict(head), payload=payload)
+                stream += encode_json_frame(msg) + payload
+                sent.append((False, {**head, "payload_len": len(payload)}, payload, 0))
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)), max_size=8)) | {len(stream)})
+        buf, got, fed = bytearray(), [], 0
+        for cut in cuts:  # what data_received does, minus the socket
+            buf += stream[fed:cut]
+            fed = cut
+            pos = 0
+            while True:
+                msg, binary, end = parse_frame(buf, pos)
+                if msg is None:
+                    assert end > len(buf)
+                    break
+                got.append((binary, msg.header, msg.payload, msg.seq))
+                pos = end
+            del buf[:pos]
+        assert not buf and got == sent
+
+
+class TestPFSRootEscape:
+    """No key reaches outside the PFS root (ROADMAP 1c): ``..`` climbs and
+    sibling directories sharing the root's name as a prefix included."""
+
+    @pytest.fixture(scope="class")
+    def pfs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("x")
+        (base / "pfs-evil").mkdir()
+        (base / "pfs-evil" / "s.txt").write_bytes(b"secret")
+        (base / "outside.txt").write_bytes(b"secret")
+        pfs = PFSDir(base / "pfs")
+        pfs.write("/dataset/a.bin", b"inside")
+        return pfs
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "../pfs-evil/s.txt",  # sibling whose name starts with the root's
+            "/../pfs-evil/s.txt",
+            "/dataset/../../pfs-evil/s.txt",
+            "../outside.txt",
+            "/dataset/../../outside.txt",
+            "..",
+            "/../../../../etc/passwd",
+        ],
+    )
+    def test_escapes_are_refused(self, pfs, key):
+        for op in (pfs.read, pfs.exists, pfs.resolve, lambda k: pfs.write(k, b"x")):
+            with pytest.raises(PermissionError, match="path escape"):
+                op(key)
+
+    def test_dotdot_inside_the_root_is_fine(self, pfs):
+        assert pfs.read("/dataset/sub/../a.bin") == b"inside"
+        assert pfs.read("dataset/./a.bin") == b"inside"
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        parts=st.lists(
+            st.sampled_from(["..", ".", "dataset", "pfs-evil", "pfs", "a.bin", "s.txt", ""]),
+            min_size=1,
+            max_size=8,
+        ),
+        lead=st.sampled_from(["", "/", "//"]),
+    )
+    def test_whatever_resolves_stays_inside(self, pfs, parts, lead):
+        key = lead + "/".join(parts)
+        try:
+            path = pfs.resolve(key)
+        except PermissionError:
+            return
+        assert path == pfs.root.resolve() or pfs.root.resolve() in path.parents

@@ -1,0 +1,431 @@
+"""The per-connection protocol of the event-loop server (``server._Conn``).
+
+Frames are decoded from a receive buffer in ``data_received``; a binary
+READ that hits is answered within the loop turn, what the socket did not
+take is finished under the connection's write lock, and everything that
+may block is a task.  These tests drive a real server over raw sockets
+and pin the contracts that design must keep: identical replies however
+the request stream is segmented, no interleaving on the write side,
+header-time rejection of hostile lengths, pipeline backpressure, the
+JSON lane's in-order rule, and the failure-injection / shutdown paths.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import socket
+import subprocess
+import sys
+import textwrap
+import time
+import zlib
+from pathlib import Path
+
+import pytest
+
+from repro.runtime import Message, recv_message
+from repro.runtime.protocol import (
+    _MAX_EXT,
+    _MAX_PAYLOAD,
+    OP_READ,
+    encode_binary_request,
+    encode_json_frame,
+)
+from repro.runtime.server import _PIPELINE_DEPTH, FTCacheServer
+from repro.runtime.storage import NVMeDir, PFSDir
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+#: the ``node`` fixture's corpus: cached keys and PFS-only keys
+HITS = [f"/dataset/hit/{i:03d}.bin" for i in range(32)]
+MISSES = [f"/dataset/miss/{i:03d}.bin" for i in range(8)]
+
+
+def _wait(predicate, timeout: float = 5.0) -> None:
+    """Poll ``predicate`` until true (condition wait, not a fixed sleep)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.002)
+
+
+def _assert_severed(sock: socket.socket) -> None:
+    """The server closed or reset the connection without sending a byte."""
+    try:
+        assert sock.recv(1) == b""
+    except ConnectionError:
+        pass
+
+
+def _read_req(path: str, seq: int) -> bytes:
+    return encode_binary_request(Message.request(OP_READ, path=path), seq=seq)
+
+
+def _only_conn(server: FTCacheServer):
+    _wait(lambda: len(server._conns) == 1)
+    return next(iter(server._conns))
+
+
+@pytest.fixture
+def node(tmp_path):
+    """One started server over fresh dirs: 32 cached 4 KiB keys + 8 PFS-only."""
+    pfs = PFSDir(tmp_path / "pfs")
+    nvme = NVMeDir(tmp_path / "nvme")
+    server = FTCacheServer(0, nvme, pfs)
+    for i, key in enumerate(HITS + MISSES):
+        pfs.write(key, bytes([i]) * 4096)
+    for key in HITS:
+        nvme.write(key, pfs.read(key))
+    server.start()
+    try:
+        yield server
+    finally:
+        server.close()
+
+
+def _connect(server: FTCacheServer, rcvbuf: int | None = None) -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    if rcvbuf is not None:  # must precede connect() to cap the advertised window
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(10)
+    try:
+        sock.connect(server.address)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
+class TestSegmentation:
+    def test_split_at_every_offset_gives_identical_replies(self, node):
+        """Two hits and a miss, delivered in two segments cut at every byte
+        offset: the replies are the same three, matched by seq."""
+        keys = [HITS[0], MISSES[0], HITS[1]]
+        stream = b"".join(_read_req(k, seq) for seq, k in enumerate(keys, start=1))
+        expected = {seq: node.pfs.read(k) for seq, k in enumerate(keys, start=1)}
+        for cut in range(1, len(stream)):
+            with _connect(node) as sock:
+                sock.sendall(stream[:cut])
+                if cut % 7 == 0:  # let some first segments be parsed on their own
+                    time.sleep(0.001)
+                sock.sendall(stream[cut:])
+                got = {}
+                for _ in keys:
+                    resp = recv_message(sock)
+                    assert resp.ok, (cut, resp.header)
+                    got[resp.seq] = resp.payload
+            assert got == expected, f"cut at {cut}"
+
+    def test_32_pipelined_reads_in_one_segment(self, node):
+        stream = b"".join(_read_req(k, seq) for seq, k in enumerate(HITS, start=1))
+        before = node.stats.counters()
+        with _connect(node) as sock:
+            sock.sendall(stream)
+            replies = [recv_message(sock) for _ in HITS]
+        # all hits are served in decode order within the turn(s) that parsed them
+        assert [r.seq for r in replies] == list(range(1, 33))
+        for r, key in zip(replies, HITS):
+            assert r.ok and r.header["source"] == "cache"
+            assert r.payload == node.pfs.read(key)
+        after = node.stats.counters()
+        assert after["hits"] - before["hits"] == 32
+        assert after["sendfile_serves"] - before["sendfile_serves"] == 32
+        assert after["binary_reqs"] - before["binary_reqs"] == 32
+
+    def test_books_are_closed_before_the_reply(self, node):
+        """The client holding a reply must already be counted (ROADMAP 1a)."""
+        with _connect(node) as sock:
+            for i, key in enumerate(HITS, start=1):
+                before = node.stats.counters()["hits"]
+                sock.sendall(_read_req(key, i))
+                assert recv_message(sock).ok
+                assert node.stats.counters()["hits"] == before + 1
+            for i, key in enumerate(MISSES, start=100):
+                before = node.stats.counters()["misses"]
+                sock.sendall(_read_req(key, i))
+                assert recv_message(sock).header["source"] == "pfs"
+                assert node.stats.counters()["misses"] == before + 1
+
+
+class TestRemainderPath:
+    def test_large_entry_slow_reader_miss_behind_it(self, node):
+        """4 MiB hit to a reader with a tiny receive buffer: the socket takes
+        only part of it inline, the rest goes out by ``loop.sendfile`` under
+        the write lock, and the miss pipelined behind it — ready long before
+        the reader drains — is answered after it, never interleaved."""
+        big = "/dataset/big.bin"
+        blob = os.urandom(4 << 20)
+        node.pfs.write(big, blob)
+        node.nvme.write(big, blob)
+        with _connect(node, rcvbuf=4096) as sock:
+            sock.sendall(_read_req(big, 1) + _read_req(MISSES[0], 2))
+            conn = _only_conn(node)
+            # the miss has been dispatched and is parked on the write lock
+            # behind the hit's tail before a single byte is read
+            _wait(lambda: node.stats.counters()["misses"] == 1 and len(conn.wlock._waiters) == 1)
+            assert node.stats.counters()["hits"] == 1
+            first = recv_message(sock)
+            second = recv_message(sock)
+        assert first.seq == 1 and first.header["source"] == "cache"
+        assert zlib.crc32(first.payload) == zlib.crc32(blob) and len(first.payload) == len(blob)
+        assert second.seq == 2 and second.header["source"] == "pfs"
+        assert second.payload == node.pfs.read(MISSES[0])
+
+    def test_hit_behind_a_busy_write_side_is_not_inlined_past_it(self, node):
+        """A small hit decoded in the same turn as a hit that went partial
+        finds the write lock taken and queues behind the tail."""
+        big = "/dataset/big2.bin"
+        blob = os.urandom(4 << 20)
+        node.pfs.write(big, blob)
+        node.nvme.write(big, blob)
+        with _connect(node, rcvbuf=4096) as sock:
+            sock.sendall(_read_req(big, 1) + _read_req(HITS[0], 2))
+            conn = _only_conn(node)
+            # both are on the books, the second parked on the lock, nothing read yet
+            _wait(lambda: node.stats.counters()["hits"] == 2 and len(conn.wlock._waiters) == 1)
+            first, second = recv_message(sock), recv_message(sock)
+        assert (first.seq, second.seq) == (1, 2)
+        assert first.payload == blob and second.payload == node.pfs.read(HITS[0])
+
+    def test_eviction_between_open_and_send_is_harmless(self, node):
+        key = HITS[0]
+        real_open = node.nvme.open_read
+
+        def open_then_evict(path):
+            entry = real_open(path)
+            node.nvme.drop(path)  # unlink while the descriptor pins the inode
+            return entry
+
+        node.nvme.open_read = open_then_evict
+        with _connect(node) as sock:
+            sock.sendall(_read_req(key, 9))
+            resp = recv_message(sock)
+        assert resp.ok and resp.seq == 9 and resp.header["source"] == "cache"
+        assert resp.payload == node.pfs.read(key)
+        assert not node.nvme.contains(key)
+
+    def test_zero_byte_entry(self, node):
+        node.pfs.write("/dataset/empty.bin", b"")
+        node.nvme.write("/dataset/empty.bin", b"")
+        with _connect(node) as sock:
+            sock.sendall(_read_req("/dataset/empty.bin", 3) + _read_req(HITS[0], 4))
+            a, b = recv_message(sock), recv_message(sock)
+        assert (a.seq, a.payload, a.header["source"]) == (3, b"", "cache")
+        assert b.seq == 4 and b.payload == node.pfs.read(HITS[0])
+
+
+class TestHostileHeaders:
+    """Bounds are enforced when the 22-byte header arrives: the server
+    severs the connection without waiting for a single body byte."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h.__setitem__(slice(18, 22), (_MAX_PAYLOAD + 1).to_bytes(4, "big")),
+            lambda h: h.__setitem__(slice(8, 10), (_MAX_EXT + 1).to_bytes(2, "big")),
+            lambda h: h.__setitem__(1, 0x00),  # second magic byte
+            lambda h: h.__setitem__(4, 0xEE),  # op code
+        ],
+        ids=["payload_len", "ext_len", "magic", "op_code"],
+    )
+    def test_rejected_on_header_arrival(self, node, mutate):
+        header = bytearray(_read_req("/k", 1)[:22])
+        mutate(header)
+        before = node.stats.counters()["errors"]
+        with _connect(node) as sock:
+            sock.sendall(bytes(header))  # header only: no key, no body
+            _assert_severed(sock)
+        assert node.stats.counters()["errors"] == before + 1
+
+    def test_oversized_json_header_rejected_on_length_prefix(self, node):
+        with _connect(node) as sock:
+            sock.sendall((1 << 21).to_bytes(4, "big"))
+            _assert_severed(sock)
+
+    def test_path_escape_is_answered_not_dropped(self, node):
+        """A READ outside the PFS root gets an error *reply* on both lanes —
+        silence would read as a timeout against a healthy node."""
+        evil = node.pfs.root.parent / "pfs-evil"
+        evil.mkdir()
+        (evil / "s.txt").write_bytes(b"secret")
+        with _connect(node) as sock:
+            for seq, key in enumerate(["../pfs-evil/s.txt", "/a/../../pfs-evil/s.txt"], start=1):
+                sock.sendall(_read_req(key, seq))
+                resp = recv_message(sock)
+                assert not resp.ok and resp.seq == seq and b"secret" not in resp.payload
+                assert "escape" in resp.header["reason"]
+            sock.sendall(encode_json_frame(Message.request("READ", path="../pfs-evil/s.txt")))
+            resp = recv_message(sock)
+            assert not resp.ok and "escape" in resp.header["reason"]
+            # the connection is still good
+            sock.sendall(_read_req(HITS[0], 7))
+            assert recv_message(sock).seq == 7
+
+
+class TestBackpressure:
+    def test_pipeline_depth_pauses_reading_and_resumes(self, tmp_path):
+        """More than ``_PIPELINE_DEPTH`` slow requests in one burst: decoding
+        stops at the depth, reading pauses, and every request is still
+        answered once the backlog drains."""
+        pfs = PFSDir(tmp_path / "pfs", read_delay=0.01)
+        n = _PIPELINE_DEPTH + 36
+        keys = [f"/dataset/slow/{i:03d}.bin" for i in range(n)]
+        for i, key in enumerate(keys):
+            pfs.write(key, bytes([i % 251]) * 64)
+        server = FTCacheServer(0, NVMeDir(tmp_path / "nvme"), pfs, dispatch_workers=2).start()
+        try:
+            with _connect(server) as sock:
+                sock.sendall(b"".join(_read_req(k, i) for i, k in enumerate(keys, start=1)))
+                conn = _only_conn(server)
+                _wait(lambda: conn.paused)
+                assert len(conn.tasks) == _PIPELINE_DEPTH
+                got = {}
+                for _ in keys:
+                    assert len(conn.tasks) <= _PIPELINE_DEPTH
+                    resp = recv_message(sock)
+                    assert resp.ok
+                    got[resp.seq] = resp.payload
+                assert got == {i: bytes([(i - 1) % 251]) * 64 for i in range(1, n + 1)}
+                _wait(lambda: not conn.paused and not conn.tasks)
+        finally:
+            server.close()
+
+
+class TestJsonLaneOrdering:
+    def test_nothing_is_decoded_past_an_unanswered_json_frame(self, tmp_path):
+        """JSON READ of a slow key, then a binary hit, in one segment: the hit
+        would win any race, but the JSON reply must come first."""
+        pfs = PFSDir(tmp_path / "pfs", read_delay=0.15)
+        nvme = NVMeDir(tmp_path / "nvme")
+        pfs.write("/slow.bin", b"s" * 128)
+        pfs.write("/fast.bin", b"f" * 128)
+        nvme.write("/fast.bin", b"f" * 128)
+        server = FTCacheServer(0, nvme, pfs).start()
+        try:
+            with _connect(server) as sock:
+                sock.sendall(
+                    encode_json_frame(Message.request("READ", path="/slow.bin"))
+                    + _read_req("/fast.bin", 5)
+                    + encode_json_frame(Message.request("PING"))
+                )
+                first, second, third = (recv_message(sock) for _ in range(3))
+            assert first.seq == 0 and first.payload == b"s" * 128
+            assert second.seq == 5 and second.payload == b"f" * 128
+            assert third.ok and third.header["node_id"] == 0
+            counters = server.stats.counters()
+            assert counters["json_reqs"] == 2 and counters["binary_reqs"] == 1
+        finally:
+            server.close()
+
+    def test_binary_ahead_of_json_may_still_complete_out_of_order(self, tmp_path):
+        pfs = PFSDir(tmp_path / "pfs", read_delay=0.15)
+        pfs.write("/slow.bin", b"s" * 64)
+        server = FTCacheServer(0, NVMeDir(tmp_path / "nvme"), pfs).start()
+        try:
+            with _connect(server) as sock:
+                sock.sendall(
+                    _read_req("/slow.bin", 1) + encode_json_frame(Message.request("PING"))
+                )
+                first, second = recv_message(sock), recv_message(sock)
+            assert first.header.get("node_id") == 0  # the PING overtook the slow miss
+            assert second.seq == 1 and second.payload == b"s" * 64
+        finally:
+            server.close()
+
+
+class TestFailureInjectionAndShutdown:
+    def test_hang_swallows_requests(self, node):
+        with _connect(node) as sock:
+            sock.sendall(_read_req(HITS[0], 1))
+            assert recv_message(sock).ok
+            node.kill("hang")
+            sock.sendall(_read_req(HITS[1], 2))
+            sock.settimeout(0.3)
+            with pytest.raises((socket.timeout, TimeoutError)):
+                sock.recv(1)
+            assert node.stats.counters()["hits"] == 1  # swallowed, not served
+            node.close()  # shutdown severs the hung connection
+            sock.settimeout(5)
+            _assert_severed(sock)
+
+    def test_drop_severs_live_connections_and_refuses_new_ones(self, node):
+        with _connect(node) as sock:
+            sock.sendall(_read_req(HITS[0], 1))
+            assert recv_message(sock).ok
+            node.kill("drop")
+            sock.sendall(_read_req(HITS[1], 2))
+            _assert_severed(sock)
+        with pytest.raises(OSError):
+            _connect(node).close()
+
+    def test_half_close_still_gets_its_replies(self, node):
+        with _connect(node) as sock:
+            sock.sendall(_read_req(MISSES[0], 1) + _read_req(HITS[0], 2))
+            sock.shutdown(socket.SHUT_WR)
+            got = {r.seq: r.payload for r in (recv_message(sock), recv_message(sock))}
+            assert sock.recv(1) == b""  # then the server closes its side
+        assert got == {1: node.pfs.read(MISSES[0]), 2: node.pfs.read(HITS[0])}
+
+    def test_close_leaves_no_task_fd_or_resource_warning(self, tmp_path):
+        """Under ``-X dev -W error``: close() with a sendfile tail parked on a
+        slow reader, a miss waiting on the write lock and a request still
+        in the executor.  Any leaked file, socket, task or un-awaited
+        coroutine surfaces on stderr and fails the run."""
+        script = textwrap.dedent(
+            """
+            import gc, os, socket, sys, time
+            from repro.runtime import Message
+            from repro.runtime.protocol import OP_READ, encode_binary_request
+            from repro.runtime.server import FTCacheServer
+            from repro.runtime.storage import NVMeDir, PFSDir
+
+            def fds():
+                return len(os.listdir("/proc/self/fd"))
+
+            root = sys.argv[1]
+            pfs = PFSDir(root + "/pfs", read_delay=0.05)
+            nvme = NVMeDir(root + "/nvme")
+            blob = os.urandom(4 << 20)
+            pfs.write("/big.bin", blob); nvme.write("/big.bin", blob)
+            pfs.write("/miss.bin", b"m" * 64); pfs.write("/late.bin", b"l" * 64)
+            gc.collect(); base = fds()
+            server = FTCacheServer(0, nvme, pfs).start()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(server.address)
+            req = lambda p, s: encode_binary_request(Message.request(OP_READ, path=p), seq=s)
+            sock.sendall(req("/big.bin", 1) + req("/miss.bin", 2))
+            deadline = time.monotonic() + 5
+            while not (server._conns and next(iter(server._conns)).wlock._waiters):
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            conn = next(iter(server._conns))
+            sock.sendall(req("/late.bin", 3))  # still in the executor at close
+            tasks = set(conn.tasks)
+            assert len(tasks) >= 2
+            server.close()
+            assert not server._conns and all(t.done() for t in tasks)
+            sock.close()
+            del conn, tasks, server
+            gc.collect()
+            assert fds() == base, (fds(), base)
+            print("clean")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=SRC, FTLINT_LOCKWITNESS="0")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "clean"
+        assert proc.stderr == "", proc.stderr
+
+
+class TestStatFromTheIndex:
+    def test_stat_reports_entries_without_scanning(self, node):
+        with _connect(node) as sock:
+            sock.sendall(encode_json_frame(Message.request("STAT")))
+            stat = recv_message(sock).header
+        assert stat["cached_entries"] == len(HITS) == node.nvme.entry_count()
+        assert json.dumps(stat)  # plain JSON types only
