@@ -10,7 +10,7 @@ a lock is held whose callee has a non-empty summary is flagged, and the
 finding prints the chain down to the primitive, e.g.::
 
     RT003 call 'self._helper()' while holding lock 'self._lock' can
-    block: _helper (client.py:80) -> send_message (protocol.py:60):
+    block: _helper (client.py:80) -> send_binary_request (protocol.py:60):
     socket I/O 'sock.sendall()' (protocol.py:64)
 
 Precision notes (documented so suppressions can argue with them):

@@ -31,13 +31,13 @@ RPC004      a response field the client consumes but the server does not set:
 
 Extraction facts the checks rely on (kept in sync with
 ``repro.runtime.protocol``): ``ok_response`` implies header field
-``status``; ``error_response`` implies ``status`` and ``reason``;
-``send_message`` always adds ``payload_len``; a ``**splat`` in a reply
-construction is a wildcard that satisfies any field on that path, and
-``dict(resp.header)`` on the client side is a wildcard consumption that
-asserts nothing.  Response reads are attributed to every op the *same
-function* sends — a function multiplexing several ops over one response
-variable should be split (or suppressed with a justification).
+``status``; ``error_response`` implies ``status`` and ``reason``; a
+``**splat`` in a reply construction is a wildcard that satisfies any
+field on that path, and ``dict(resp.header)`` on the client side is a
+wildcard consumption that asserts nothing.  Response reads are
+attributed to every op the *same function* sends — a function
+multiplexing several ops over one response variable should be split (or
+suppressed with a justification).
 
 Scope gating keeps fixtures honest: senders/handlers are only extracted
 from modules under ``repro/runtime`` and ``repro/hvac``, and the
@@ -56,10 +56,8 @@ from .callgraph import CallGraph, FunctionInfo, _ModuleIndex
 from .findings import Finding
 from .visitor import ProjectRule, dotted_name
 
-#: header fields the framing layer sets on every message
-_FRAMING_FIELDS = frozenset({"payload_len"})
-_OK_IMPLICIT = frozenset({"status"}) | _FRAMING_FIELDS
-_ERROR_IMPLICIT = frozenset({"status", "reason"}) | _FRAMING_FIELDS
+_OK_IMPLICIT = frozenset({"status"})
+_ERROR_IMPLICIT = frozenset({"status", "reason"})
 
 
 # --------------------------------------------------------------------------- facts
@@ -173,10 +171,10 @@ class _OpResolver:
 
 
 class _BinOpTable:
-    """The ``BIN_OPS = {OP_X: code, ...}`` binary op table of the protocol
-    module: which ops may ride the fixed binary header, and under which
-    8-bit wire code.  Malformed entries are RPC000 drift — a bad table
-    silently desynchronises every binary peer."""
+    """The ``BIN_OPS = {OP_X: code, ...}`` op table of the protocol
+    module: every op of the wire, and its 8-bit wire code.  Malformed
+    entries are RPC000 drift — a bad table silently desynchronises
+    every peer."""
 
     def __init__(self, modules: List[_ModuleIndex], ops: _OpResolver):
         #: op value → wire code, for well-formed entries only

@@ -59,7 +59,7 @@ _FILE_IO_ATTRS = {
 }
 #: bare-name calls that block (project protocol helpers included: they do
 #: full-frame socket I/O)
-_BLOCKING_NAME_CALLS = {"open", "sleep", "send_message", "recv_message"}
+_BLOCKING_NAME_CALLS = {"open", "sleep", "send_binary_request", "recv_message"}
 
 _BROAD_EXC = {"Exception", "BaseException"}
 

@@ -108,7 +108,6 @@ def build_scenario(cluster: LocalCluster, args: argparse.Namespace) -> Scenario:
         "join_at": args.join_at,
         "join_weight": args.join_weight,
         "trace_sample_rate": args.trace_sample_rate,
-        "wire": args.wire,
         "seed": args.seed,
     }
     return Scenario(cluster, workload, phases, extra_config=cli_config)
@@ -159,8 +158,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="capacity weight of the joining server (weighted virtual nodes)")
     parser.add_argument("--monkey-interval", type=float, default=0.0,
                         help="use a random ChaosMonkey (mean seconds between events) instead of one scheduled kill")
-    parser.add_argument("--wire", choices=("binary", "json"), default="binary",
-                        help="client request codec for data ops: binary READ fast path vs legacy JSON frames")
     parser.add_argument("--trace-sample-rate", type=float, default=0.0,
                         help="fraction of client requests traced end-to-end (0 disables tracing)")
     parser.add_argument("--obs-dir", default="",
@@ -187,12 +184,11 @@ def main(argv: list[str] | None = None) -> int:
         mover_queue_depth=args.mover_queue_depth,
         trace_sample_rate=args.trace_sample_rate,
         trace_seed=args.seed,
-        wire=args.wire,
     ) as cluster:
         scenario = build_scenario(cluster, args)
         print(f"loadgen: {args.servers} servers, policy={args.policy}, "
               f"workload={args.workload}(s={args.zipf_s}) over {args.files} x {args.file_bytes} B, "
-              f"mode={args.mode}, wire={args.wire}, seed={args.seed}")
+              f"mode={args.mode}, seed={args.seed}")
         print(PHASE_HEADER)
         report = scenario.run(on_phase=lambda p: print(render_phase_line(p), flush=True))
         obs_files = cluster.dump_obs(Path(args.obs_dir)) if args.obs_dir else []

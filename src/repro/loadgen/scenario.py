@@ -48,8 +48,7 @@ __all__ = ["ChaosEvent", "PhaseSpec", "PhaseReport", "ScenarioReport", "Scenario
 #: v2: per-phase deltas and server snapshots grew the data-mover pool
 #: counters (mover_enqueued/coalesced/dropped, mover_queue_len) and
 #: race_fallthroughs; client_stats split cache_reads into
-#: server_cache_reads / server_pfs_reads (the old key stays as an alias)
-#: and added reconnects.
+#: server_cache_reads / server_pfs_reads and added reconnects.
 #: v3: elastic scale-out — ChaosEvent action "join" (live node join via
 #: repro.rebalance), a top-level "rebalance" block (per-join move plan,
 #: warmup traffic, cutover epochs, final ring epoch + membership version),

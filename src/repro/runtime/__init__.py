@@ -9,7 +9,7 @@ from .chaos import ChaosAction, ChaosMonkey
 from .client import FTCacheClient, ReadError
 from .cluster import LocalCluster
 from .dataloader import CachedDataLoader
-from .protocol import Message, ProtocolError, recv_message, send_message
+from .protocol import Message, ProtocolError, recv_message, send_binary_request
 from .server import FTCacheServer, ServerStats
 from .storage import NVMeDir, PFSDir
 
@@ -23,7 +23,7 @@ __all__ = [
     "Message",
     "ProtocolError",
     "recv_message",
-    "send_message",
+    "send_binary_request",
     "FTCacheServer",
     "ServerStats",
     "NVMeDir",

@@ -29,7 +29,7 @@ from ..core.hash_ring import HashRing
 from ..core.fault_policy import make_policy
 from ..obs import configure_logging
 from .client import FTCacheClient
-from .protocol import OP_STAT, Message, recv_message, send_message, set_nodelay
+from .protocol import OP_STAT, Message, recv_message, send_binary_request, set_nodelay
 from .server import FTCacheServer
 from .storage import NVMeDir, PFSDir
 
@@ -92,7 +92,6 @@ def _client(args: argparse.Namespace) -> FTCacheClient:
         pfs=PFSDir(args.pfs),
         ttl=args.ttl,
         timeout_threshold=args.threshold,
-        wire=getattr(args, "wire", "binary"),
     )
 
 
@@ -119,7 +118,7 @@ def cmd_stat(args: argparse.Namespace) -> int:
         with socket.create_connection((host, int(port_s)), timeout=args.ttl) as sock:
             sock.settimeout(args.ttl)
             set_nodelay(sock)
-            send_message(sock, Message.request(OP_STAT))
+            send_binary_request(sock, Message.request(OP_STAT))
             resp = recv_message(sock)
     except OSError as exc:
         print(f"unreachable: {exc}")
@@ -179,8 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--vnodes", type=int, default=100)
     p.add_argument("--ttl", type=float, default=1.0)
     p.add_argument("--threshold", type=int, default=3)
-    p.add_argument("--wire", default="binary", choices=("binary", "json"),
-                   help="request codec for data ops (binary READ fast path vs legacy JSON)")
     p.add_argument("--out", default="", help="also write the bytes to this file")
     p.set_defaults(fn=cmd_get)
 

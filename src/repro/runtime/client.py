@@ -45,7 +45,6 @@ from ..core.fault_policy import FaultPolicy
 from ..core.replication import ReplicatedRecache
 from ..obs import Tracer, get_event_log, inject, node_logger
 from .protocol import (
-    BIN_OPS,
     OP_JOIN_PLAN,
     OP_OBS,
     OP_PING,
@@ -57,7 +56,6 @@ from .protocol import (
     ProtocolError,
     recv_message,
     send_binary_request,
-    send_message,
     set_nodelay,
 )
 from .storage import PFSDir
@@ -136,17 +134,8 @@ class FTCacheClient:
         max_reroute_rounds: int = 32,
         on_op: Optional[Callable[[str, str, float, str, Optional[NodeId], int], None]] = None,
         tracer: Optional[Tracer] = None,
-        wire: str = "binary",
     ):
         """``servers`` maps node id → ``(host, port)``.
-
-        ``wire`` selects the request codec for payload-bearing ops
-        (READ/PUT/TRANSFER): ``"binary"`` (the default) frames them with
-        the fixed binary header and unlocks pipelined :meth:`read_many`;
-        ``"json"`` keeps every request on the legacy JSON frames.
-        Control-plane ops (PING/STAT/OBS/JOIN_PLAN) always use JSON, and
-        the server answers each request in the codec it arrived on — the
-        two wire modes interoperate on one connection.
 
         ``on_op(op, path, seconds, outcome, node_id, reconnects)`` — if
         given — is invoked after every completed top-level operation with
@@ -165,9 +154,6 @@ class FTCacheClient:
         context into every RPC header, so servers continue the trace.
         Without one, tracing is off and costs nothing.
         """
-        if wire not in ("binary", "json"):
-            raise ValueError(f"wire must be 'binary' or 'json', got {wire!r}")
-        self.wire = wire
         self.servers = dict(servers)
         self.policy = policy
         self.pfs = pfs
@@ -193,14 +179,9 @@ class FTCacheClient:
 
     @property
     def stats(self) -> dict:
-        """Counter snapshot.  ``cache_reads`` (the pre-split name for any
-        successful server-side read, whatever its source) is kept as a
-        computed alias of ``server_cache_reads + server_pfs_reads`` so
-        existing bench JSON and dashboards keep working."""
+        """Counter snapshot: every key of :data:`CLIENT_COUNTER_KEYS`."""
         with self._stats_lock:
-            out = dict(self._counts)
-        out["cache_reads"] = out["server_cache_reads"] + out["server_pfs_reads"]
-        return out
+            return dict(self._counts)
 
     # -- public API --------------------------------------------------------------
     def read(self, path: str) -> bytes:
@@ -330,7 +311,7 @@ class FTCacheClient:
                         set_nodelay(sock)
                         msg = Message.request(OP_PUT, path=path)
                         msg.payload = data
-                        send_message(sock, msg)
+                        send_binary_request(sock, msg)
                         resp = recv_message(sock)
                         if resp.ok:
                             self._bump(replica_pushes=1)
@@ -342,20 +323,19 @@ class FTCacheClient:
     def read_many(self, paths: list[str]) -> list[bytes]:
         """Read a batch of files; order of results matches ``paths``.
 
-        On the binary wire, paths owned by the same node are **pipelined**
-        over that node's pooled socket: every READ goes out back to back
-        with a per-request ``seq``, and responses — which the server may
-        complete out of order — are correlated by the echoed seq.  One
-        socket round of framing latency is paid per *batch*, not per key.
+        Paths owned by the same node are **pipelined** over that node's
+        pooled socket: every READ goes out back to back with a per-request
+        ``seq``, and responses — which the server may complete out of
+        order — are correlated by the echoed seq.  One socket round of
+        framing latency is paid per *batch*, not per key.
 
         Anything that can't be pipelined falls back to the sequential
         :meth:`read` path with its full detection/re-route semantics:
-        PFS-direct policy routes, replicated multi-candidate reads, the
-        JSON wire, and any batch whose socket times out or desyncs
-        mid-flight (the socket is retired first — a half-drained pipeline
-        must never be reused).
+        PFS-direct policy routes, replicated multi-candidate reads, and
+        any batch whose socket times out or desyncs mid-flight (the socket
+        is retired first — a half-drained pipeline must never be reused).
         """
-        if self.wire != "binary" or len(paths) < 2:
+        if len(paths) < 2:
             return [self.read(p) for p in paths]
         results: dict[int, bytes] = {}
         groups: dict[NodeId, list[tuple[int, str]]] = {}
@@ -672,10 +652,7 @@ class FTCacheClient:
             fresh = True
             try:
                 sock, fresh = self._checkout(node)
-                if self.wire == "binary" and msg.op in BIN_OPS:
-                    send_binary_request(sock, msg)
-                else:
-                    send_message(sock, msg)
+                send_binary_request(sock, msg)
                 resp = recv_message(sock)
                 octx.node_id = node
                 span.end()

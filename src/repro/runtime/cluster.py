@@ -58,17 +58,11 @@ class LocalCluster:
         ring_probes: int = 1,
         trace_sample_rate: float = 0.0,
         trace_seed: int = 0,
-        wire: str = "binary",
     ):
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
         if not 0.0 <= trace_sample_rate <= 1.0:
             raise ValueError(f"trace_sample_rate must be in [0, 1], got {trace_sample_rate}")
-        if wire not in ("binary", "json"):
-            raise ValueError(f"wire must be 'binary' or 'json', got {wire!r}")
-        #: request codec for every client this cluster creates (READ/PUT/
-        #: TRANSFER frames; control ops always ride JSON)
-        self.wire = wire
         self.policy_name = policy
         self.replicas = replicas
         self.ttl = ttl
@@ -152,7 +146,6 @@ class LocalCluster:
             ttl=self.ttl,
             timeout_threshold=self.timeout_threshold,
             tracer=tracer,
-            wire=self.wire,
         )
         self._clients.append(c)
         return c
@@ -285,7 +278,6 @@ class LocalCluster:
                 tracer=Tracer(node="control", buffer=self.control_spans)
                 if self.trace_sample_rate > 0.0
                 else None,
-                wire=self.wire,
             )
         except Exception:
             fresh.close()  # never leak a server thread on a failed plan

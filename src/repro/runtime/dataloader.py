@@ -92,9 +92,9 @@ class CachedDataLoader:
         yield from self._iter_threaded(batches)
 
     def _fetch(self, batch: np.ndarray) -> list[bytes]:
-        """One batch's bytes via :meth:`FTCacheClient.read_many` — on the
-        binary wire, same-owner samples pipeline over one socket instead
-        of paying a full round trip per sample."""
+        """One batch's bytes via :meth:`FTCacheClient.read_many` —
+        same-owner samples pipeline over one socket instead of paying a
+        full round trip per sample."""
         return self.client.read_many([self.paths[j] for j in batch])
 
     def _iter_threaded(self, batches: list[np.ndarray]) -> Iterator[Any]:

@@ -1,42 +1,35 @@
-"""Wire protocol for the FT-Cache runtime: JSON control frames + a fixed
-binary header for the READ hot path.
+"""Wire protocol for the FT-Cache runtime: one fixed-header frame for every op.
 
-Two self-describing frame formats share every connection, discriminated
-by the first byte on the wire:
+A frame is a fixed 22-byte header — magic + version + kind + op + flags +
+key-len + ext-len + seq + aux + payload-len — followed by the key (a
+path, or the reason of an error), an extension blob (the trace context
+rides here), and the payload.  Data and control ops share it: the fixed
+header packs what the hot path reads (``op``/``path``, ``status``,
+``source``, ``reason``/``code``, the PUT/TRANSFER counters, the trace
+ids), so no JSON is parsed or produced anywhere on a READ, PUT or
+TRANSFER.  Any other header field — STAT's counters, PING's ``node_id``,
+JOIN_PLAN's plan — rides as one JSON object in the payload under
+``_FLAG_FIELDS``, which is legal only on a message with no payload bytes
+of its own.  That encoding lives in this module alone: callers build
+``Message.request(OP_JOIN_PLAN, planned_keys=…)`` and read
+``resp.header["node_id"]`` whichever way the field travelled.
 
-* **JSON frames** (the original codec, kept for STAT/OBS/JOIN_PLAN/PING
-  and any old client): a 4-byte big-endian length, a JSON header of that
-  length, then ``header["payload_len"]`` raw bytes.  The JSON header
-  length is bounded by ``_MAX_HEADER`` (1 MiB), so its first length byte
-  is always ``0x00`` on a well-formed stream.
-* **binary frames** (the hot path): a fixed 22-byte header —
-  magic + version + kind + op + flags + key-len + ext-len + seq + aux +
-  payload-len — followed by the key (a path), an extension blob (the
-  trace context rides here), and the payload.  The magic's first byte is
-  ``0xF7``, which can never open a JSON frame, so a receiver needs only
-  one byte to pick the codec.  No JSON is parsed or produced anywhere on
-  a binary READ.
+``seq`` is a transport-level correlation id (:attr:`Message.seq`) echoed
+by the server, which is what makes pipelining with out-of-order
+completion safe — it never appears in the header vocabulary.
 
-Because every frame self-describes, "negotiation" is implicit and
-per-message: an old client speaks JSON and is answered in JSON; a new
-client sends binary READs and JSON STATs over the same pooled socket and
-each gets a same-codec reply.  ``seq`` is a transport-level correlation
-id (:attr:`Message.seq`) echoed by the server, which is what makes
-pipelining with out-of-order completion safe — it never appears in the
-JSON header vocabulary.
-
-Both codecs bound every variable-length field (``_MAX_HEADER``,
-``_MAX_EXT``, ``_MAX_PAYLOAD``) before allocating, so a corrupt or
-hostile length field raises :class:`ProtocolError` instead of driving
-the receiver into a multi-gigabyte read.  Sends are vectored
+Every variable-length field is bounded (``_MAX_HEADER`` for a fields
+payload, ``_MAX_EXT``, ``_MAX_PAYLOAD``) when the fixed header that
+carries it is decoded, before anything is allocated or waited for, so a
+corrupt or hostile length raises :class:`ProtocolError` instead of
+driving the receiver into a multi-gigabyte read.  Sends are vectored
 (``sendmsg``): the payload travels as its own iovec straight from the
 caller's buffer — header and payload are never concatenated into a
 doubled-up intermediate bytes object.
 
 Requests may additionally carry ``trace_id``/``span_id`` correlation
 fields (injected by :func:`repro.obs.context.inject` on traced
-operations); JSON framing treats them as opaque header data, and the
-binary codec packs them into the header's extension field.
+operations); they are packed into the header's extension field.
 """
 
 from __future__ import annotations
@@ -51,12 +44,10 @@ from ..obs.context import SPAN_ID_FIELD, TRACE_ID_FIELD
 
 __all__ = [
     "Message",
-    "send_message",
     "recv_message",
     "send_binary_request",
     "encode_binary_request",
     "encode_binary_response_header",
-    "encode_json_frame",
     "parse_frame",
     "set_nodelay",
     "ProtocolError",
@@ -82,24 +73,20 @@ OP_JOIN_PLAN = "JOIN_PLAN"
 #: backfill one moved key into a joining node's bounded mover (rebalance)
 OP_TRANSFER = "TRANSFER"
 #: observability export: unified telemetry snapshot + recent spans/events
-#: as a JSON payload (headers stay small; the data rides the binary lane)
+#: as a JSON payload (bulk data is payload bytes, not header fields)
 OP_OBS = "OBS"
 
 STATUS_OK = "OK"
 STATUS_ERROR = "ERROR"
 
-_LEN = struct.Struct(">I")
-#: sanity bound on JSON header size — anything bigger is a corrupt stream
+#: sanity bound on a JSON fields payload — anything bigger is a corrupt stream
 _MAX_HEADER = 1 << 20
-#: hard bound on any payload, both codecs — a corrupt/hostile ``payload_len``
-#: must fail the frame, not allocate gigabytes (256 MiB ≫ any cache entry)
+#: hard bound on any payload — a corrupt/hostile ``payload_len`` must fail
+#: the frame, not allocate gigabytes (256 MiB ≫ any cache entry)
 _MAX_PAYLOAD = 1 << 28
-#: bound on the binary extension blob (trace context today: 24 bytes)
+#: bound on the extension blob (trace context today: 24 bytes)
 _MAX_EXT = 1 << 12
 
-# -- binary codec ------------------------------------------------------------------
-#: first byte 0xF7 can never alias a JSON frame: a JSON length prefix is
-#: bounded by ``_MAX_HEADER`` (1 MiB), so its first byte is always 0x00
 BIN_MAGIC = b"\xf7\xc5"
 BIN_VERSION = 1
 
@@ -111,21 +98,34 @@ _KIND_REQUEST = 0
 _KIND_OK = 1
 _KIND_ERROR = 2
 
-#: the binary op table: ops eligible for binary framing (the payload-bearing
-#: hot/bulk lane).  Everything else — STAT, OBS, PING, JOIN_PLAN — is
-#: control-plane and stays on JSON frames.  The RPC conformance checker
-#: (``repro.analysis.rpccheck``) parses this table and cross-checks it
-#: against senders and handler branches, so it cannot drift silently.
+#: the op table: every op and its 8-bit wire code.  The RPC conformance
+#: checker (``repro.analysis.rpccheck``) parses this table and cross-checks
+#: it against senders and handler branches, so it cannot drift silently.
 BIN_OPS = {
     OP_READ: 1,
     OP_PUT: 2,
     OP_TRANSFER: 3,
+    OP_PING: 4,
+    OP_STAT: 5,
+    OP_OBS: 6,
+    OP_JOIN_PLAN: 7,
 }
 _BIN_OP_NAMES = {v: k for k, v in BIN_OPS.items()}
 
-#: response flag bits
+#: flag bits
 _FLAG_SOURCE_PFS = 0x01  # READ ok: bytes came from the PFS, not the cache
 _FLAG_ACCEPTED = 0x02  # TRANSFER ok: the mover accepted the entry
+_FLAG_FIELDS = 0x04  # the payload is the JSON object of the unpacked header fields
+
+#: header fields the fixed header packs; every other field is a fields payload
+_REQUEST_PACKED = frozenset({"op", "path", TRACE_ID_FIELD, SPAN_ID_FIELD})
+_ERROR_PACKED = frozenset({"status", "reason", "code"})
+_OK_PACKED = {
+    OP_READ: frozenset({"status", "source"}),
+    OP_TRANSFER: frozenset({"status", "accepted", "queue_len"}),
+    OP_PUT: frozenset({"status", "stored"}),
+}
+_OK_PACKED_DEFAULT = frozenset({"status"})
 
 #: error-code table for binary error responses (aux field)
 _ERR_CODES = {"ENOENT": 1, "ENOSPC": 2}
@@ -143,9 +143,8 @@ class ProtocolError(RuntimeError):
 class Message:
     """One framed message: header + optional binary payload.
 
-    ``seq`` is the transport-level pipelining correlation id: nonzero only
-    on the binary wire, echoed verbatim by the server, never part of the
-    header vocabulary (so the JSON wire contract is untouched by it).
+    ``seq`` is the transport-level pipelining correlation id: echoed
+    verbatim by the server, never part of the header vocabulary.
     """
 
     header: dict = field(default_factory=dict)
@@ -180,7 +179,7 @@ class Message:
 def set_nodelay(sock: socket.socket) -> None:
     """Disable Nagle on a TCP socket (no-op for non-TCP, e.g. socketpairs).
 
-    Small frames — PING, STAT, binary READ headers — otherwise eat
+    Small frames — PING, STAT, READ headers — otherwise eat
     Nagle + delayed-ACK latency on every request/response turn.
     """
     try:
@@ -191,12 +190,8 @@ def set_nodelay(sock: socket.socket) -> None:
 
 # -- low-level send/recv ------------------------------------------------------------
 def _send_vectored(sock: socket.socket, *parts) -> None:
-    """Send buffers scatter-gather, copy-free: each part is its own iovec.
-
-    The header/payload concatenation the old codec did (``len + header +
-    payload`` in one bytes object) doubled peak memory for every large
-    response; here the payload buffer goes to the kernel as-is.
-    """
+    """Send buffers scatter-gather, copy-free: each part is its own iovec,
+    so the payload buffer goes to the kernel as-is."""
     bufs = [memoryview(p) for p in parts if len(p)]
     if not bufs:
         return
@@ -223,53 +218,34 @@ def _recv_exact_into(sock: socket.socket, view: memoryview) -> None:
         view = view[n:]
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes into one buffer (no chunk-list joins)."""
-    buf = bytearray(n)
-    _recv_exact_into(sock, memoryview(buf))
-    return bytes(buf)
-
-
-# -- JSON codec ---------------------------------------------------------------------
-def encode_json_frame(message: Message) -> bytes:
-    """Length prefix + JSON header of one message (payload *not* included —
-    callers send/write the payload buffer separately, uncopied)."""
-    header = dict(message.header)
-    header["payload_len"] = len(message.payload)
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+# -- codec -------------------------------------------------------------------------
+def _fields_payload(header: dict, packed: frozenset, own_payload: int) -> bytes:
+    """The JSON object of the header fields ``packed`` does not cover, or
+    ``b""`` when there are none (the READ/PUT/TRANSFER case: no JSON)."""
+    if header.keys() <= packed:
+        return b""
+    if own_payload:
+        raise ProtocolError(
+            f"fields {sorted(header.keys() - packed)} need the payload, which carries "
+            f"{own_payload} bytes of its own"
+        )
+    fields = {k: v for k, v in header.items() if k not in packed}
+    raw = json.dumps(fields, separators=(",", ":")).encode("utf-8")
     if len(raw) > _MAX_HEADER:
-        raise ProtocolError(f"header length {len(raw)} exceeds bound {_MAX_HEADER}")
-    if len(message.payload) > _MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {len(message.payload)} exceeds bound {_MAX_PAYLOAD}")
-    return _LEN.pack(len(raw)) + raw
+        raise ProtocolError(f"fields length {len(raw)} exceeds bound {_MAX_HEADER}")
+    return raw
 
 
-def send_message(sock: socket.socket, message: Message) -> None:
-    _send_vectored(sock, encode_json_frame(message), message.payload)
-
-
-def _parse_json_header(raw) -> tuple[dict, int]:
-    """Decode header bytes; validate and return ``(header, payload_len)``."""
+def _parse_fields(raw) -> dict:
     try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError(f"header is {type(header).__name__}, not an object")
-    plen = header.get("payload_len", 0)
-    if not isinstance(plen, int) or isinstance(plen, bool) or plen < 0:
-        raise ProtocolError(f"bad payload_len {plen!r}")
-    if plen > _MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {plen} exceeds bound {_MAX_PAYLOAD}")
-    return header, plen
+        fields = json.loads(bytes(raw).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ProtocolError(f"bad fields payload: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise ProtocolError(f"fields payload is {type(fields).__name__}, not an object")
+    return fields
 
 
-def _check_json_hlen(hlen: int) -> None:
-    if hlen > _MAX_HEADER:
-        raise ProtocolError(f"header length {hlen} exceeds bound")
-
-
-# -- binary codec -------------------------------------------------------------------
 def _trace_ext(header: dict) -> bytes:
     """Pack the trace context (if any) into the header extension field."""
     tid = header.get(TRACE_ID_FIELD)
@@ -295,31 +271,34 @@ def _unpack_trace_ext(ext, header: dict) -> None:
 
 
 def encode_binary_request(message: Message, seq: int = 0) -> bytes:
-    """Fixed header + key + ext of one request (payload sent separately)."""
+    """Fixed header + key + ext (+ fields payload) of one request; the
+    message's own payload is sent separately."""
     code = BIN_OPS.get(message.op or "")
     if code is None:
-        raise ProtocolError(f"op {message.op!r} is not in the binary op table")
+        raise ProtocolError(f"op {message.op!r} is not in the op table")
     key = str(message.header.get("path", "")).encode("utf-8")
     if len(key) > 0xFFFF:
         raise ProtocolError(f"key length {len(key)} exceeds field width")
     if len(message.payload) > _MAX_PAYLOAD:
         raise ProtocolError(f"payload length {len(message.payload)} exceeds bound {_MAX_PAYLOAD}")
     ext = _trace_ext(message.header)
+    fields = _fields_payload(message.header, _REQUEST_PACKED, len(message.payload))
     return (
         _BIN_HDR.pack(
             BIN_MAGIC,
             BIN_VERSION,
             _KIND_REQUEST,
             code,
-            0,
+            _FLAG_FIELDS if fields else 0,
             len(key),
             len(ext),
             seq & 0xFFFFFFFF,
             0,
-            len(message.payload),
+            len(fields) or len(message.payload),
         )
         + key
         + ext
+        + fields
     )
 
 
@@ -330,7 +309,7 @@ def send_binary_request(sock: socket.socket, message: Message, seq: int = 0) -> 
 def encode_binary_response_header(
     op: str, message: Message, seq: int = 0, payload_len: Optional[int] = None
 ) -> bytes:
-    """Fixed header (+ reason key on errors) of one response.
+    """Fixed header (+ reason key on errors, + fields payload) of one response.
 
     ``payload_len`` overrides ``len(message.payload)`` for the zero-copy
     serve path, where the payload never enters Python (``sendfile`` moves
@@ -338,13 +317,14 @@ def encode_binary_response_header(
     """
     code = BIN_OPS.get(op)
     if code is None:
-        raise ProtocolError(f"op {op!r} is not in the binary op table")
+        raise ProtocolError(f"op {op!r} is not in the op table")
     h = message.header
     flags = 0
     aux = 0
     key = b""
     if h.get("status") == STATUS_OK:
         kind = _KIND_OK
+        packed = _OK_PACKED.get(op, _OK_PACKED_DEFAULT)
         if op == OP_READ and h.get("source") == "pfs":
             flags |= _FLAG_SOURCE_PFS
         elif op == OP_TRANSFER:
@@ -355,49 +335,34 @@ def encode_binary_response_header(
             aux = int(h.get("stored", 0)) & 0xFFFFFFFF
     else:
         kind = _KIND_ERROR
+        packed = _ERROR_PACKED
         key = str(h.get("reason", "")).encode("utf-8")[:0xFFFF]
         aux = _ERR_CODES.get(h.get("code") or "", 0)
     plen = len(message.payload) if payload_len is None else payload_len
     if plen > _MAX_PAYLOAD:
         raise ProtocolError(f"payload length {plen} exceeds bound {_MAX_PAYLOAD}")
+    fields = _fields_payload(h, packed, plen)
+    if fields:
+        flags |= _FLAG_FIELDS
+        plen = len(fields)
     return (
         _BIN_HDR.pack(
             BIN_MAGIC, BIN_VERSION, kind, code, flags, len(key), 0, seq & 0xFFFFFFFF, aux, plen
         )
         + key
+        + fields
     )
 
 
-def _parse_bin_header(buf, pos: int = 0) -> tuple[int, str, int, int, int, int, int, int]:
-    """Validate the packed 22-byte header at ``buf[pos]``; return
-    ``(kind, op, flags, key_len, ext_len, seq, aux, payload_len)``."""
-    magic, version, kind, code, flags, key_len, ext_len, seq, aux, plen = _BIN_HDR.unpack_from(
-        buf, pos
-    )
-    if magic != BIN_MAGIC:
-        raise ProtocolError(f"bad binary magic {magic!r}")
-    if version != BIN_VERSION:
-        raise ProtocolError(f"unsupported binary version {version}")
-    if kind not in (_KIND_REQUEST, _KIND_OK, _KIND_ERROR):
-        raise ProtocolError(f"bad frame kind {kind}")
-    op = _BIN_OP_NAMES.get(code)
-    if op is None:
-        raise ProtocolError(f"unknown binary op code {code}")
-    if ext_len > _MAX_EXT:
-        raise ProtocolError(f"ext length {ext_len} exceeds bound {_MAX_EXT}")
-    if plen > _MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {plen} exceeds bound {_MAX_PAYLOAD}")
-    return kind, op, flags, key_len, ext_len, seq, aux, plen
-
-
-def _build_bin_message(
+def _build_message(
     kind: int, op: str, flags: int, seq: int, aux: int, body: memoryview,
     key_len: int, ext_len: int,
 ) -> Message:
     """Assemble a Message from a validated header + body buffer.
 
     ``body`` is sliced with memoryviews — key, ext, and payload are never
-    re-joined or copied twice.
+    re-joined or copied twice.  Packed fields win over same-named fields
+    of a fields payload: the fixed header is what the peer routed on.
     """
     key = body[:key_len]
     ext = body[key_len : key_len + ext_len]
@@ -406,12 +371,15 @@ def _build_bin_message(
         key_text = bytes(key).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"bad key encoding: {exc}") from exc
+    header: dict = {}
+    if flags & _FLAG_FIELDS:
+        header, payload = _parse_fields(payload), b""
     if kind == _KIND_REQUEST:
-        header: dict = {"op": op, "path": key_text}
+        header["op"] = op
+        header["path"] = key_text
         _unpack_trace_ext(ext, header)
-        return Message(header=header, payload=bytes(payload), seq=seq)
-    if kind == _KIND_OK:
-        header = {"status": STATUS_OK}
+    elif kind == _KIND_OK:
+        header["status"] = STATUS_OK
         if op == OP_READ:
             header["source"] = "pfs" if flags & _FLAG_SOURCE_PFS else "cache"
         elif op == OP_TRANSFER:
@@ -419,65 +387,76 @@ def _build_bin_message(
             header["queue_len"] = aux
         elif op == OP_PUT:
             header["stored"] = aux
-        return Message(header=header, payload=bytes(payload), seq=seq)
-    header = {"status": STATUS_ERROR, "reason": key_text}
-    code_name = _ERR_NAMES.get(aux)
-    if code_name is not None:
-        header["code"] = code_name
+    else:
+        header["status"] = STATUS_ERROR
+        header["reason"] = key_text
+        code_name = _ERR_NAMES.get(aux)
+        if code_name is not None:
+            header["code"] = code_name
     return Message(header=header, payload=bytes(payload), seq=seq)
 
 
-# -- blocking receive (client side, tests) ------------------------------------------
-def recv_message(sock: socket.socket) -> Message:
-    """Receive one frame, auto-detecting the codec from its first byte."""
-    first = _recv_exact(sock, 1)
-    if first[0] == BIN_MAGIC[0]:
-        rest = _recv_exact(sock, _BIN_HDR.size - 1)
-        kind, op, flags, key_len, ext_len, seq, aux, plen = _parse_bin_header(first + rest)
-        body = bytearray(key_len + ext_len + plen)
-        _recv_exact_into(sock, memoryview(body))
-        return _build_bin_message(kind, op, flags, seq, aux, memoryview(body), key_len, ext_len)
-    rest = _recv_exact(sock, _LEN.size - 1)
-    (hlen,) = _LEN.unpack(first + rest)
-    _check_json_hlen(hlen)
-    header, plen = _parse_json_header(_recv_exact(sock, hlen))
-    payload = _recv_exact(sock, plen) if plen else b""
-    return Message(header=header, payload=payload)
-
-
-# -- incremental decode (event-loop server core) ------------------------------------
-def parse_frame(buf, pos: int = 0) -> tuple[Optional[Message], bool, int]:
+def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optional[Message], int]:
     """Decode the frame that starts at ``buf[pos]``, if all of it is there.
 
-    Returns ``(message, binary, end)``: ``binary`` names the codec the
-    frame arrived on (the server answers in kind) and ``end`` is the
-    offset just past the frame.  While the frame is incomplete
-    ``message`` is None and ``end`` is the buffer length worth calling
-    again at.  Every length field is bounded as soon as the fixed header
-    that carries it is in — before any body byte is waited for — so a
-    hostile length raises :class:`ProtocolError` on arrival.
+    Returns ``(message, end)``: ``end`` is the offset just past the frame.
+    While the frame is incomplete ``message`` is None and ``end`` is the
+    buffer length worth calling again at.  Everything the fixed header
+    says is judged as soon as it is in — the magic byte by byte, every
+    length bound and (``requests_only``: the server's side) the frame
+    kind before any body byte is waited for — so a hostile header raises
+    :class:`ProtocolError` on arrival.
     """
-    if len(buf) > pos and buf[pos] == BIN_MAGIC[0]:
-        body = pos + _BIN_HDR.size
-        if len(buf) < body:
-            return None, True, body
-        kind, op, flags, key_len, ext_len, seq, aux, plen = _parse_bin_header(buf, pos)
-        end = body + key_len + ext_len + plen
-        if len(buf) < end:
-            return None, True, end
-        msg = _build_bin_message(
-            kind, op, flags, seq, aux, memoryview(buf)[body:end], key_len, ext_len
-        )
-        return msg, True, end
-    body = pos + _LEN.size
+    body = pos + _BIN_HDR.size
     if len(buf) < body:
-        return None, False, body
-    (hlen,) = _LEN.unpack_from(buf, pos)
-    _check_json_hlen(hlen)
-    if len(buf) < body + hlen:
-        return None, False, body + hlen
-    header, plen = _parse_json_header(buf[body : body + hlen])
-    end = body + hlen + plen
+        if buf[pos : pos + 2] != BIN_MAGIC[: len(buf) - pos]:
+            raise ProtocolError(f"bad magic {bytes(buf[pos : pos + 2])!r}")
+        return None, body
+    magic, version, kind, code, flags, key_len, ext_len, seq, aux, plen = _BIN_HDR.unpack_from(
+        buf, pos
+    )
+    if magic != BIN_MAGIC:
+        raise ProtocolError(f"bad magic {magic!r}")
+    if version != BIN_VERSION:
+        raise ProtocolError(f"unsupported version {version}")
+    if kind not in (_KIND_REQUEST, _KIND_OK, _KIND_ERROR):
+        raise ProtocolError(f"bad frame kind {kind}")
+    if requests_only and kind != _KIND_REQUEST:
+        raise ProtocolError(f"frame kind {kind} is not a request")
+    op = _BIN_OP_NAMES.get(code)
+    if op is None:
+        raise ProtocolError(f"unknown op code {code}")
+    if ext_len > _MAX_EXT:
+        raise ProtocolError(f"ext length {ext_len} exceeds bound {_MAX_EXT}")
+    bound = _MAX_HEADER if flags & _FLAG_FIELDS else _MAX_PAYLOAD
+    if plen > bound:
+        raise ProtocolError(f"payload length {plen} exceeds bound {bound}")
+    end = body + key_len + ext_len + plen
     if len(buf) < end:
-        return None, False, end
-    return Message(header=header, payload=bytes(buf[body + hlen : end])), False, end
+        return None, end
+    msg = _build_message(kind, op, flags, seq, aux, memoryview(buf)[body:end], key_len, ext_len)
+    return msg, end
+
+
+def recv_message(sock: socket.socket) -> Message:
+    """Receive one frame: the blocking driver of :func:`parse_frame`.
+
+    The fixed header is read first (and judged after every ``recv``, so a
+    peer that is not speaking this protocol fails on its first bytes);
+    the parser then names the frame's length, the whole frame is
+    allocated once, and the rest is received straight into it.
+    """
+    head = bytearray(_BIN_HDR.size)
+    have = 0
+    while have < len(head):
+        n = sock.recv_into(memoryview(head)[have:])
+        if n == 0:
+            raise ConnectionError("peer closed mid-frame")
+        have += n
+        msg, end = parse_frame(memoryview(head)[:have])
+    if msg is not None:
+        return msg
+    frame = bytearray(end)
+    frame[:have] = head
+    _recv_exact_into(sock, memoryview(frame)[have:])
+    return parse_frame(frame)[0]

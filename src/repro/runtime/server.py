@@ -12,19 +12,18 @@ reader coroutine per socket: ``data_received`` appends to a receive
 buffer and decodes every complete frame in it (``protocol.parse_frame``;
 every length bound is checked the moment a fixed header is in), so a
 pipelined ``read_many`` batch costs one ``recv`` and one loop turn.  A
-binary READ that hits the cache is answered **in that same turn, with
-no task and no await**: ``NVMeDir.open_read`` → books → header →
+READ that hits the cache is answered **in that same turn, with no task
+and no await**: ``NVMeDir.open_read`` → books → header →
 one non-blocking ``os.sendfile`` straight from the NVMe file to the
 socket.  Whatever the socket did not take (large entries, slow readers)
 is finished by ``loop.sendfile`` from the offset reached, so payload
 bytes never enter Python at any entry size.  Anything that may block
 (a miss, PUT, TRANSFER, STAT/OBS/PING/JOIN_PLAN) becomes a task on the
-small bounded dispatch executor.  Binary requests carry a ``seq``
-correlation id and complete out of order; ``_PIPELINE_DEPTH`` tasks in
-flight pause the transport's reading.  JSON frames keep the legacy
-strictly-in-order, one-at-a-time contract: nothing past a JSON frame is
-decoded until its reply is written.  :class:`_Conn` states the two rules
-every reply path keeps: *write ordering* and *books before reply*.
+small bounded dispatch executor.  Every request carries a ``seq``
+correlation id and completes out of order, control ops included;
+``_PIPELINE_DEPTH`` tasks in flight pause the transport's reading.
+:class:`_Conn` states the two rules every reply path keeps: *write
+ordering* and *books before reply*.
 
 The data mover is a **bounded worker pool** (:class:`DataMoverPool`), not
 a thread per miss: a miss storm (cold cache, failover re-homing a node's
@@ -69,7 +68,6 @@ from .protocol import (
     Message,
     ProtocolError,
     encode_binary_response_header,
-    encode_json_frame,
     parse_frame,
     set_nodelay,
 )
@@ -100,7 +98,6 @@ STAT_COUNTER_KEYS = (
     "transfers_in",
     "transfer_bytes",
     "binary_reqs",
-    "json_reqs",
     "sendfile_serves",
 )
 
@@ -124,10 +121,9 @@ class ServerStats:
     join_plans: int = 0
     transfers_in: int = 0
     transfer_bytes: int = 0
-    #: wire-codec accounting: requests decoded per codec, and cache hits
-    #: served kernel-side via the zero-copy sendfile fast path
+    #: requests decoded, and cache hits served kernel-side via the
+    #: zero-copy sendfile fast path
     binary_reqs: int = 0
-    json_reqs: int = 0
     sendfile_serves: int = 0
     _lock: threading.Lock = field(
         default_factory=partial(lockwitness.named_lock, "server-stats"), repr=False
@@ -333,8 +329,6 @@ class _Conn(asyncio.Protocol):
         self.need = 0  # buffered bytes below which the frame at buf[0] is incomplete
         self.wlock = _WriteLock()
         self.tasks: set[asyncio.Task] = set()
-        #: the JSON request whose reply is still owed; nothing is decoded past it
-        self.json_task: Optional[asyncio.Task] = None
         self.paused = self.eof = False
         #: pending while the transport is above its write high-water mark
         self.drain: Optional[asyncio.Future] = None
@@ -380,7 +374,7 @@ class _Conn(asyncio.Protocol):
 
     # -- decode + one-turn hit ---------------------------------------------------------
     def _parse(self) -> None:
-        """Serve every complete frame in the buffer that the gate lets through."""
+        """Serve every complete frame in the buffer, up to the pipeline depth."""
         srv, buf, transport = self.server, self.buf, self.transport
         pos = self.need = 0
         if srv.dropped.is_set():
@@ -393,31 +387,25 @@ class _Conn(asyncio.Protocol):
         try:
             while (
                 pos < len(buf)
-                and self.json_task is None
                 and len(self.tasks) < _PIPELINE_DEPTH
                 and not transport.is_closing()
             ):
-                msg, binary, end = parse_frame(buf, pos)
+                msg, end = parse_frame(buf, pos, requests_only=True)
                 if msg is None:
                     self.need = end - pos
                     break
                 pos = end
-                if binary:
-                    # Pipelined lane: replies complete out of order, matched by seq.
-                    srv.stats.bump(binary_reqs=1)
-                    if msg.op != OP_READ or not self._serve_hit(msg):
-                        self._spawn(self._serve(msg, True))
-                else:
-                    # Legacy lane: strictly one at a time, in order.
-                    srv.stats.bump(json_reqs=1)
-                    self.json_task = self._spawn(self._serve(msg, False))
+                # Replies complete out of order, matched by seq.
+                srv.stats.bump(binary_reqs=1)
+                if msg.op != OP_READ or not self._serve_hit(msg):
+                    self._spawn(self._serve(msg))
         except ProtocolError as exc:
             srv.stats.bump(errors=1)
             srv.log.warning("protocol error from %s: %s", transport.get_extra_info("peername"), exc)
             del buf[:]
             return self.sever()
         del buf[:pos]
-        if self.json_task is not None or len(self.tasks) >= _PIPELINE_DEPTH:
+        if len(self.tasks) >= _PIPELINE_DEPTH:
             transport.pause_reading()
             self.paused = True
         elif self.paused:
@@ -425,7 +413,7 @@ class _Conn(asyncio.Protocol):
             self.paused = False
 
     def _serve_hit(self, msg: Message) -> bool:
-        """Answer a binary READ from the cache within this loop turn.
+        """Answer a READ from the cache within this loop turn.
 
         False sends the caller down the dispatch path (miss, raced eviction,
         empty path).  True: the reply is with the kernel, or — what the
@@ -493,14 +481,12 @@ class _Conn(asyncio.Protocol):
 
     def _task_done(self, task: asyncio.Task) -> None:
         self.tasks.discard(task)
-        if task is self.json_task:
-            self.json_task = None
         if not self.transport.is_closing():
-            self._parse()  # frames the gate held back
+            self._parse()  # frames the pipeline depth held back
             if self.eof and not self.tasks:
                 self.transport.close()
 
-    async def _serve(self, msg: Message, binary: bool) -> None:
+    async def _serve(self, msg: Message) -> None:
         """Dispatch one request on the executor and write its reply."""
         srv, transport = self.server, self.transport
         ctx = extract(msg.header)
@@ -508,10 +494,7 @@ class _Conn(asyncio.Protocol):
         try:
             response = await srv._loop.run_in_executor(srv._executor, srv._dispatch_queued, msg, qspan)
             sspan = srv.tracer.start_span("server.serialize", ctx, nbytes=len(response.payload))
-            if binary:
-                head = encode_binary_response_header(msg.op, response, seq=msg.seq)
-            else:
-                head = encode_json_frame(response)
+            head = encode_binary_response_header(msg.op, response, seq=msg.seq)
             await self.wlock.acquire()
             try:
                 sspan.end()  # encode + write-lock wait: closed before the write
@@ -541,10 +524,9 @@ class FTCacheServer:
     The listening socket is bound synchronously in ``__init__`` (so
     :attr:`address` is valid before :meth:`start`); :meth:`start` spawns
     one thread running the event loop, which accepts connections (one
-    :class:`_Conn` each), decodes requests (binary or JSON, auto-detected
-    per message), and either answers a binary READ cache hit within the
-    loop turn via ``sendfile`` or hands the request to a bounded dispatch
-    executor.
+    :class:`_Conn` each), decodes requests, and either answers a READ
+    cache hit within the loop turn via ``sendfile`` or hands the request
+    to a bounded dispatch executor.
     """
 
     def __init__(
@@ -831,8 +813,8 @@ class FTCacheServer:
     def _obs(self, spans_limit, events_limit) -> Message:
         """Observability export: one JSON payload with the unified telemetry
         snapshot, tracer accounting, recent spans, and recent events.  The
-        response header stays empty on purpose — bulk data belongs in the
-        payload lane, keeping the wire contract (RPC004) trivially green."""
+        response header stays empty on purpose — bulk data is payload
+        bytes, keeping the wire contract (RPC004) trivially green."""
         snap = self.telemetry.snapshot()
         snap["tracer"] = self.tracer.counters()
         snap["spans"] = self.tracer.buffer.snapshot(limit=int(spans_limit))

@@ -52,7 +52,7 @@ class TestRT001:
             """
             def f(self, sock, msg):
                 with self._policy_lock:
-                    send_message(sock, msg)
+                    send_binary_request(sock, msg)
             """
         )
         assert rules_of(findings) == ["RT001"]

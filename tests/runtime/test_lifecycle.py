@@ -147,8 +147,7 @@ class TestStaleSocketRegression:
             stats = client.stats
             assert stats["server_pfs_reads"] >= len(paths)
             assert stats["server_cache_reads"] >= 1
-            # legacy alias: any successful server-side read, either source
-            assert stats["cache_reads"] == stats["server_cache_reads"] + stats["server_pfs_reads"]
+            assert "cache_reads" not in stats  # the pre-split alias is gone
 
 
 class TestDataMoverPool:

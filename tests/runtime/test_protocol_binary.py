@@ -1,12 +1,11 @@
-"""Binary wire codec, the async server core, and the PR's bugfix sweep.
+"""Wire codec, the async server core, and the PR's bugfix sweep.
 
 Covers the fixed-header codec round trips, frame truncation at every
-byte offset in both codecs, the ``_MAX_PAYLOAD``/``_MAX_HEADER`` bounds
-(the 2**40 ``payload_len`` regression), per-message JSON↔binary
-negotiation on one socket, TCP_NODELAY on client and server sockets,
-the zero-copy vectored send (no header+payload concatenation), seq-echo
-pipelining with out-of-order completion, and the pipelined
-``read_many`` fast path.
+byte offset (payload frames and JSON-fields frames), the
+``_MAX_PAYLOAD``/``_MAX_HEADER`` bounds, TCP_NODELAY on client and
+server sockets, the zero-copy vectored send (no header+payload
+concatenation), seq-echo pipelining with out-of-order completion, and
+the pipelined ``read_many`` fast path.
 """
 
 import socket
@@ -15,21 +14,19 @@ import time
 
 import pytest
 
-from repro.runtime import LocalCluster, Message, recv_message, send_message
-from repro.runtime.client import FTCacheClient
+from repro.runtime import LocalCluster, Message, recv_message
 from repro.runtime.protocol import (
     _MAX_EXT,
     _MAX_HEADER,
     _MAX_PAYLOAD,
-    BIN_MAGIC,
-    BIN_OPS,
+    OP_PING,
     OP_PUT,
     OP_READ,
+    OP_STAT,
     OP_TRANSFER,
     ProtocolError,
     encode_binary_request,
     encode_binary_response_header,
-    encode_json_frame,
     parse_frame,
     send_binary_request,
     set_nodelay,
@@ -154,8 +151,8 @@ class TestBinaryRoundTrip:
             b.close()
 
     def test_non_table_op_refused(self):
-        with pytest.raises(ProtocolError, match="binary op table"):
-            encode_binary_request(Message.request("STAT"))
+        with pytest.raises(ProtocolError, match="op table"):
+            encode_binary_request(Message.request("EVICT"))
 
 
 class TestTruncation:
@@ -181,71 +178,43 @@ class TestTruncation:
         self._truncated_outcomes(frame)
 
     def test_json_frame_every_offset(self):
-        msg = Message(header={"op": "STAT", "k": "v"}, payload=b"tail")
-        frame = encode_json_frame(msg) + msg.payload
+        """A STAT reply: its fields ride as JSON in the payload."""
+        frame = encode_binary_response_header(OP_STAT, Message.ok_response(node_id=3, hits=9), seq=5)
         self._truncated_outcomes(frame)
 
-    @pytest.mark.parametrize("codec", ["binary", "json"])
-    def test_incremental_parser_every_offset(self, codec):
+    @pytest.mark.parametrize("body", ["binary", "json"])
+    def test_incremental_parser_every_offset(self, body):
         """The server-side decoder (``parse_frame``) on the same frames: a
         prefix of any length is "not yet" with a target beyond what it
         has — never a message, never an error — and the whole frame, with
         the next one already behind it, decodes exactly once."""
-        if codec == "binary":
+        if body == "binary":
             msg = Message.request(OP_PUT, path="/dataset/x.bin")
             msg.payload = b"payload-bytes"
-            frame = encode_binary_request(msg, seq=5) + msg.payload
         else:
-            msg = Message(header={"op": "STAT", "k": "v"}, payload=b"tail")
-            frame = encode_json_frame(msg) + msg.payload
+            msg = Message.request(OP_STAT, k="v", n=[1, 2])
+        frame = encode_binary_request(msg, seq=5) + msg.payload
         for cut in range(len(frame)):
-            got, binary, need = parse_frame(bytearray(frame[:cut]))
+            got, need = parse_frame(bytearray(frame[:cut]))
             assert got is None and cut < need <= len(frame)
-            assert binary == (codec == "binary") or cut == 0
         buf = bytearray(b"\0\0\0" + frame + frame[:5])  # mid-buffer, trailing partial
-        got, binary, end = parse_frame(buf, 3)
-        assert end == 3 + len(frame) and binary == (codec == "binary")
-        assert got.payload == msg.payload and got.op == msg.op
-        assert got.seq == (5 if codec == "binary" else 0)
+        got, end = parse_frame(buf, 3)
+        assert end == 3 + len(frame)
+        assert got.payload == msg.payload and got.seq == 5
+        assert got.header == {"path": "", **msg.header}
         del buf[:end]  # no view of the buffer outlives the call
 
 
 class TestSizeBounds:
-    def test_json_payload_len_2_pow_40_rejected(self):
-        """Regression: a hostile payload_len used to drive _recv_exact
-        into a terabyte allocation; now it fails the frame."""
-        import json as _json
-
-        header = _json.dumps({"op": "READ", "payload_len": 2**40}).encode()
-        frame = len(header).to_bytes(4, "big") + header
-        a, b = socket.socketpair()
-        try:
-            a.sendall(frame)
-            with pytest.raises(ProtocolError, match="payload length"):
-                recv_message(b)
-        finally:
-            a.close()
-            b.close()
-
-    def test_json_negative_payload_len_rejected(self):
-        import json as _json
-
-        header = _json.dumps({"payload_len": -1}).encode()
-        frame = len(header).to_bytes(4, "big") + header
-        a, b = socket.socketpair()
-        try:
-            a.sendall(frame)
-            with pytest.raises(ProtocolError, match="payload_len"):
-                recv_message(b)
-        finally:
-            a.close()
-            b.close()
-
     def test_json_oversized_header_rejected(self):
+        """A fields payload longer than ``_MAX_HEADER`` fails on the fixed
+        header, before a byte of it is waited for."""
+        good = bytearray(encode_binary_request(Message.request(OP_STAT, k=1))[:22])
+        good[18:22] = (_MAX_HEADER + 1).to_bytes(4, "big")  # payload_len field
         a, b = socket.socketpair()
         try:
-            a.sendall((_MAX_HEADER + 1).to_bytes(4, "big"))
-            with pytest.raises(ProtocolError, match="header length"):
+            a.sendall(bytes(good))
+            with pytest.raises(ProtocolError, match="payload length"):
                 recv_message(b)
         finally:
             a.close()
@@ -309,22 +278,30 @@ class TestSizeBounds:
     )
     def test_incremental_parser_rejects_on_the_fixed_header(self, field, value, match):
         """``parse_frame`` fails a hostile frame with 22 bytes in hand — it
-        never asks for the body the bad length describes."""
+        never asks for the body the bad length describes — and a bad
+        magic byte the moment it is in."""
         header = bytearray(encode_binary_request(Message.request(OP_READ, path="/k"))[:22])
         header[field] = value
-        assert parse_frame(header[:21])[0] is None  # one byte short: no verdict yet
+        verdict_at = 2 if match == "magic" else 22
+        assert parse_frame(header[: verdict_at - 1])[0] is None  # one byte short: no verdict yet
+        with pytest.raises(ProtocolError, match=match):
+            parse_frame(header[:verdict_at])
         with pytest.raises(ProtocolError, match=match):
             parse_frame(header)
 
     def test_incremental_parser_json_bounds(self):
-        import json as _json
-
-        with pytest.raises(ProtocolError, match="header length"):
-            parse_frame(bytearray((_MAX_HEADER + 1).to_bytes(4, "big")))
-        for bad, match in (({"payload_len": 2**40}, "payload length"), ({"payload_len": -1}, "payload_len")):
-            header = _json.dumps(bad).encode()
+        """Hostile fields payloads raise as soon as their bytes are in."""
+        head = bytearray(encode_binary_request(Message.request(OP_STAT, k=1))[:22])
+        for raw, match in ((b"[1,2]", "not an object"), (b'"x"', "not an object"),
+                           (b"\xff\xfe{}", "bad fields"), (b"{nope", "bad fields"),
+                           (b"[" * 100_000, "bad fields")):
+            head[18:22] = len(raw).to_bytes(4, "big")
+            assert parse_frame(head + raw[:-1])[0] is None
             with pytest.raises(ProtocolError, match=match):
-                parse_frame(bytearray(len(header).to_bytes(4, "big") + header))
+                parse_frame(head + raw)
+        head[18:22] = (_MAX_HEADER + 1).to_bytes(4, "big")
+        with pytest.raises(ProtocolError, match="payload length"):
+            parse_frame(head)
 
     def test_oversized_payload_refused_at_send_time(self):
         class Huge(bytes):
@@ -335,8 +312,16 @@ class TestSizeBounds:
         msg.payload = Huge()
         with pytest.raises(ProtocolError, match="payload length"):
             encode_binary_request(msg)
-        with pytest.raises(ProtocolError, match="payload length"):
-            encode_json_frame(Message(header={}, payload=Huge()))
+        # the fields flag claims the payload: a message that also has payload
+        # bytes of its own (or a sendfile length) cannot be framed either
+        msg = Message.request(OP_PUT, path="/k", ttl=3)
+        msg.payload = b"bytes"
+        with pytest.raises(ProtocolError, match="need the payload"):
+            encode_binary_request(msg)
+        for resp, plen in ((Message.ok_response(payload=b"bytes", hits=1), None),
+                           (Message.ok_response(hits=1), 5)):
+            with pytest.raises(ProtocolError, match="need the payload"):
+                encode_binary_response_header(OP_READ, resp, payload_len=plen)
 
 
 class _RecordingSock:
@@ -353,11 +338,11 @@ class _RecordingSock:
 
 class TestVectoredSend:
     def test_payload_is_its_own_iovec_not_a_copy(self):
-        """Regression: send_message used to concatenate len+header+payload,
-        doubling peak memory for every large response."""
+        """Regression: the send path used to concatenate header+payload,
+        doubling peak memory for every large message."""
         payload = b"x" * 65536
         sock = _RecordingSock()
-        send_message(sock, Message(header={"op": "READ"}, payload=payload))
+        send_binary_request(sock, Message(header={"op": "PUT", "path": "/k"}, payload=payload))
         assert len(sock.calls) == 1
         bufs = sock.calls[0]
         assert len(bufs) == 2  # header frame + payload, never joined
@@ -385,9 +370,9 @@ class TestVectoredSend:
                 return len(first)
 
         sock = Trickle()
-        msg = Message(header={"a": 1}, payload=b"0123456789")
-        send_message(sock, msg)
-        frame = encode_json_frame(msg) + msg.payload
+        msg = Message(header={"op": "PUT", "path": "/k"}, payload=b"0123456789")
+        send_binary_request(sock, msg)
+        frame = encode_binary_request(msg) + msg.payload
         assert bytes(sock.got) == frame
 
 
@@ -399,33 +384,7 @@ def cluster():
 
 
 class TestWireNegotiation:
-    """Both codecs interleave on one raw socket; the server answers each
-    request in the codec it arrived on."""
-
-    def test_json_then_binary_then_json_on_one_socket(self, cluster):
-        server = cluster.servers[0]
-        path = cluster.paths[0]
-        server.nvme.write(path, cluster.pfs.read(path))
-        with socket.create_connection(server.address, timeout=5) as sock:
-            sock.settimeout(5)
-            # 1: legacy JSON PING
-            send_message(sock, Message.request("PING"))
-            resp = recv_message(sock)
-            assert resp.ok and resp.header["node_id"] == 0
-            # 2: binary READ (cache hit → sendfile fast path)
-            send_binary_request(sock, Message.request(OP_READ, path=path), seq=11)
-            resp = recv_message(sock)
-            assert resp.ok and resp.seq == 11
-            assert resp.header["source"] == "cache"
-            assert resp.payload == cluster.pfs.read(path)
-            # 3: JSON READ of the same key still answers in JSON
-            send_message(sock, Message.request("READ", path=path))
-            resp = recv_message(sock)
-            assert resp.ok and resp.seq == 0  # JSON frames carry no seq
-            assert resp.header["payload_len"] == len(resp.payload)
-        counters = server.stats.counters()
-        assert counters["binary_reqs"] >= 1 and counters["json_reqs"] >= 2
-        assert counters["sendfile_serves"] >= 1
+    """READ replies over one raw socket: source flag, seq echo, error code."""
 
     def test_binary_read_miss_reports_pfs_source(self, cluster):
         server = cluster.servers[0]
@@ -456,7 +415,7 @@ class TestNodelay:
         server = cluster.servers[1]
         with socket.create_connection(server.address, timeout=5) as sock:
             sock.settimeout(5)
-            send_message(sock, Message.request("PING"))
+            send_binary_request(sock, Message.request(OP_PING))
             assert recv_message(sock).ok
             accepted = [c.transport.get_extra_info("socket") for c in list(server._conns)]
             assert accepted, "server tracked no live connection"
@@ -530,46 +489,12 @@ class TestPipelining:
         finally:
             client.close()
 
-    def test_read_many_json_wire_falls_back_to_sequential(self, cluster):
-        client = FTCacheClient(
-            servers={i: s.address for i, s in cluster.servers.items()},
-            policy=cluster.make_policy(),
-            pfs=cluster.pfs,
-            ttl=1.0,
-            wire="json",
-        )
-        try:
-            got = client.read_many(list(cluster.paths[:4]))
-            assert got == [cluster.pfs.read(p) for p in cluster.paths[:4]]
-            assert client.stats["pipelined_reads"] == 0
-        finally:
-            client.close()
-
-
-class TestJsonWireEndToEnd:
-    def test_json_cluster_serves_and_survives_kill(self):
-        with LocalCluster(
-            n_servers=3, policy="nvme", ttl=0.3, timeout_threshold=2, wire="json"
-        ) as c:
-            c.populate(n_files=12, file_bytes=1024, seed=5)
-            client = c.client()
-            assert client.wire == "json"
-            for p in c.paths:
-                assert client.read(p) == c.pfs.read(p)
-            stats = c.total_stats()
-            assert stats["json_reqs"] > 0
-            assert stats["binary_reqs"] == 0 and stats["sendfile_serves"] == 0
-            victim = c.owner_of(c.paths[0], client.policy)
-            c.kill_server(victim, mode="hang")
-            assert client.read(c.paths[0]) == c.pfs.read(c.paths[0])
-
 
 class TestBinaryWireEndToEnd:
     def test_kill_restart_over_binary_wire(self):
         with LocalCluster(n_servers=3, policy="nvme", ttl=0.3, timeout_threshold=2) as c:
             c.populate(n_files=12, file_bytes=1024, seed=6)
             client = c.client()
-            assert client.wire == "binary"
             for p in c.paths:
                 client.read(p)
             victim = c.owner_of(c.paths[0], client.policy)

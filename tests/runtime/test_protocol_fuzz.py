@@ -1,5 +1,6 @@
 """Property-based fuzzing of the wire protocol."""
 
+import json
 import socket
 import threading
 
@@ -8,13 +9,18 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.runtime import Message, PFSDir, recv_message, send_message
+from repro.runtime import Message, PFSDir, recv_message
 from repro.runtime.protocol import (
+    _MAX_HEADER,
     BIN_OPS,
+    OP_PUT,
+    OP_READ,
+    OP_STAT,
+    OP_TRANSFER,
+    ProtocolError,
     encode_binary_request,
-    encode_json_frame,
+    encode_binary_response_header,
     parse_frame,
-    send_binary_request,
 )
 
 _header_values = st.recursive(
@@ -25,140 +31,163 @@ _header_values = st.recursive(
     max_leaves=10,
 )
 
-_headers = st.dictionaries(
-    st.text(min_size=1, max_size=20).filter(lambda k: k != "payload_len"),
+#: every name the fixed header packs for some op and kind: a field of one
+#: of these names may not round-trip as a JSON field
+_PACKED = {"op", "path", "status", "source", "reason", "code", "accepted", "queue_len",
+           "stored", "trace_id", "span_id"}
+_fields = st.dictionaries(
+    st.text(min_size=1, max_size=20).filter(lambda k: k not in _PACKED),
     _header_values,
     max_size=6,
 )
+_paths = st.text(max_size=200).filter(lambda s: len(s.encode("utf-8")) <= 0xFFFF)
+_seqs = st.integers(min_value=0, max_value=2**32 - 1)
+#: what the fixed header packs of an ok reply, per op
+_OK_PACKED = {
+    OP_READ: st.sampled_from(["cache", "pfs"]).map(lambda s: {"source": s}),
+    OP_PUT: st.integers(0, 2**32 - 1).map(lambda n: {"stored": n}),
+    OP_TRANSFER: st.tuples(st.booleans(), st.integers(0, 2**32 - 1)).map(
+        lambda t: {"accepted": t[0], "queue_len": t[1]}
+    ),
+}
+
+
+@st.composite
+def _messages(draw):
+    """``(frame bytes, expected decoded header, payload, seq)`` of one message
+    of any of the seven ops, in either direction: a message carries header
+    fields or payload bytes of its own, never both."""
+    op = draw(st.sampled_from(sorted(BIN_OPS)))
+    seq = draw(_seqs)
+    fields = draw(st.one_of(st.just({}), _fields))
+    payload = b"" if fields else draw(st.binary(max_size=4096))
+    kind = draw(st.sampled_from(["request", "ok", "error"]))
+    if kind == "request":
+        path = draw(_paths)
+        msg = Message.request(op, path=path, **fields)
+        msg.payload = payload
+        return encode_binary_request(msg, seq=seq) + payload, msg.header, payload, seq
+    if kind == "ok":
+        msg = Message.ok_response(payload=payload, **fields)
+        msg.header.update(draw(_OK_PACKED.get(op, st.just({}))))
+    else:
+        code = draw(st.sampled_from([None, "ENOENT", "ENOSPC"]))
+        msg = Message.error_response(draw(st.text(max_size=60)), **fields)
+        msg.payload = payload
+        if code:
+            msg.header["code"] = code
+    return encode_binary_response_header(op, msg, seq=seq) + payload, msg.header, payload, seq
+
+
+def _recv_all(frames: list[bytes]) -> list[Message]:
+    """``recv_message`` each of ``frames`` off one socketpair, sender on a thread."""
+    a, b = socket.socketpair()
+    try:
+        sender = threading.Thread(
+            target=lambda: [a.sendall(f) for f in frames], name="fuzz-frame-sender", daemon=True
+        )
+        sender.start()
+        b.settimeout(5)
+        got = [recv_message(b) for _ in frames]
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+        return got
+    finally:
+        a.close()
+        b.close()
 
 
 class TestProtocolRoundTrip:
-    @settings(max_examples=40, deadline=None)
-    @given(header=_headers, payload=st.binary(max_size=4096))
-    def test_any_header_payload_round_trips(self, header, payload):
-        a, b = socket.socketpair()
-        try:
-            out = {}
-
-            def reader():
-                out["msg"] = recv_message(b)
-
-            t = threading.Thread(target=reader, name="fuzz-frame-reader", daemon=True)
-            t.start()
-            send_message(a, Message(header=dict(header), payload=payload))
-            t.join(timeout=5)
-            assert not t.is_alive()
-            msg = out["msg"]
-            assert msg.payload == payload
-            for k, v in header.items():
-                assert msg.header[k] == v
-            assert msg.header["payload_len"] == len(payload)
-        finally:
-            a.close()
-            b.close()
+    @settings(max_examples=60, deadline=None)
+    @given(message=_messages())
+    def test_any_header_payload_round_trips(self, message):
+        frame, header, payload, seq = message
+        (got,) = _recv_all([frame])
+        assert (got.header, got.payload, got.seq) == (header, payload, seq)
 
     @settings(max_examples=20, deadline=None)
-    @given(payloads=st.lists(st.binary(max_size=512), min_size=1, max_size=8))
-    def test_back_to_back_frames_preserve_order(self, payloads):
-        a, b = socket.socketpair()
-        try:
-            received = []
-
-            def reader():
-                for _ in payloads:
-                    received.append(recv_message(b).payload)
-
-            t = threading.Thread(target=reader, name="fuzz-order-reader", daemon=True)
-            t.start()
-            for i, p in enumerate(payloads):
-                send_message(a, Message(header={"i": i}, payload=p))
-            t.join(timeout=5)
-            assert received == payloads
-        finally:
-            a.close()
-            b.close()
+    @given(messages=st.lists(_messages(), min_size=1, max_size=8))
+    def test_back_to_back_frames_preserve_order(self, messages):
+        got = _recv_all([m[0] for m in messages])
+        assert [(g.header, g.payload, g.seq) for g in got] == [m[1:] for m in messages]
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        op=st.sampled_from(sorted(BIN_OPS)),
-        path=st.text(max_size=200).filter(lambda s: len(s.encode("utf-8")) <= 0xFFFF),
-        payload=st.binary(max_size=4096),
-        seq=st.integers(min_value=0, max_value=2**32 - 1),
-    )
+    @given(op=st.sampled_from(sorted(BIN_OPS)), path=_paths, payload=st.binary(max_size=4096),
+           seq=_seqs)
     def test_binary_request_round_trips(self, op, path, payload, seq):
-        a, b = socket.socketpair()
-        try:
-            out = {}
-
-            def reader():
-                out["msg"] = recv_message(b)
-
-            t = threading.Thread(target=reader, name="fuzz-bin-reader", daemon=True)
-            t.start()
-            msg = Message.request(op, path=path)
-            msg.payload = payload
-            send_binary_request(a, msg, seq=seq)
-            t.join(timeout=5)
-            assert not t.is_alive()
-            got = out["msg"]
-            assert got.op == op
-            assert got.header["path"] == path
-            assert got.payload == payload
-            assert got.seq == seq
-        finally:
-            a.close()
-            b.close()
+        msg = Message.request(op, path=path)
+        msg.payload = payload
+        (got,) = _recv_all([encode_binary_request(msg, seq=seq) + payload])
+        assert got.op == op
+        assert got.header["path"] == path
+        assert got.payload == payload
+        assert got.seq == seq
 
 
-_frames = st.lists(
-    st.one_of(
-        st.tuples(
-            st.sampled_from(sorted(BIN_OPS)),
-            st.text(max_size=60),
-            st.binary(max_size=300),
-            st.integers(min_value=0, max_value=2**32 - 1),
-        ),
-        st.tuples(st.none(), _headers, st.binary(max_size=300), st.just(0)),
-    ),
-    min_size=1,
-    max_size=6,
+def _not_an_object(raw: bytes) -> bool:
+    try:
+        return not isinstance(json.loads(raw.decode("utf-8")), dict)
+    except ValueError:
+        return True
+
+
+def _fields_head(payload_len: int) -> bytes:
+    head = bytearray(encode_binary_request(Message.request(OP_STAT, k=1))[:22])
+    head[18:22] = payload_len.to_bytes(4, "big")
+    return bytes(head)
+
+
+#: ``(frame, verdict_at)``: a frame whose fields payload is hostile, and how
+#: many of its bytes must be in before the decoder can know — all of them
+#: (not JSON, not UTF-8, not an object), or the fixed header alone (a
+#: length over ``_MAX_HEADER``)
+_hostile_frames = st.one_of(
+    st.one_of(st.binary(max_size=64), _header_values.map(lambda v: json.dumps(v).encode()))
+    .filter(_not_an_object)
+    .map(lambda raw: (_fields_head(len(raw)) + raw, 22 + len(raw))),
+    st.integers(_MAX_HEADER + 1, 2**32 - 1).map(lambda n: (_fields_head(n), 22)),
 )
 
 
 class TestIncrementalDecode:
-    """``parse_frame`` — the server's decoder — fed a mixed-codec stream in
-    arbitrary segments yields exactly the messages that were framed."""
+    """``parse_frame`` — the server's decoder — fed a stream of any ops, both
+    directions, in arbitrary segments yields exactly the messages that were
+    framed, and fails a hostile frame behind them as soon as its bytes are in."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(frames=_frames, data=st.data())
-    def test_any_segmentation_decodes_the_same_messages(self, frames, data):
-        stream = bytearray()
-        sent = []
-        for op, head, payload, seq in frames:
-            if op is not None:
-                msg = Message.request(op, path=head)
-                msg.payload = payload
-                stream += encode_binary_request(msg, seq=seq) + payload
-                sent.append((True, {"op": op, "path": head}, payload, seq))
-            else:
-                msg = Message(header=dict(head), payload=payload)
-                stream += encode_json_frame(msg) + payload
-                sent.append((False, {**head, "payload_len": len(payload)}, payload, 0))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        messages=st.lists(_messages(), min_size=1, max_size=6),
+        hostile=st.none() | _hostile_frames,
+        data=st.data(),
+    )
+    def test_any_segmentation_decodes_the_same_messages(self, messages, hostile, data):
+        stream = b"".join(m[0] for m in messages)
+        verdict_at = None
+        if hostile is not None:
+            verdict_at = len(stream) + hostile[1]
+            stream += hostile[0]
         cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)), max_size=8)) | {len(stream)})
         buf, got, fed = bytearray(), [], 0
         for cut in cuts:  # what data_received does, minus the socket
             buf += stream[fed:cut]
             fed = cut
             pos = 0
-            while True:
-                msg, binary, end = parse_frame(buf, pos)
-                if msg is None:
-                    assert end > len(buf)
-                    break
-                got.append((binary, msg.header, msg.payload, msg.seq))
-                pos = end
+            try:
+                while True:
+                    msg, end = parse_frame(buf, pos)
+                    if msg is None:
+                        assert end > len(buf)
+                        break
+                    got.append((msg.header, msg.payload, msg.seq))
+                    pos = end
+            except ProtocolError:
+                assert verdict_at is not None and fed >= verdict_at
+                break
+            assert verdict_at is None or fed < verdict_at
             del buf[:pos]
-        assert not buf and got == sent
+        else:
+            assert not buf
+        assert got == [m[1:] for m in messages]
 
 
 class TestPFSRootEscape:

@@ -5,7 +5,15 @@ import threading
 
 import pytest
 
-from repro.runtime import Message, ProtocolError, NVMeDir, PFSDir, recv_message, send_message
+from repro.runtime import (
+    Message,
+    NVMeDir,
+    PFSDir,
+    ProtocolError,
+    recv_message,
+    send_binary_request,
+)
+from repro.runtime.protocol import encode_binary_request, encode_binary_response_header
 
 
 def _pair():
@@ -17,10 +25,11 @@ class TestProtocol:
     def test_round_trip_with_payload(self):
         a, b = _pair()
         try:
-            send_message(a, Message.request("READ", path="/x", extra=1))
+            send_binary_request(a, Message.request("READ", path="/x", extra=1))
             msg = recv_message(b)
             assert msg.op == "READ" and msg.header["path"] == "/x" and msg.header["extra"] == 1
-            send_message(b, Message.ok_response(payload=b"\x00\x01data", source="cache"))
+            reply = Message.ok_response(payload=b"\x00\x01data", source="cache")
+            b.sendall(encode_binary_response_header("READ", reply) + reply.payload)
             resp = recv_message(a)
             assert resp.ok and resp.payload == b"\x00\x01data" and resp.header["source"] == "cache"
         finally:
@@ -30,7 +39,7 @@ class TestProtocol:
     def test_empty_payload(self):
         a, b = _pair()
         try:
-            send_message(a, Message.request("PING"))
+            send_binary_request(a, Message.request("PING"))
             assert recv_message(b).payload == b""
         finally:
             a.close()
@@ -47,7 +56,7 @@ class TestProtocol:
         t = threading.Thread(target=reader, name="protocol-reader", daemon=True)
         t.start()
         try:
-            send_message(a, Message.ok_response(payload=data))
+            send_binary_request(a, Message(header={"op": "PUT", "path": "/big"}, payload=data))
             t.join(timeout=5)
             assert out["msg"].payload == data
         finally:
@@ -60,13 +69,15 @@ class TestProtocol:
 
     def test_eof_mid_frame_raises(self):
         a, b = _pair()
-        a.sendall(b"\x00\x00\x00\x10partial")
+        a.sendall(encode_binary_request(Message.request("READ", path="/dataset/x.bin"))[:30])
         a.close()
         with pytest.raises(ConnectionError):
             recv_message(b)
         b.close()
 
     def test_corrupt_header_raises(self):
+        """A length-prefixed JSON frame — or anything else that does not open
+        with the magic — fails on its first bytes, peer still connected."""
         a, b = _pair()
         try:
             a.sendall(b"\x00\x00\x00\x04notj")
@@ -79,8 +90,10 @@ class TestProtocol:
     def test_oversized_header_rejected(self):
         a, b = _pair()
         try:
-            a.sendall((2**21).to_bytes(4, "big"))
-            with pytest.raises(ProtocolError):
+            head = bytearray(encode_binary_request(Message.request("STAT", k=1))[:22])
+            head[18:22] = (2**21).to_bytes(4, "big")  # a 2 MiB fields payload
+            a.sendall(bytes(head))
+            with pytest.raises(ProtocolError, match="payload length"):
                 recv_message(b)
         finally:
             a.close()

@@ -1,13 +1,14 @@
 """The per-connection protocol of the event-loop server (``server._Conn``).
 
-Frames are decoded from a receive buffer in ``data_received``; a binary
-READ that hits is answered within the loop turn, what the socket did not
+Frames are decoded from a receive buffer in ``data_received``; a READ
+that hits is answered within the loop turn, what the socket did not
 take is finished under the connection's write lock, and everything that
 may block is a task.  These tests drive a real server over raw sockets
 and pin the contracts that design must keep: identical replies however
 the request stream is segmented, no interleaving on the write side,
-header-time rejection of hostile lengths, pipeline backpressure, the
-JSON lane's in-order rule, and the failure-injection / shutdown paths.
+header-time rejection of hostile headers, pipeline backpressure, control
+ops completing out of order like any other, and the failure-injection /
+shutdown paths.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from repro.runtime.protocol import (
     _MAX_EXT,
     _MAX_PAYLOAD,
     OP_READ,
+    OP_STAT,
     encode_binary_request,
-    encode_json_frame,
 )
 from repro.runtime.server import _PIPELINE_DEPTH, FTCacheServer
 from repro.runtime.storage import NVMeDir, PFSDir
@@ -59,6 +60,10 @@ def _assert_severed(sock: socket.socket) -> None:
 
 def _read_req(path: str, seq: int) -> bytes:
     return encode_binary_request(Message.request(OP_READ, path=path), seq=seq)
+
+
+def _stat_req(seq: int) -> bytes:
+    return encode_binary_request(Message.request(OP_STAT), seq=seq)
 
 
 def _only_conn(server: FTCacheServer):
@@ -225,8 +230,9 @@ class TestHostileHeaders:
             lambda h: h.__setitem__(slice(8, 10), (_MAX_EXT + 1).to_bytes(2, "big")),
             lambda h: h.__setitem__(1, 0x00),  # second magic byte
             lambda h: h.__setitem__(4, 0xEE),  # op code
+            lambda h: h.__setitem__(3, 1),  # kind: an OK reply sent *to* the server
         ],
-        ids=["payload_len", "ext_len", "magic", "op_code"],
+        ids=["payload_len", "ext_len", "magic", "op_code", "kind"],
     )
     def test_rejected_on_header_arrival(self, node, mutate):
         header = bytearray(_read_req("/k", 1)[:22])
@@ -237,14 +243,20 @@ class TestHostileHeaders:
             _assert_severed(sock)
         assert node.stats.counters()["errors"] == before + 1
 
-    def test_oversized_json_header_rejected_on_length_prefix(self, node):
-        with _connect(node) as sock:
-            sock.sendall((1 << 21).to_bytes(4, "big"))
-            _assert_severed(sock)
+    def test_non_magic_bytes_rejected_on_arrival(self, node):
+        """Anything that does not open with the magic — a wrong first byte,
+        a wrong second, a whole length-prefixed JSON frame — is refused at
+        once, not after a header's worth of it has trickled in."""
+        for first_bytes in (b"\x00", b"\xf7\x00", b'\x00\x00\x00\x0d{"op":"PING"}'):
+            before = node.stats.counters()["errors"]
+            with _connect(node) as sock:
+                sock.sendall(first_bytes)
+                _assert_severed(sock)
+            assert node.stats.counters()["errors"] == before + 1
 
     def test_path_escape_is_answered_not_dropped(self, node):
-        """A READ outside the PFS root gets an error *reply* on both lanes —
-        silence would read as a timeout against a healthy node."""
+        """A READ outside the PFS root gets an error *reply* — silence would
+        read as a timeout against a healthy node."""
         evil = node.pfs.root.parent / "pfs-evil"
         evil.mkdir()
         (evil / "s.txt").write_bytes(b"secret")
@@ -254,9 +266,6 @@ class TestHostileHeaders:
                 resp = recv_message(sock)
                 assert not resp.ok and resp.seq == seq and b"secret" not in resp.payload
                 assert "escape" in resp.header["reason"]
-            sock.sendall(encode_json_frame(Message.request("READ", path="../pfs-evil/s.txt")))
-            resp = recv_message(sock)
-            assert not resp.ok and "escape" in resp.header["reason"]
             # the connection is still good
             sock.sendall(_read_req(HITS[0], 7))
             assert recv_message(sock).seq == 7
@@ -291,44 +300,25 @@ class TestBackpressure:
             server.close()
 
 
-class TestJsonLaneOrdering:
-    def test_nothing_is_decoded_past_an_unanswered_json_frame(self, tmp_path):
-        """JSON READ of a slow key, then a binary hit, in one segment: the hit
-        would win any race, but the JSON reply must come first."""
-        pfs = PFSDir(tmp_path / "pfs", read_delay=0.15)
-        nvme = NVMeDir(tmp_path / "nvme")
-        pfs.write("/slow.bin", b"s" * 128)
-        pfs.write("/fast.bin", b"f" * 128)
-        nvme.write("/fast.bin", b"f" * 128)
-        server = FTCacheServer(0, nvme, pfs).start()
-        try:
-            with _connect(server) as sock:
-                sock.sendall(
-                    encode_json_frame(Message.request("READ", path="/slow.bin"))
-                    + _read_req("/fast.bin", 5)
-                    + encode_json_frame(Message.request("PING"))
-                )
-                first, second, third = (recv_message(sock) for _ in range(3))
-            assert first.seq == 0 and first.payload == b"s" * 128
-            assert second.seq == 5 and second.payload == b"f" * 128
-            assert third.ok and third.header["node_id"] == 0
-            counters = server.stats.counters()
-            assert counters["json_reqs"] == 2 and counters["binary_reqs"] == 1
-        finally:
-            server.close()
-
-    def test_binary_ahead_of_json_may_still_complete_out_of_order(self, tmp_path):
+class TestControlOps:
+    def test_stat_overtakes_a_slow_miss_then_counts_it(self, tmp_path):
+        """Control ops have no lane of their own: a STAT behind a READ that
+        is still inside the PFS is answered first, matched by seq; one sent
+        after the READ's reply was received counts that read (books before
+        reply, across op types)."""
         pfs = PFSDir(tmp_path / "pfs", read_delay=0.15)
         pfs.write("/slow.bin", b"s" * 64)
         server = FTCacheServer(0, NVMeDir(tmp_path / "nvme"), pfs).start()
         try:
             with _connect(server) as sock:
-                sock.sendall(
-                    _read_req("/slow.bin", 1) + encode_json_frame(Message.request("PING"))
-                )
+                sock.sendall(_read_req("/slow.bin", 1) + _stat_req(2))
                 first, second = recv_message(sock), recv_message(sock)
-            assert first.header.get("node_id") == 0  # the PING overtook the slow miss
-            assert second.seq == 1 and second.payload == b"s" * 64
+                assert first.seq == 2 and first.header["misses"] == 0
+                assert second.seq == 1 and second.payload == b"s" * 64
+                sock.sendall(_stat_req(3))
+                third = recv_message(sock)
+            assert third.seq == 3 and third.header["misses"] == 1
+            assert third.header["binary_reqs"] == 3
         finally:
             server.close()
 
@@ -425,7 +415,7 @@ class TestFailureInjectionAndShutdown:
 class TestStatFromTheIndex:
     def test_stat_reports_entries_without_scanning(self, node):
         with _connect(node) as sock:
-            sock.sendall(encode_json_frame(Message.request("STAT")))
+            sock.sendall(_stat_req(1))
             stat = recv_message(sock).header
         assert stat["cached_entries"] == len(HITS) == node.nvme.entry_count()
         assert json.dumps(stat)  # plain JSON types only
