@@ -143,7 +143,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mover-workers", type=int, default=2,
                         help="per-server data-mover worker threads (bounded recache pool)")
     parser.add_argument("--mover-queue-depth", type=int, default=64,
-                        help="per-server pending recache entries before drop-oldest overflow")
+                        help="per-server pending recache entries before the submitter installs its own")
     parser.add_argument("--kill-at", type=float, default=None,
                         help="seconds into the chaos phase to kill a server (default: midpoint)")
     parser.add_argument("--restart-at", type=float, default=None,

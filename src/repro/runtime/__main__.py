@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mover-workers", type=int, default=2,
                    help="data-mover worker threads (bounded recache pool)")
     p.add_argument("--mover-queue-depth", type=int, default=64,
-                   help="pending recache entries before drop-oldest overflow")
+                   help="pending recache entries before the submitter installs its own")
     p.add_argument("--run-seconds", type=float, default=None, help="exit after N seconds (tests)")
     p.set_defaults(fn=cmd_serve)
 

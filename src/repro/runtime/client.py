@@ -20,7 +20,11 @@ Detector evidence rules (what counts toward declaration):
   evidence by itself: a server restart (or idle-connection reap) kills
   established sockets without the node being unhealthy *now*.  The
   client transparently reconnects and retries once; only the fresh
-  attempt's outcome feeds the detector.
+  attempt's outcome feeds the detector;
+* a failed ``read_many`` batch (scatter–gather: every owner's READs are
+  sent before any reply is read) is never evidence by itself: that
+  owner's socket is retired, its keys are re-read one by one, and *those*
+  attempts feed the detector by the rules above.
 
 Thread safety: a client may be shared by loader workers; the connection
 pool is per-thread, and policy/detector mutations take a lock.  Pool
@@ -53,7 +57,9 @@ from .protocol import (
     OP_STAT,
     OP_TRANSFER,
     Message,
+    FrameReader,
     ProtocolError,
+    encode_binary_request,
     recv_message,
     send_binary_request,
     set_nodelay,
@@ -89,14 +95,15 @@ class ReadError(RuntimeError):
 
 
 class _PooledConn:
-    """One pooled socket plus the node epoch/address it was created for."""
+    """One pooled socket, its reply reader, and the node epoch/address it was created for."""
 
-    __slots__ = ("sock", "epoch", "addr")
+    __slots__ = ("sock", "epoch", "addr", "reader")
 
     def __init__(self, sock: socket.socket, epoch: int, addr: tuple[str, int]):
         self.sock = sock
         self.epoch = epoch
         self.addr = addr
+        self.reader = FrameReader(sock)
 
 
 class _ConnectionPool(threading.local):
@@ -323,91 +330,69 @@ class FTCacheClient:
     def read_many(self, paths: list[str]) -> list[bytes]:
         """Read a batch of files; order of results matches ``paths``.
 
-        Paths owned by the same node are **pipelined** over that node's
-        pooled socket: every READ goes out back to back with a per-request
-        ``seq``, and responses — which the server may complete out of
-        order — are correlated by the echoed seq.  One socket round of
-        framing latency is paid per *batch*, not per key.
-
-        Anything that can't be pipelined falls back to the sequential
-        :meth:`read` path with its full detection/re-route semantics:
-        PFS-direct policy routes, replicated multi-candidate reads, and
-        any batch whose socket times out or desyncs mid-flight (the socket
-        is retired first — a half-drained pipeline must never be reused).
+        **Scatter–gather**: every owner's READs go out — pipelined on its
+        pooled socket, a ``seq`` each — before the first reply is read, so
+        the owners work in parallel and the batch waits for the slowest of
+        them, not their sum; replies, which a server may complete out of
+        order, are matched by the echoed seq.  **Drain all before judging
+        any** spans owners: every reply is off its socket before one is
+        looked at, so a missing file's :class:`ReadError` leaves no pooled
+        socket holding unread frames.  **Fallback is per owner**: a socket
+        error or timeout in one owner's send or drain retires that socket
+        (a half-drained pipeline is never reused) and sends only that
+        owner's keys down the sequential :meth:`read` path with its full
+        detection/re-route semantics — where PFS-direct routes and
+        replicated multi-candidate reads go from the start.
         """
         if len(paths) < 2:
             return [self.read(p) for p in paths]
         results: dict[int, bytes] = {}
         groups: dict[NodeId, list[tuple[int, str]]] = {}
-        sequential: list[int] = []
         for i, path in enumerate(paths):
             candidates = self._candidates(path)
             if candidates is not None and len(candidates) == 1:
                 groups.setdefault(candidates[0], []).append((i, path))
-            else:
-                sequential.append(i)
-        for node, batch in groups.items():
-            if not self._read_batch(node, batch, results):
-                sequential.extend(i for i, _ in batch)
-        for i in sorted(sequential):
-            if i not in results:
-                results[i] = self.read(paths[i])
-        return [results[i] for i in range(len(paths))]
+        t0, octx = time.perf_counter(), self._op_ctx
+        with self.tracer.start_trace("client.read_many", owners=len(groups), batch=len(paths)) as span:
+            sent = [(node, batch, self._send_batch(node, batch, span)) for node, batch in groups.items()]
+            drained = [(node, batch, conn and self._drain_batch(node, conn, len(batch)))
+                       for node, batch, conn in sent]
+            for node, batch, replies in drained:
+                if not replies:
+                    continue  # socket retired: this owner's keys go the sequential way
+                octx.node_id, octx.reconnects = node, 0
+                for seq, (i, path) in enumerate(batch, start=1):
+                    if seq in replies:
+                        results[i], source = self._read_outcome(node, path, replies[seq], pipelined=1)
+                        if source == "pfs":
+                            self._push_replicas(path, results[i], served_by=node)
+                        self._notify("read", path, time.perf_counter() - t0, source)
+        # the rest (unpipelined routes, retired owners, unmatched seqs): sequential path
+        return [results[i] if i in results else self.read(p) for i, p in enumerate(paths)]
 
-    def _read_batch(
-        self, node: NodeId, batch: list[tuple[int, str]], results: dict[int, bytes]
-    ) -> bool:
-        """Pipeline one node's batch; False → caller re-reads sequentially.
-
-        All requests are sent before any response is read, and all
-        responses are drained before any is judged — raising mid-pipeline
-        would strand unread frames on a pooled socket.
-        """
-        octx = self._op_ctx
-        octx.node_id, octx.reconnects = node, 0
-        t0 = time.perf_counter()
-        span = self.tracer.start_trace("client.read_many", node_id=node, batch=len(batch))
+    def _send_batch(self, node: NodeId, batch: list[tuple[int, str]], span) -> Optional[_PooledConn]:
+        """Scatter half: one owner's READs (seq 1…n) in one send; None — socket retired — if it fails."""
         try:
-            try:
-                sock, _ = self._checkout(node)
-                for seq, (_, path) in enumerate(batch, start=1):
-                    msg = Message.request(OP_READ, path=path)
-                    if span.ctx is not None:
-                        inject(msg.header, span.ctx)
-                    send_binary_request(sock, msg, seq=seq)
-                replies: dict[int, Message] = {}
-                for _ in batch:
-                    resp = recv_message(sock)
-                    replies[resp.seq] = resp
-            except (socket.timeout, TimeoutError, ConnectionError, OSError, ProtocolError):
-                # Transport wobble mid-batch: the socket may hold half a
-                # pipeline, so retire it, and let the sequential path redo
-                # the batch (feeding the detector per-attempt as usual).
-                self._drop_conn(node)
-                span.end(status="fallback")
-                return False
-            self.detector.record_success(node)
-            for seq, (i, path) in enumerate(batch, start=1):
-                resp = replies.get(seq)
-                if resp is None:
-                    continue  # unmatched seq: sequential fallback re-reads it
-                if not resp.ok:
-                    if resp.header.get("code") == "ENOENT":
-                        raise ReadError(f"no such file: {path}")
-                    raise ReadError(f"server error for {path!r}: {resp.header.get('reason')}")
-                source = resp.header.get("source", "cache")
-                if source == "pfs":
-                    self._bump(server_pfs_reads=1, pipelined_reads=1)
-                    self._push_replicas(path, resp.payload, served_by=node)
-                else:
-                    self._bump(server_cache_reads=1, pipelined_reads=1)
-                results[i] = resp.payload
-                self._notify("read", path, time.perf_counter() - t0, source)
-        except Exception:
-            span.end(status="error")
-            raise
-        span.end()
-        return True
+            conn, _ = self._checkout(node)
+            frames = []
+            for seq, (_, path) in enumerate(batch, start=1):
+                msg = Message.request(OP_READ, path=path)
+                if span.ctx is not None:
+                    inject(msg.header, span.ctx)
+                frames.append(encode_binary_request(msg, seq))
+            conn.sock.sendall(b"".join(frames))
+            return conn
+        except (OSError, ProtocolError, ReadError):  # the last two the sequential path re-raises
+            self._drop_conn(node)
+            return None
+
+    def _drain_batch(self, node: NodeId, conn: _PooledConn, n: int) -> Optional[dict]:
+        """Gather half: ``n`` replies off ``conn`` by seq, none judged; None — socket retired — on failure."""
+        try:
+            return {resp.seq: resp for resp in (conn.reader.recv() for _ in range(n))}
+        except (OSError, ProtocolError):  # timeout, EOF, reset, desync
+            self._drop_conn(node)
+            return None
 
     def admit_node(self, node: NodeId, addr: tuple, weight: Optional[float] = None) -> None:
         """(Re-)admit a server: elastic scale-up / rejoin after repair.
@@ -598,8 +583,8 @@ class FTCacheClient:
         with self._policy_lock:
             self.policy.on_node_failed(node)
 
-    def _checkout(self, node: NodeId) -> tuple[socket.socket, bool]:
-        """This thread's socket to ``node`` plus whether it is fresh.
+    def _checkout(self, node: NodeId) -> tuple[_PooledConn, bool]:
+        """This thread's connection to ``node`` plus whether it is fresh.
 
         A pooled socket from an older epoch (node restarted/redeclared) or
         a changed address is discarded, never reused.
@@ -609,7 +594,7 @@ class FTCacheClient:
         pooled = self._pool.conns.get(node)
         if pooled is not None:
             if pooled.epoch == epoch and pooled.addr == addr:
-                return pooled.sock, False
+                return pooled, False
             self._pool.conns.pop(node, None)
             self._discard_sock(pooled.sock)
         sock = socket.create_connection(addr, timeout=self.detector.ttl)
@@ -617,8 +602,8 @@ class FTCacheClient:
         set_nodelay(sock)
         with self._socks_lock:
             self._live_socks.add(sock)
-        self._pool.conns[node] = _PooledConn(sock, epoch, addr)
-        return sock, True
+        pooled = self._pool.conns[node] = _PooledConn(sock, epoch, addr)
+        return pooled, True
 
     def _discard_sock(self, sock: socket.socket) -> None:
         with self._socks_lock:
@@ -651,9 +636,9 @@ class FTCacheClient:
         for _ in range(2):
             fresh = True
             try:
-                sock, fresh = self._checkout(node)
-                send_binary_request(sock, msg)
-                resp = recv_message(sock)
+                conn, fresh = self._checkout(node)
+                send_binary_request(conn.sock, msg)
+                resp = conn.reader.recv()
                 octx.node_id = node
                 span.end()
                 return resp
@@ -663,7 +648,7 @@ class FTCacheClient:
                 self._drop_conn(node)
                 span.end(status="timeout")
                 return None
-            except (ConnectionError, OSError):
+            except (OSError, ProtocolError):  # a desynced reader may hold half a frame
                 self._drop_conn(node)
                 if fresh:
                     # Nothing listening / reset on a brand-new socket.
@@ -677,19 +662,22 @@ class FTCacheClient:
     def _rpc_read(self, node: NodeId, path: str) -> Optional[tuple[bytes, str]]:
         """One READ attempt: ``(data, source)``, or None on timeout/refusal."""
         resp = self._rpc(node, Message.request(OP_READ, path=path))
-        if resp is None:
-            return None
-        if resp.ok:
-            self.detector.record_success(node)
-            source = resp.header.get("source", "cache")
-            if source == "pfs":
-                self._bump(server_pfs_reads=1)
-            else:
-                self._bump(server_cache_reads=1)
-            return resp.payload, source
-        if resp.header.get("code") == "ENOENT":
-            raise ReadError(f"no such file: {path}")
-        raise ReadError(f"server error for {path!r}: {resp.header.get('reason')}")
+        return None if resp is None else self._read_outcome(node, path, resp)
+
+    def _read_outcome(self, node: NodeId, path: str, resp: Message, pipelined: int = 0) -> tuple[bytes, str]:
+        """Books and verdict of one READ reply: ``(data, source)``, or the
+        :class:`ReadError` the server's error reply stands for."""
+        if not resp.ok:
+            if resp.header.get("code") == "ENOENT":
+                raise ReadError(f"no such file: {path}")
+            raise ReadError(f"server error for {path!r}: {resp.header.get('reason')}")
+        self.detector.record_success(node)
+        source = resp.header.get("source", "cache")
+        if source == "pfs":
+            self._bump(server_pfs_reads=1, pipelined_reads=pipelined)
+        else:
+            self._bump(server_cache_reads=1, pipelined_reads=pipelined)
+        return resp.payload, source
 
     def close(self) -> None:
         """Close every pooled socket this client ever opened, including

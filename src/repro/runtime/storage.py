@@ -82,7 +82,7 @@ class NVMeDir:
         return self.root / _entry_name(key)
 
     def contains(self, key: str) -> bool:
-        return self._path(key).exists()
+        return os.path.exists(self._prefix + _entry_name(key))
 
     def read(self, key: str) -> bytes:
         name = _entry_name(key)
@@ -116,45 +116,50 @@ class NVMeDir:
     def write(self, key: str, data: bytes) -> None:
         """Atomically install a cache entry, evicting LRU entries if needed.
 
-        A concurrent writer of the same key is harmless: both write the
-        same bytes and the rename is atomic on POSIX.  Raises ``OSError``
-        only for an entry that cannot fit even in an empty cache.
+        *Stage outside, commit inside*: the bytes go to a ``.tmp-`` file
+        with no lock held (plain ``os`` calls: a miss is priced by GIL
+        hand-offs around short syscalls); ``nvme-lru`` covers only the
+        rename, the accounting and the victims' unlinks, so a hit's
+        ``open_read`` on the loop never waits behind a data write.  A
+        concurrent writer of the same key is harmless: both write the same
+        bytes and the rename is atomic on POSIX.  Raises ``OSError`` only
+        for an entry that cannot fit even in an empty cache.
         """
-        if self.capacity_bytes is not None and len(data) > self.capacity_bytes:
-            raise OSError(f"entry of {len(data)} bytes exceeds cache capacity {self.capacity_bytes}")
+        size, cap = len(data), self.capacity_bytes
+        if cap is not None and size > cap:
+            raise OSError(f"entry of {size} bytes exceeds cache capacity {cap}")
         name = _entry_name(key)
+        tmp = f"{self._prefix}{_TMP_PREFIX}{os.getpid()}-{threading.get_ident()}-{name}"
         evicted: list[tuple[str, int]] = []
-        # The stage/rename/unlink I/O stays inside the critical section on purpose:
-        # eviction choice, byte accounting, and the install must commit atomically
-        # (a reader may race an eviction; the accounting may not).  Everything here
-        # is local-NVMe single-entry I/O, never network or unbounded waits.
-        with self._lock:  # ftlint: disable=RT001 -- atomic install: accounting+file ops must commit together (local NVMe, bounded)
-            old_size = self._lru.pop(name, None)
-            if old_size is not None:
-                self._used -= old_size
-            if self.capacity_bytes is not None:
-                while self._used + len(data) > self.capacity_bytes and self._lru:
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
+            # Victims are unlinked before the lock is released: an evict →
+            # re-install → late unlink would delete a live, counted entry.
+            with self._lock:  # ftlint: disable=RT001 -- commit only: rename + victims' unlinks must be atomic with the accounting
+                os.replace(tmp, self._prefix + name)
+                self._used += size - self._lru.pop(name, 0)
+                self._lru[name] = size  # newest, and it fits: the loop stops short of it
+                while cap is not None and self._used > cap and len(self._lru) > 1:
                     victim, vsize = self._lru.popitem(last=False)
                     try:
-                        (self.root / victim).unlink()
+                        os.unlink(self._prefix + victim)
                     except FileNotFoundError:  # pragma: no cover - already raced away
                         pass
                     self._used -= vsize
                     self.evictions += 1
                     evicted.append((victim, vsize))
-            target = self._path(key)
-            tmp = self.root / f"{_TMP_PREFIX}{os.getpid()}-{threading.get_ident()}-{name}"
+        except OSError:
             try:
-                tmp.write_bytes(data)
-                os.replace(tmp, target)
+                os.unlink(tmp)
             except OSError:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-                raise
-            self._lru[name] = len(data)
-            self._used += len(data)
+                pass
+            raise
         # Event emission stays outside the critical section (RT001): the
         # counters above are the atomic truth; events are best-effort order.
         for victim, vsize in evicted:
@@ -203,9 +208,9 @@ class PFSDir:
     def __init__(self, root: str | Path, read_delay: float = 0.0):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: symlink-free form of the root, resolved once: the containment
-        #: test in :meth:`resolve` compares against it on every read
-        self._real_root = self.root.resolve()
+        #: symlink-free form of the root, resolved once, with its trailing
+        #: separator: what every key is joined to and tested against
+        self._real_prefix = os.path.join(os.path.realpath(self.root), "")
         if read_delay < 0:
             raise ValueError("read_delay must be >= 0")
         self.read_delay = read_delay
@@ -216,25 +221,29 @@ class PFSDir:
     def reads(self) -> int:
         return self._reads
 
-    def resolve(self, key: str) -> Path:
+    def _real(self, key: str) -> str:
         """Map a dataset key (absolute-ish path) into this PFS root.
 
         Raises ``PermissionError`` for a key that resolves outside it —
         ``..`` climbs, symlinks, and sibling directories that merely share
         the root's name as a prefix (``/x/pfs-evil`` against ``/x/pfs``).
         """
-        path = (self._real_root / key.lstrip("/")).resolve()
-        if not path.is_relative_to(self._real_root):
+        path = os.path.realpath(self._real_prefix + key.lstrip("/"))
+        if not (path + os.sep).startswith(self._real_prefix):
             raise PermissionError(f"path escape: {key!r}")
         return path
 
+    def resolve(self, key: str) -> Path:
+        return Path(self._real(key))
+
     def exists(self, key: str) -> bool:
-        return self.resolve(key).exists()
+        return os.path.exists(self._real(key))
 
     def read(self, key: str) -> bytes:
         if self.read_delay:
             time.sleep(self.read_delay)
-        data = self.resolve(key).read_bytes()
+        with open(self._real(key), "rb", buffering=0) as f:
+            data = f.read()
         with self._lock:
             self._reads += 1
         return data

@@ -6,8 +6,8 @@ Two failure modes this file pins down:
   the failure detector as node evidence — the client reconnects
   transparently and only the fresh attempt counts;
 * a **miss storm** must not spawn unbounded data-mover threads — the
-  bounded pool coalesces duplicates, drops oldest on overflow (counted),
-  and drains gracefully on close.
+  bounded pool coalesces duplicates, makes the submitter run what the
+  full queue cannot take (nothing is shed), and drains gracefully on close.
 """
 
 from __future__ import annotations
@@ -36,6 +36,23 @@ class _SlowNVMeDir(NVMeDir):
 
     def write(self, key: str, data: bytes) -> None:
         time.sleep(self.write_delay)
+        super().write(key, data)
+
+
+class _GatedNVMeDir(NVMeDir):
+    """NVMe stand-in whose writes announce themselves, park until released,
+    and record which thread performed them."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.writers: dict[str, str] = {}
+
+    def write(self, key: str, data: bytes) -> None:
+        self.writers[key] = threading.current_thread().name
+        self.entered.release()
+        assert self.release.wait(timeout=10)
         super().write(key, data)
 
 
@@ -152,8 +169,9 @@ class TestStaleSocketRegression:
 
 class TestDataMoverPool:
     def test_miss_storm_keeps_threads_bounded(self, tmp_path):
-        """500 distinct misses against one server: live mover threads stay at
-        the pool size and the overflow is counted, not thread-spawned."""
+        """500 distinct misses against one server with an 8-deep queue and a
+        slow device: live mover threads stay at the pool size, the overflow
+        is installed by the submitting thread, and nothing is shed."""
         pfs = PFSDir(tmp_path / "pfs")
         keys = [f"/dataset/storm/sample_{i:06d}.bin" for i in range(500)]
         for k in keys:
@@ -169,17 +187,19 @@ class TestDataMoverPool:
                 assert resp.ok and resp.header["source"] == "pfs"
                 max_movers = max(max_movers, len(_mover_threads(0)))
                 max_active = max(max_active, threading.active_count())
+                assert server.mover.queue_len <= 8
             assert max_movers <= 2
             # the old thread-per-miss code would have pushed this by O(storm)
             assert max_active <= baseline + 4
             counters = server.stats.counters()
-            assert counters["mover_dropped"] > 0  # queue really overflowed
             assert counters["mover_enqueued"] + counters["mover_coalesced"] == 500
         finally:
             server.close()
-        # graceful drain: everything admitted and not dropped got written
+        # graceful drain: everything admitted got written — queued or caller-run
         final = server.stats.counters()
-        assert final["recached"] == final["mover_enqueued"] - final["mover_dropped"]
+        assert final["mover_dropped"] == 0
+        assert final["recached"] == final["mover_enqueued"] == 500
+        assert nvme.entry_count() == 500
         assert len(_mover_threads(0)) == 0  # workers exited
 
     def test_duplicate_keys_coalesce(self, tmp_path):
@@ -196,17 +216,34 @@ class TestDataMoverPool:
         assert stats.mover_dropped == 0
         assert nvme.entry_count() == 1
 
-    def test_drop_oldest_on_overflow(self, tmp_path):
-        nvme = _SlowNVMeDir(tmp_path / "nvme", write_delay=0.05)
+    def test_overflow_runs_on_the_caller(self, tmp_path):
+        """A full queue makes the submitter install its own entry — on its
+        own thread, before ``submit`` returns — and a duplicate of that key
+        submitted meanwhile is coalesced, not installed twice."""
+        nvme = _GatedNVMeDir(tmp_path / "nvme")
         stats = ServerStats()
-        pool = DataMoverPool(nvme, stats, node_id=8, workers=1, queue_depth=2)
+        pool = DataMoverPool(nvme, stats, node_id=8, workers=1, queue_depth=1)
+        overflow = threading.Thread(
+            target=pool.submit, args=("/k2.bin", b"x" * 16), name="overflow-submitter", daemon=True
+        )
         try:
-            for i in range(8):
-                pool.submit(f"/k{i}.bin", b"x" * 16)
+            pool.submit("/k0.bin", b"x" * 16)
+            assert nvme.entered.acquire(timeout=10)  # the worker holds k0, parked in write
+            pool.submit("/k1.bin", b"x" * 16)  # fills the queue
+            overflow.start()
+            assert nvme.entered.acquire(timeout=10)  # k2's install is running inline
+            assert pool.queue_len == 1 and overflow.is_alive()
+            assert pool.submit("/k2.bin", b"x" * 16)  # returns at once: coalesced
+            assert stats.mover_coalesced == 1
         finally:
+            nvme.release.set()
+            overflow.join(timeout=10)
             pool.close()
-        assert stats.mover_dropped > 0
-        assert stats.recached == stats.mover_enqueued - stats.mover_dropped
+        assert not overflow.is_alive()
+        assert nvme.writers["/k2.bin"] == "overflow-submitter"
+        assert nvme.writers["/k0.bin"] == nvme.writers["/k1.bin"] == "data-mover-8-0"
+        assert (stats.mover_enqueued, stats.recached, stats.mover_dropped) == (3, 3, 0)
+        assert nvme.entry_count() == 3
 
     def test_close_drains_queue(self, tmp_path):
         nvme = _SlowNVMeDir(tmp_path / "nvme", write_delay=0.005)
@@ -214,7 +251,7 @@ class TestDataMoverPool:
         pool = DataMoverPool(nvme, stats, node_id=9, workers=2, queue_depth=64)
         for i in range(20):
             pool.submit(f"/drain/{i}.bin", b"y" * 32)
-        pool.close(drain=True)
+        pool.close()
         assert nvme.entry_count() == 20
         assert stats.recached == 20
         assert not pool.submit("/late.bin", b"z")  # closed pool refuses work

@@ -4,8 +4,10 @@ Covers the fixed-header codec round trips, frame truncation at every
 byte offset (payload frames and JSON-fields frames), the
 ``_MAX_PAYLOAD``/``_MAX_HEADER`` bounds, TCP_NODELAY on client and
 server sockets, the zero-copy vectored send (no header+payload
-concatenation), seq-echo pipelining with out-of-order completion, and
-the pipelined ``read_many`` fast path.
+concatenation), seq-echo pipelining with out-of-order completion, the
+scatter–gather ``read_many`` (every owner in flight at once, drained
+across owners before any reply is judged, per-owner fallback), and
+``FrameReader`` — the buffered driver every pooled socket reads through.
 """
 
 import socket
@@ -14,11 +16,13 @@ import time
 
 import pytest
 
-from repro.runtime import LocalCluster, Message, recv_message
+from repro.runtime import LocalCluster, Message, ReadError, recv_message
 from repro.runtime.protocol import (
     _MAX_EXT,
     _MAX_HEADER,
     _MAX_PAYLOAD,
+    _WINDOW,
+    FrameReader,
     OP_PING,
     OP_PUT,
     OP_READ,
@@ -482,12 +486,204 @@ class TestPipelining:
     def test_read_many_missing_file_raises(self, cluster):
         client = cluster.client()
         try:
-            from repro.runtime import ReadError
-
             with pytest.raises(ReadError, match="no such file"):
                 client.read_many([cluster.paths[0], "/dataset/train/nope.bin"])
         finally:
             client.close()
+
+    def test_every_owner_is_sent_to_before_any_reply_is_read(self, cluster):
+        client = cluster.client()
+        try:
+            client.read_many(list(cluster.paths))  # pools a socket per owner
+            log: list[tuple[str, int]] = []
+            for node, conn in client._pool.conns.items():
+                conn.sock = conn.reader.sock = _TapSock(conn.sock, node, log)
+            assert len(client._pool.conns) == 3
+            assert client.read_many(list(cluster.paths)) == [cluster.pfs.read(p) for p in cluster.paths]
+            first_recv = [op for op, _ in log].index("recv")
+            assert sorted(log[:first_recv]) == [("send", node) for node in sorted(client._pool.conns)]
+            assert all(op == "recv" for op, _ in log[first_recv:])
+        finally:
+            client.close()
+
+    def test_error_reply_leaves_no_owner_with_unread_frames(self, cluster):
+        """The missing key leads the batch, so its owner is judged first —
+        by which time the other owners' replies must be off their sockets:
+        a stale frame would answer the next ``read`` with the wrong bytes."""
+        client = cluster.client()
+        try:
+            client.read_many(list(cluster.paths))
+            conns = dict(client._pool.conns)
+            assert len(conns) == 3
+            with pytest.raises(ReadError, match="no such file"):
+                client.read_many(["/dataset/train/nope.bin", *cluster.paths])
+            for p in reversed(cluster.paths):
+                assert client.read(p) == cluster.pfs.read(p)
+            assert client._pool.conns == conns  # drained, not retired
+            assert client.stats["reconnects"] == 0
+        finally:
+            client.close()
+
+    def test_hung_owner_falls_back_alone(self):
+        """One of three owners hangs: its keys — and only its — take the
+        sequential path (one TTL for the batch, one per detector strike);
+        the healthy owners' replies are consumed and their sockets reused."""
+        ttl, threshold = 0.25, 2
+        with LocalCluster(n_servers=3, policy="nvme", ttl=ttl, timeout_threshold=threshold) as c:
+            paths = c.populate(n_files=30, file_bytes=2048, seed=11)
+            expected = [c.pfs.read(p) for p in paths]
+            client = c.client()
+            assert client.read_many(paths) == expected
+            victim = c.owner_of(paths[0], client.policy)
+            healthy = {n: conn for n, conn in client._pool.conns.items() if n != victim}
+            theirs = sum(c.owner_of(p, client.policy) != victim for p in paths)
+            assert len(healthy) == 2 and 0 < theirs < 30
+            before = client.stats
+            c.kill_server(victim, mode="hang")
+            t0 = time.perf_counter()
+            assert client.read_many(paths) == expected
+            elapsed = time.perf_counter() - t0
+            after = client.stats
+            assert after["pipelined_reads"] - before["pipelined_reads"] == theirs
+            assert (after["declared"], after["timeouts"]) == (1, threshold)
+            assert (1 + threshold) * ttl <= elapsed < (2 + threshold) * ttl + 1.0
+            assert client.read_many(paths) == expected  # all pipelined to the survivors
+            assert client.stats["pipelined_reads"] - after["pipelined_reads"] == 30
+            assert {n: client._pool.conns[n] for n in healthy} == healthy
+            assert client.stats["reconnects"] == 0
+
+    def test_dropped_owner_mid_epoch(self):
+        with LocalCluster(n_servers=3, policy="nvme", ttl=0.25, timeout_threshold=2) as c:
+            paths = c.populate(n_files=48, file_bytes=1024, seed=12)
+            client = c.client()
+            victim = c.owner_of(paths[0], client.policy)
+            for epoch in range(3):
+                for lo in range(0, len(paths), 8):
+                    if (epoch, lo) == (1, 16):
+                        c.kill_server(victim, mode="drop")
+                    batch = paths[lo : lo + 8]
+                    assert client.read_many(batch) == [c.pfs.read(p) for p in batch]
+            assert client.stats["declared"] == 1
+            assert victim in client.policy.failed_nodes
+
+    def test_timeout_mid_frame_retires_the_connection(self, tmp_path):
+        """Half a reply, then silence: the half-read connection is dropped,
+        never reused — the retry gets a fresh socket and a whole frame."""
+        body = b"x" * 100
+        reply = encode_binary_response_header(OP_READ, Message.ok_response(payload=body)) + body
+        accepted = []
+
+        def serve() -> None:
+            for part in (reply[:60], reply):
+                conn, _ = listener.accept()
+                accepted.append(conn)
+                recv_message(conn)
+                conn.sendall(part)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = threading.Thread(target=serve, name="half-frame-server", daemon=True)
+            server.start()
+            with LocalCluster(n_servers=1, workdir=tmp_path, ttl=0.2) as c:
+                client = c.client()
+                client.register_address(9, listener.getsockname())
+                try:
+                    assert client.read_from(9, "/a.bin") is None  # timed out mid-frame
+                    assert 9 not in client._pool.conns
+                    assert client.read_from(9, "/a.bin") == (body, "cache")
+                finally:
+                    client.close()
+            server.join(timeout=5)
+            assert not server.is_alive()
+        for conn in accepted:
+            conn.close()
+
+
+class _TapSock:
+    """A pooled socket that logs which node was sent to / received from."""
+
+    def __init__(self, sock, node, log):
+        self.sock, self.node, self.log = sock, node, log
+
+    def sendall(self, data):
+        self.log.append(("send", self.node))
+        return self.sock.sendall(data)
+
+    def recv_into(self, view):
+        self.log.append(("recv", self.node))
+        return self.sock.recv_into(view)
+
+    def close(self):
+        self.sock.close()
+
+
+class _Segments:
+    """Stands in for a socket under a :class:`FrameReader`: each ``recv_into``
+    hands over what is left of the next segment (at most what fits), then EOF.
+    ``fed`` bytes have been handed over, ``before_last`` of them before the
+    most recent call."""
+
+    def __init__(self, *segments: bytes):
+        self.segments = [s for s in segments if s]
+        self.calls = self.fed = self.before_last = 0
+
+    def recv_into(self, view) -> int:
+        self.calls += 1
+        self.before_last = self.fed
+        if not self.segments:
+            return 0
+        n = min(len(view), len(self.segments[0]))
+        view[:n] = self.segments[0][:n]
+        self.segments[0] = self.segments[0][n:]
+        if not self.segments[0]:
+            del self.segments[0]
+        self.fed += n
+        return n
+
+
+def _reply(seq: int, payload: bytes) -> bytes:
+    msg = Message.ok_response(payload=payload, source="pfs")
+    return encode_binary_response_header(OP_READ, msg, seq=seq) + payload
+
+
+class TestFrameReader:
+    def test_one_recv_yields_every_frame_that_arrived(self):
+        sock = _Segments(b"".join(_reply(i, bytes([i]) * 100) for i in range(32)))
+        reader = FrameReader(sock)
+        got = [reader.recv() for _ in range(32)]
+        assert [(m.seq, m.payload) for m in got] == [(i, bytes([i]) * 100) for i in range(32)]
+        assert sock.calls == 1
+
+    def test_frame_larger_than_the_window(self):
+        big = bytes(range(256)) * (3 * _WINDOW // 256)
+        stream = _reply(1, b"before") + _reply(2, big) + _reply(3, b"after")
+        sock = _Segments(stream[:50_000], stream[50_000:])
+        reader = FrameReader(sock)
+        assert [reader.recv().payload for _ in range(3)] == [b"before", big, b"after"]
+        # the part not in the first recv went straight into the frame, in one call
+        assert sock.calls == 3
+
+    def test_frame_straddling_the_window_end_is_compacted(self):
+        payloads = [bytes([65 + i]) * 16384 for i in range(5)]
+        sock = _Segments(b"".join(_reply(i, p) for i, p in enumerate(payloads)))
+        reader = FrameReader(sock)
+        assert [reader.recv().payload for _ in range(5)] == payloads
+        with pytest.raises(ConnectionError):
+            reader.recv()  # clean EOF between frames
+
+    def test_hostile_header_rejected_on_arrival(self):
+        head = bytearray(_reply(0, b"")[:22])
+        head[18:22] = (_MAX_PAYLOAD + 1).to_bytes(4, "big")
+        reader = FrameReader(_Segments(_reply(7, b"fine"), bytes(head)))
+        assert reader.recv().payload == b"fine"
+        with pytest.raises(ProtocolError, match="payload length"):  # not EOF: nothing more was asked for
+            reader.recv()
+        with pytest.raises(ProtocolError, match="bad magic"):
+            FrameReader(_Segments(b"G")).recv()
+
+    def test_eof_mid_frame(self):
+        reader = FrameReader(_Segments(_reply(1, b"y" * 64)[:40]))
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            reader.recv()
 
 
 class TestBinaryWireEndToEnd:

@@ -13,6 +13,7 @@ from repro.runtime import Message, PFSDir, recv_message
 from repro.runtime.protocol import (
     _MAX_HEADER,
     BIN_OPS,
+    FrameReader,
     OP_PUT,
     OP_READ,
     OP_STAT,
@@ -22,6 +23,8 @@ from repro.runtime.protocol import (
     encode_binary_response_header,
     parse_frame,
 )
+
+from tests.runtime.test_protocol_binary import _Segments
 
 _header_values = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-(2**31), max_value=2**31)
@@ -149,24 +152,48 @@ _hostile_frames = st.one_of(
 )
 
 
+_segmented_streams = dict(
+    messages=st.lists(_messages(), min_size=1, max_size=6),
+    hostile=st.none() | _hostile_frames,
+    data=st.data(),
+)
+
+
+def _segment(messages, hostile, data):
+    """``(stream, verdict_at, cuts)``: the framed messages, the optional
+    hostile frame behind them, and where the stream is cut into segments."""
+    stream = b"".join(m[0] for m in messages)
+    verdict_at = None
+    if hostile is not None:
+        verdict_at = len(stream) + hostile[1]
+        stream += hostile[0]
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)), max_size=8)) | {len(stream)})
+    return stream, verdict_at, cuts
+
+
 class TestIncrementalDecode:
-    """``parse_frame`` — the server's decoder — fed a stream of any ops, both
-    directions, in arbitrary segments yields exactly the messages that were
-    framed, and fails a hostile frame behind them as soon as its bytes are in."""
+    """``parse_frame`` — under the server's buffer and under the client's
+    ``FrameReader`` alike — fed a stream of any ops, both directions, in
+    arbitrary segments yields exactly the messages that were framed, and
+    fails a hostile frame behind them as soon as its bytes are in."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        messages=st.lists(_messages(), min_size=1, max_size=6),
-        hostile=st.none() | _hostile_frames,
-        data=st.data(),
-    )
+    @given(**_segmented_streams)
+    def test_frame_reader_any_segmentation(self, messages, hostile, data):
+        stream, verdict_at, cuts = _segment(messages, hostile, data)
+        sock = _Segments(*(stream[lo:hi] for lo, hi in zip([0, *cuts], cuts)))
+        reader = FrameReader(sock)
+        got = [reader.recv() for _ in messages]
+        assert [(m.header, m.payload, m.seq) for m in got] == [m[1:] for m in messages]
+        with pytest.raises(ConnectionError if hostile is None else ProtocolError):
+            reader.recv()
+        if hostile is not None:  # no segment was asked for once the verdict was in
+            assert sock.before_last < verdict_at <= sock.fed
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_segmented_streams)
     def test_any_segmentation_decodes_the_same_messages(self, messages, hostile, data):
-        stream = b"".join(m[0] for m in messages)
-        verdict_at = None
-        if hostile is not None:
-            verdict_at = len(stream) + hostile[1]
-            stream += hostile[0]
-        cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)), max_size=8)) | {len(stream)})
+        stream, verdict_at, cuts = _segment(messages, hostile, data)
         buf, got, fed = bytearray(), [], 0
         for cut in cuts:  # what data_received does, minus the socket
             buf += stream[fed:cut]
