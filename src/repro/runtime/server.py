@@ -18,10 +18,10 @@ one non-blocking ``os.sendfile`` straight from the NVMe file to the
 socket.  Whatever the socket did not take (large entries, slow readers)
 is finished by ``loop.sendfile`` from the offset reached, so payload
 bytes never enter Python at any entry size.  Anything that may block
-(a miss, PUT, TRANSFER, STAT/OBS/PING/JOIN_PLAN) becomes a task on the
-small bounded dispatch executor.  Every request carries a ``seq``
-correlation id and completes out of order, control ops included;
-``_PIPELINE_DEPTH`` tasks in flight pause the transport's reading.
+(a miss, PUT, TRANSFER, STAT/OBS/PING/JOIN_PLAN) becomes one job on the
+small bounded dispatch executor, its reply **one loop callback**.  Every
+request carries a ``seq`` correlation id and completes out of order,
+control ops included; ``_PIPELINE_DEPTH`` requests in flight pause reading.
 :class:`_Conn` states the two rules every reply path keeps: *write
 ordering* and *books before reply*.
 
@@ -75,7 +75,7 @@ from .storage import NVMeDir, PFSDir
 
 __all__ = ["FTCacheServer", "ServerStats", "DataMoverPool"]
 
-#: max request tasks in flight per connection before the connection stops
+#: max dispatch jobs + reply tasks in flight per connection before it stops
 #: decoding frames and pauses reading (pipelining backpressure, not an error)
 _PIPELINE_DEPTH = 64
 
@@ -305,14 +305,14 @@ class _WriteLock:
 
 
 class _Conn(asyncio.Protocol):
-    """One client connection: frame decoding, the one-turn hit, reply tasks.
+    """One client connection: frame decoding, the one-turn hit, dispatch jobs.
 
     All state is loop-confined.  Two rules hold on every reply path:
 
     * **write ordering** — whoever touches the transport holds ``wlock``.
-      ``data_received`` takes it only synchronously, and only while the
-      transport's write buffer is empty (its direct ``os.sendfile`` must
-      not overtake buffered bytes); everything else awaits it in a task.
+      Loop callbacks take it only synchronously — a hit only on an empty
+      write buffer (its ``os.sendfile`` must not overtake buffered bytes), a
+      job's completion only when writing is not paused; else a task awaits it.
     * **books before reply** — counters are bumped, the latency observed
       and the request's spans ended *before* the call that hands the
       reply's last bytes to the kernel, so a client holding a reply never
@@ -327,6 +327,7 @@ class _Conn(asyncio.Protocol):
         self.need = 0  # buffered bytes below which the frame at buf[0] is incomplete
         self.wlock = _WriteLock()
         self.tasks: set[asyncio.Task] = set()
+        self.jobs = 0  # dispatched, completion not yet run on the loop
         self.paused = self.eof = False
         #: pending while the transport is above its write high-water mark
         self.drain: Optional[asyncio.Future] = None
@@ -363,7 +364,7 @@ class _Conn(asyncio.Protocol):
 
     def eof_received(self) -> bool:
         self.eof = True
-        return bool(self.tasks)  # keep the write side open for replies still owed
+        return bool(self.jobs + len(self.tasks))  # keep the write side open for replies still owed
 
     def data_received(self, data: bytes) -> None:
         self.buf += data
@@ -385,7 +386,7 @@ class _Conn(asyncio.Protocol):
         try:
             while (
                 pos < len(buf)
-                and len(self.tasks) < _PIPELINE_DEPTH
+                and self.jobs + len(self.tasks) < _PIPELINE_DEPTH
                 and not transport.is_closing()
             ):
                 msg, end = parse_frame(buf, pos, requests_only=True)
@@ -396,14 +397,17 @@ class _Conn(asyncio.Protocol):
                 # Replies complete out of order, matched by seq.
                 srv.stats.bump(binary_reqs=1)
                 if msg.op != OP_READ or not self._serve_hit(msg):
-                    self._spawn(self._serve(msg))
+                    ctx = extract(msg.header)
+                    qspan = srv.tracer.start_span("server.exec_queue", ctx)
+                    srv._executor.submit(self._job, msg, ctx, qspan)
+                    self.jobs += 1
         except ProtocolError as exc:
             srv.stats.bump(errors=1)
             srv.log.warning("protocol error from %s: %s", transport.get_extra_info("peername"), exc)
             del buf[:]
             return self.sever()
         del buf[:pos]
-        if len(self.tasks) >= _PIPELINE_DEPTH:
+        if self.jobs + len(self.tasks) >= _PIPELINE_DEPTH:
             transport.pause_reading()
             self.paused = True
         elif self.paused:
@@ -474,43 +478,62 @@ class _Conn(asyncio.Protocol):
     def _spawn(self, coro) -> asyncio.Task:
         task = self.server._loop.create_task(coro)
         self.tasks.add(task)
-        task.add_done_callback(self._task_done)
+        task.add_done_callback(self._done)
         return task
 
-    def _task_done(self, task: asyncio.Task) -> None:
+    def _done(self, task: Optional[asyncio.Task] = None) -> None:  # a task, or a job, left the pipeline
         self.tasks.discard(task)
         if not self.transport.is_closing():
             self._parse()  # frames the pipeline depth held back
-            if self.eof and not self.tasks:
+            if self.eof and not self.jobs + len(self.tasks):
                 self.transport.close()
 
-    async def _serve(self, msg: Message) -> None:
-        """Dispatch one request on the executor and write its reply."""
-        srv, transport = self.server, self.transport
-        ctx = extract(msg.header)
-        qspan = srv.tracer.start_span("server.exec_queue", ctx)
+    def _job(self, msg: Message, ctx, qspan) -> None:
+        """On a dispatch thread: dispatch, encode, post the reply as one loop callback."""
+        srv = self.server
+        qspan.end()  # duration == decode→executor-pickup wait
         try:
-            response = await srv._loop.run_in_executor(srv._executor, srv._dispatch_queued, msg, qspan)
+            response = srv.dispatch(msg)
             sspan = srv.tracer.start_span("server.serialize", ctx, nbytes=len(response.payload))
-            head = encode_binary_response_header(msg.op, response, seq=msg.seq)
-            await self.wlock.acquire()
-            try:
-                sspan.end()  # encode + write-lock wait: closed before the write
-                if not transport.is_closing():
-                    # one syscall, one client wake-up (3.11 joins the two: cheaper than a send)
-                    transport.writelines((head, response.payload))
-                    if self.drain is not None:
-                        await self.drain
-            finally:
-                self.wlock.release()
-        except Exception:
-            # A dispatch or encode bug, or the executor torn down under us
-            # (shutdown): the request cannot be answered, so the connection
-            # is severed rather than left waiting for a reply.
+            reply = (encode_binary_response_header(msg.op, response, seq=msg.seq), response.payload, sspan)
+        except Exception:  # a dispatch or encode bug: sever, leave no client waiting
             if not srv._closed:
                 srv.log.exception("unhandled error serving %s", msg.op)
                 srv.stats.bump(errors=1)
-            self.sever()
+            reply = None
+        try:
+            srv._loop.call_soon_threadsafe(self._complete, reply)
+        except RuntimeError:  # loop closed (shutdown): nobody is left to answer
+            pass
+
+    def _complete(self, reply) -> None:
+        """A job's reply, on the loop: written now when the write lock is
+        free and writing is not paused, else by a task that waits for both."""
+        self.jobs -= 1
+        if reply is None:
+            return self.sever()
+        head, payload, sspan = reply
+        if self.transport.is_closing():
+            sspan.end(status="dropped")  # the connection went first
+        elif self.drain is None and self.wlock.try_acquire():
+            sspan.end()  # encode + hand-off to the loop: closed before the write
+            self.transport.writelines((head, payload))  # one syscall, one client wake-up
+            self.wlock.release()
+        else:
+            self._spawn(self._send_reply(head, payload, sspan))
+        self._done()
+
+    async def _send_reply(self, head: bytes, payload: bytes, sspan) -> None:
+        await self.wlock.acquire()
+        try:
+            if self.drain is not None:
+                await self.drain
+            sspan.end()  # encode + hand-off + lock and pause wait: closed before the write
+            if not self.transport.is_closing():
+                self.transport.writelines((head, payload))
+        finally:
+            self.wlock.release()
+            sspan.end(status="dropped")  # no-op once ended above
 
 
 class FTCacheServer:
@@ -720,10 +743,6 @@ class FTCacheServer:
         self.mover.close()
 
     # -- request handling -----------------------------------------------------------
-    def _dispatch_queued(self, msg: Message, qspan) -> Message:
-        qspan.end()  # duration == decode→executor-pickup wait
-        return self.dispatch(msg)
-
     def dispatch(self, msg: Message) -> Message:
         """Route one request; every op gets a span (when the request carries
         a trace context) and a latency observation in the telemetry registry."""

@@ -1,7 +1,8 @@
 """Storage backends for the threaded runtime.
 
 * :class:`NVMeDir` — a local directory standing in for a node's NVMe
-  volume (cache entries are plain files keyed by a sanitised path).
+  volume (cache entries are plain files keyed by a sanitised path; reads
+  are gated by the LRU index and pinned, evicted files become spares).
 * :class:`PFSDir` — a shared directory standing in for the parallel file
   system, with an optional artificial per-read delay so cache hits are
   measurably cheaper on a laptop (the real gap between Lustre and local
@@ -10,11 +11,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
+import itertools
 import os
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Optional
 
@@ -23,10 +27,13 @@ from ..obs.events import get_event_log
 
 __all__ = ["NVMeDir", "PFSDir"]
 
-#: in-flight atomic-write staging files: distinguishable by prefix so the
-#: __init__ rescan can exclude them and safely unlink leftovers from a
-#: writer that died mid-install
+#: in-flight atomic-write staging files and spares: distinguishable by
+#: prefix so the __init__ rescan can exclude them and safely unlink
+#: leftovers from a writer that died mid-install
 _TMP_PREFIX = ".tmp-"
+_SPARES = 8  # evicted files an NVMeDir keeps for later installs to overwrite
+_spare_ids = itertools.count()  # spare names, unique within the process
+_REAL_MEMO = 1 << 14  # verified keys a PFSDir remembers
 
 
 def _entry_name(key: str) -> str:
@@ -37,15 +44,30 @@ def _entry_name(key: str) -> str:
     return f"{digest}_{safe_tail}"
 
 
+class _PinnedFile(io.FileIO):
+    """An open entry whose ``close`` releases its pin — lock-free: it may run in a finaliser."""
+
+    pin: tuple  # (the owner's release queue, entry name), set right after the open
+
+    def close(self) -> None:
+        if not self.closed:
+            self.pin[0].append(self.pin[1])
+        super().close()
+
+
 class NVMeDir:
     """Node-local cache directory: byte accounting, atomic writes, LRU eviction.
 
     Capacity pressure evicts least-recently-used entries (same semantics as
     the sim-side :class:`repro.hvac.cache_store.CacheStore`) instead of
     refusing the write — only an entry larger than the whole device still
-    raises :class:`OSError`.  Readers racing an eviction see the entry
-    disappear between :meth:`contains` and :meth:`read`; callers treat the
-    resulting ``FileNotFoundError`` as a miss and fall through to the PFS.
+    raises :class:`OSError`.  The LRU index gates every read (a miss costs
+    no syscall); :meth:`open_read` *pins* an entry until its file closes.
+    An evicted entry no reader pins is renamed into a pool of at most
+    ``_SPARES`` ``.tmp-`` spares that later installs overwrite, so an
+    install at capacity creates no inode.  Spares are outside
+    :attr:`used_bytes` (up to ``_SPARES`` × the largest evicted entry of
+    disk overshoot); :meth:`clear` and a reopen remove them.
     """
 
     def __init__(self, root: str | Path, capacity_bytes: Optional[int] = None):
@@ -56,6 +78,9 @@ class NVMeDir:
         self.capacity_bytes = capacity_bytes
         self._lock = lockwitness.named_lock("nvme-lru")
         self.evictions = 0
+        self._spares: list[tuple[str, int]] = []  # (path, stale bytes)
+        self._pins: dict[str, int] = {}  # entry name → open readers
+        self._released: deque = deque()  # names of closed readers, not yet settled
         # Recency order for surviving entries: oldest mtime first, so a warm
         # rejoin resumes with a sensible (if approximate) LRU order.
         self._lru: "OrderedDict[str, int]" = OrderedDict()
@@ -78,50 +103,55 @@ class NVMeDir:
     def used_bytes(self) -> int:
         return self._used
 
-    def _path(self, key: str) -> Path:
-        return self.root / _entry_name(key)
-
     def contains(self, key: str) -> bool:
-        return os.path.exists(self._prefix + _entry_name(key))
+        return _entry_name(key) in self._lru
 
     def read(self, key: str) -> bytes:
-        name = _entry_name(key)
-        data = (self.root / name).read_bytes()
-        with self._lock:  # LRU refresh on hit
-            if name in self._lru:
-                self._lru.move_to_end(name)
-        return data
+        entry = self.open_read(key)
+        if entry is None:
+            raise FileNotFoundError(f"not cached: {key!r}")
+        with entry[0] as f:
+            return f.read()
+
+    def _settle(self) -> None:  # lock held: apply the releases of closed readers
+        while self._released:
+            name = self._released.popleft()
+            self._pins[name] -= 1
+            if not self._pins[name]:
+                del self._pins[name]
 
     def open_read(self, key: str):
         """Open an installed entry for zero-copy serving: ``(file, size)``
         or None when the entry is absent (miss, or lost the race to an
         eviction).  The caller owns the file object and must close it.
 
-        The returned descriptor pins the inode, so a concurrent eviction
-        unlinking the entry mid-``sendfile`` is harmless — the bytes
-        stream from the still-open file.  The LRU refresh mirrors
-        :meth:`read`.
+        Pinned before it is opened: until ``close()`` an eviction unlinks it
+        instead of recycling it.  The size is the descriptor's: a same-key
+        install may land between pin and open.
         """
         name = _entry_name(key)
+        with self._lock:
+            if name not in self._lru:
+                return None
+            self._lru.move_to_end(name)
+            self._settle()
+            self._pins[name] = self._pins.get(name, 0) + 1
         try:
-            f = open(self._prefix + name, "rb", buffering=0)
+            f = _PinnedFile(self._prefix + name)
         except OSError:
+            self._released.append(name)
             return None
-        size = os.fstat(f.fileno()).st_size
-        with self._lock:  # LRU refresh on hit
-            if name in self._lru:
-                self._lru.move_to_end(name)
-        return f, size
+        f.pin = (self._released, name)
+        return f, os.fstat(f.fileno()).st_size
 
     def write(self, key: str, data: bytes) -> None:
         """Atomically install a cache entry, evicting LRU entries if needed.
 
-        *Stage outside, commit inside*: the bytes go to a ``.tmp-`` file
-        with no lock held (plain ``os`` calls: a miss is priced by GIL
-        hand-offs around short syscalls); ``nvme-lru`` covers only the
-        rename, the accounting and the victims' unlinks, so a hit's
-        ``open_read`` on the loop never waits behind a data write.  A
-        concurrent writer of the same key is harmless: both write the same
+        *Stage outside, commit inside*: the bytes go to a ``.tmp-`` file (a
+        spare when the pool has one) with no lock held; ``nvme-lru`` covers
+        only the rename, the accounting and the victims' recycling or
+        unlinks, so a hit's ``open_read`` never waits behind a data write.
+        A concurrent writer of the same key is harmless: both write the same
         bytes and the rename is atomic on POSIX.  Raises ``OSError`` only
         for an entry that cannot fit even in an empty cache.
         """
@@ -129,26 +159,37 @@ class NVMeDir:
         if cap is not None and size > cap:
             raise OSError(f"entry of {size} bytes exceeds cache capacity {cap}")
         name = _entry_name(key)
-        tmp = f"{self._prefix}{_TMP_PREFIX}{os.getpid()}-{threading.get_ident()}-{name}"
+        with self._lock:
+            spare = self._spares.pop() if self._spares else None
+        tmp, stale = spare or (f"{self._prefix}{_TMP_PREFIX}{os.getpid()}-{threading.get_ident()}-{name}", 0)
         evicted: list[tuple[str, int]] = []
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            # O_CREAT even for a spare: another instance's rescan may have reclaimed it
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | (0 if spare else os.O_TRUNC), 0o666)
             try:
                 view = memoryview(data)
                 while view:
                     view = view[os.write(fd, view) :]
+                if stale > size:
+                    os.ftruncate(fd, size)
             finally:
                 os.close(fd)
-            # Victims are unlinked before the lock is released: an evict →
-            # re-install → late unlink would delete a live, counted entry.
+            # Victims are recycled or unlinked before the lock is released: an
+            # evict → re-install → late unlink would delete a live, counted entry.
             with self._lock:  # ftlint: disable=RT001 -- commit only: rename + victims' unlinks must be atomic with the accounting
                 os.replace(tmp, self._prefix + name)
                 self._used += size - self._lru.pop(name, 0)
                 self._lru[name] = size  # newest, and it fits: the loop stops short of it
+                self._settle()
                 while cap is not None and self._used > cap and len(self._lru) > 1:
                     victim, vsize = self._lru.popitem(last=False)
                     try:
-                        os.unlink(self._prefix + victim)
+                        if victim in self._pins or len(self._spares) >= _SPARES:
+                            os.unlink(self._prefix + victim)
+                        else:
+                            dest = f"{self._prefix}{_TMP_PREFIX}spare-{os.getpid()}-{next(_spare_ids)}"
+                            os.replace(self._prefix + victim, dest)
+                            self._spares.append((dest, vsize))
                     except FileNotFoundError:  # pragma: no cover - already raced away
                         pass
                     self._used -= vsize
@@ -166,31 +207,28 @@ class NVMeDir:
             get_event_log().emit("eviction", store=self.root.name, entry=victim, nbytes=vsize)
 
     def drop(self, key: str) -> None:
-        path = self._path(key)
-        # Same contract as write(): the stat/unlink must be atomic with the
+        name = _entry_name(key)
+        # Same contract as write(): the unlink must be atomic with the
         # accounting update or a concurrent write() would double-count bytes.
         with self._lock:  # ftlint: disable=RT001 -- unlink must be atomic with LRU accounting (local NVMe, single entry)
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except FileNotFoundError:
-                return
-            self._lru.pop(path.name, None)
-            self._used = max(0, self._used - size)
+            if name in self._lru:
+                self._used -= self._lru.pop(name)
+                os.unlink(self._prefix + name)
 
     def clear(self) -> None:
-        """Empty the cache.  Only the accounting reset runs under the lock
-        (RT001: a whole-directory unlink loop is unbounded I/O and has no
-        business in a critical section); every installed entry is LRU-tracked,
-        so the snapshot of names taken under the lock is complete, and the
-        unlinks proceed outside it exactly like evictions racing readers."""
+        """Empty the cache and the spare pool.  Only the accounting reset runs
+        under the lock (RT001: an unlink loop is unbounded I/O and has no
+        business in a critical section); every entry is LRU-tracked and every
+        spare pooled, so the snapshot taken under the lock is complete, and
+        the unlinks proceed outside it exactly like evictions racing readers."""
         with self._lock:
-            victims = list(self._lru)
+            victims = [self._prefix + name for name in self._lru] + [p for p, _ in self._spares]
             self._lru.clear()
+            self._spares.clear()
             self._used = 0
-        for name in victims:
+        for path in victims:
             try:
-                (self.root / name).unlink()
+                os.unlink(path)
             except FileNotFoundError:
                 pass
 
@@ -203,7 +241,9 @@ class NVMeDir:
 
 
 class PFSDir:
-    """Shared 'parallel file system' directory with optional read delay."""
+    """Shared 'parallel file system' directory with optional read delay;
+    containment is checked once per key (only verified paths are memoised):
+    the TOCTOU window of ``realpath`` followed by ``open``, held open longer."""
 
     def __init__(self, root: str | Path, read_delay: float = 0.0):
         self.root = Path(root)
@@ -216,6 +256,7 @@ class PFSDir:
         self.read_delay = read_delay
         self._reads = 0
         self._lock = lockwitness.named_lock("pfs-reads")
+        self._real = functools.lru_cache(maxsize=_REAL_MEMO)(self._real)
 
     @property
     def reads(self) -> int:

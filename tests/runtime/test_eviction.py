@@ -3,13 +3,41 @@
 The race regression (``runtime/server.py`` ``_read``): an entry evicted
 between the server's cache-presence check and the actual file read must
 degrade to a PFS miss, never surface as a client-visible error.
+
+At capacity, evicted files are recycled as spares for later installs; a
+reader's pin keeps an open entry out of that pool, so what a reader
+holds open is never overwritten.
 """
 
+import os
+import shutil
+import sys
+import tempfile
 import threading
+import time
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.runtime import LocalCluster
 from repro.runtime.server import FTCacheServer
-from repro.runtime.storage import NVMeDir, PFSDir
+from repro.runtime.storage import _SPARES, NVMeDir, PFSDir
+
+
+def _disk(root) -> dict:
+    """Every file under ``root``: name → (inode, size)."""
+    return {e.name: (e.inode(), e.stat().st_size) for e in os.scandir(root)}
+
+
+def _spares(root) -> list:
+    return [name for name in os.listdir(root) if name.startswith(".tmp-")]
 
 
 class TestNVMeDirLRU:
@@ -62,6 +90,178 @@ class TestNVMeDirLRU:
         nv.drop("/a")
         nv.write("/b", b"x" * 20)  # freed space: no eviction needed
         assert nv.evictions == 0 and nv.used_bytes == 20
+
+    def test_entry_held_open_keeps_its_bytes_through_recycling(self, tmp_path):
+        nv = NVMeDir(tmp_path, capacity_bytes=4 * 64)
+        held = bytes(range(64))
+        nv.write("/held", held)
+        f, size = nv.open_read("/held")
+        try:
+            for i in range(2 * _SPARES + 4):
+                nv.write(f"/k{i}", bytes([i]) * 64)
+            assert not nv.contains("/held")  # evicted while open
+            assert size == 64
+            assert f.read(10) + f.read() == held and f.read() == b""
+        finally:
+            f.close()
+
+    def test_installs_at_capacity_create_no_inode(self, tmp_path):
+        n = 2 * _SPARES  # entries the cache holds
+        nv = NVMeDir(tmp_path, capacity_bytes=n * 64)
+        for i in range(n + 1):  # the last install evicts: the pool has a spare
+            nv.write(f"/warm{i}", bytes(64))
+        inodes = {ino for ino, _ in _disk(tmp_path).values()}
+        for i in range(40):
+            nv.write(f"/k{i}", bytes([i]) * 64)
+            disk = _disk(tmp_path)
+            assert {ino for ino, _ in disk.values()} <= inodes
+            assert len(disk) <= nv.entry_count() + _SPARES
+        assert nv.evictions == 41 and nv.used_bytes == n * 64
+        nv.write("/whole", bytes(n * 64))  # evicts every entry: the pool keeps _SPARES
+        assert nv.entry_count() == 1 and len(_disk(tmp_path)) == 1 + _SPARES
+
+    def test_clear_drop_and_reopen_leave_no_spare(self, tmp_path):
+        nv = NVMeDir(tmp_path, capacity_bytes=4 * 64)
+        for i in range(6):
+            nv.write(f"/k{i}", bytes(64))
+        nv.write("/big", bytes(192))  # three victims, three spares
+        assert len(_spares(tmp_path)) == 3
+        nv.drop("/big")  # unlinked, not recycled
+        assert len(_spares(tmp_path)) == 3 and nv.used_bytes == 64
+        again = NVMeDir(tmp_path, capacity_bytes=4 * 64)
+        assert _spares(tmp_path) == []
+        assert again.used_bytes == 64 == sum(size for _, size in _disk(tmp_path).values())
+        for i in range(8):
+            again.write(f"/j{i}", bytes(64 + i))
+        assert _spares(tmp_path)
+        again.clear()
+        assert os.listdir(tmp_path) == [] and again.used_bytes == 0
+        again.write("/after", b"a" * 10)  # the pool was emptied with the directory
+        assert again.read("/after") == b"a" * 10 and again.used_bytes == 10
+
+    def test_readers_never_see_a_recycled_inode(self, tmp_path):
+        """Hammer: installs at capacity recycle evicted inodes while readers
+        hold entries open; every byte a reader sees belongs to its key.  An
+        ignored pin shows as another key's bytes — a race that passes most
+        single runs, so CI repeats this test."""
+        nv = NVMeDir(tmp_path, capacity_bytes=6 * 512)
+        keys = [f"/h{i}" for i in range(24)]
+        blob = {k: bytes([i + 1]) * (256 + 8 * i) for i, k in enumerate(keys)}
+        writing = threading.Event()
+        writing.set()
+        bad: list = []
+
+        def writer(start: int) -> None:
+            for i in range(start, start + 7 * 800, 7):
+                nv.write(keys[i % len(keys)], blob[keys[i % len(keys)]])
+
+        def reader(start: int) -> None:
+            i = start
+            while writing.is_set():
+                key = keys[i % len(keys)]
+                i += 5
+                entry = nv.open_read(key)
+                if entry is None:
+                    continue
+                f, size = entry
+                with f:
+                    got = f.read(64) + f.read()
+                if size != len(blob[key]) or got != blob[key]:
+                    bad.append(key)
+
+        writers = [threading.Thread(target=writer, args=(k,), name=f"recycle-writer-{k}", daemon=True) for k in range(2)]
+        readers = [threading.Thread(target=reader, args=(k,), name=f"recycle-reader-{k}", daemon=True) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in writers + readers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+        finally:
+            writing.clear()
+            for t in readers:
+                t.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert bad == []
+        assert nv.evictions > 1000
+        assert nv.used_bytes == sum(nv._lru.values()) <= nv.capacity_bytes
+        assert len(_spares(tmp_path)) <= _SPARES
+
+    def test_matches_a_dict_model(self):
+        run_state_machine_as_test(
+            NVMeDirModel, settings=settings(max_examples=60, stateful_step_count=40, deadline=None)
+        )
+
+
+class NVMeDirModel(RuleBasedStateMachine):
+    """NVMeDir against a dict of what each key last had written: random
+    sizes, a cache that holds a few entries, readers held open across
+    installs.  Whatever is cached reads back as the model's bytes, the byte
+    count is the index's, and the directory holds the index entries plus
+    at most ``_SPARES`` spares."""
+
+    CAP = 64
+    KEYS = st.sampled_from([f"/k{i}" for i in range(8)])
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="nvme-model-")
+        self.nv = NVMeDir(self.root, capacity_bytes=self.CAP)
+        self.model: dict[str, bytes] = {}
+        self.held: list = []  # (open file, the bytes it had when opened)
+        self.version = 0
+
+    @rule(key=KEYS, size=st.integers(0, 48))
+    def write(self, key, size):
+        self.version += 1
+        data = bytes([self.version % 256]) * size
+        self.nv.write(key, data)
+        self.model[key] = data
+
+    @precondition(lambda self: self.nv.entry_count())
+    @rule(index=st.integers(0, 7))
+    def open_and_hold(self, index):
+        cached = [key for key in self.model if self.nv.contains(key)]
+        key = cached[index % len(cached)]
+        f, size = self.nv.open_read(key)
+        assert size == len(self.model[key])
+        self.held.append((f, self.model[key]))
+
+    @precondition(lambda self: self.held)
+    @rule(index=st.integers(0, 7))
+    def close_held(self, index):
+        f, expected = self.held.pop(index % len(self.held))
+        with f:
+            assert f.read() == expected
+
+    @rule(key=KEYS)
+    def read(self, key):
+        if self.nv.contains(key):
+            assert self.nv.read(key) == self.model[key]
+        else:
+            assert self.nv.open_read(key) is None
+
+    @rule(key=KEYS)
+    def drop(self, key):
+        self.nv.drop(key)
+        self.model.pop(key, None)
+        assert not self.nv.contains(key)
+
+    @invariant()
+    def books_and_disk_agree(self):
+        index = dict(self.nv._lru)
+        assert self.nv.used_bytes == sum(index.values()) <= self.CAP
+        on_disk = set(os.listdir(self.root))
+        assert set(index) <= on_disk
+        extra = on_disk - set(index)
+        assert len(extra) <= _SPARES and all(name.startswith(".tmp-") for name in extra)
+
+    def teardown(self):
+        for f, _ in self.held:
+            f.close()
+        shutil.rmtree(self.root)
 
 
 class TestEvictionRaceRegression:
@@ -134,11 +334,16 @@ class TestServerStatSnapshot:
             client = cluster.client()
             for p in paths + paths:
                 client.read(p)
-            import time
-
-            time.sleep(0.3)  # async data movers
-            stat = client.server_stat(0)
-            assert stat is not None
+            # quiescent once every accepted recache is installed (or refused)
+            deadline = time.monotonic() + 10
+            while True:
+                stat = client.server_stat(0)
+                assert stat is not None
+                if stat["mover_queue_len"] == 0 and (
+                    stat["mover_enqueued"] - stat["mover_dropped"] == stat["recached"]
+                ):
+                    break
+                assert time.monotonic() < deadline, "data movers never went quiet"
             for key in ("pfs_reads", "recached", "errors", "evictions", "capacity_bytes"):
                 assert key in stat
             assert stat["capacity_bytes"] == 4096

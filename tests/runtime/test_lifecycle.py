@@ -19,7 +19,7 @@ import pytest
 
 from repro.runtime import LocalCluster
 from repro.runtime.server import DataMoverPool, FTCacheServer, ServerStats
-from repro.runtime.storage import NVMeDir, PFSDir
+from repro.runtime.storage import NVMeDir, PFSDir, _entry_name
 
 
 def _mover_threads(node_id: int = 0) -> list[threading.Thread]:
@@ -292,7 +292,7 @@ class TestRaceFallthroughCounter:
             nvme.write(key, b"truth" * 10)
             # Simulate losing the contains()→read() race: the entry path
             # exists but is unreadable as a file.
-            entry = nvme._path(key)
+            entry = nvme.root / _entry_name(key)
             entry.unlink()
             entry.mkdir()
             try:

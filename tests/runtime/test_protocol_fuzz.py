@@ -229,7 +229,25 @@ class TestPFSRootEscape:
         (base / "outside.txt").write_bytes(b"secret")
         pfs = PFSDir(base / "pfs")
         pfs.write("/dataset/a.bin", b"inside")
+        (pfs.root / "linkdir").symlink_to(base / "pfs-evil", target_is_directory=True)
+        (pfs.root / "dataset" / "link.bin").symlink_to(base / "outside.txt")
         return pfs
+
+    @pytest.mark.parametrize(
+        "key",
+        ["/linkdir/s.txt", "linkdir/new.bin", "/dataset/link.bin", "/dataset/sub/../link.bin"],
+        ids=["dir_link", "dir_link_new_file", "final_link", "final_link_dotdot"],
+    )
+    def test_symlinks_out_of_the_root_are_refused(self, pfs, key):
+        """A directory symlink inside the root pointing out of it, and a
+        final-component symlink pointing out: refused by every entry point,
+        and again on the second call, when a verified key would be memoised."""
+        for op in (pfs.read, pfs.exists, pfs.resolve, lambda k: pfs.write(k, b"x")):
+            for _ in range(2):
+                with pytest.raises(PermissionError, match="path escape"):
+                    op(key)
+        assert (pfs.root.parent / "outside.txt").read_bytes() == b"secret"
+        assert not (pfs.root.parent / "pfs-evil" / "new.bin").exists()
 
     @pytest.mark.parametrize(
         "key",
@@ -266,5 +284,8 @@ class TestPFSRootEscape:
         try:
             path = pfs.resolve(key)
         except PermissionError:
+            with pytest.raises(PermissionError):
+                pfs.resolve(key)  # refused again: only verified keys are memoised
             return
+        assert pfs.resolve(key) == path  # the memoised answer is the same
         assert path == pfs.root.resolve() or pfs.root.resolve() in path.parents

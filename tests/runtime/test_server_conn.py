@@ -3,22 +3,25 @@
 Frames are decoded from a receive buffer in ``data_received``; a READ
 that hits is answered within the loop turn, what the socket did not
 take is finished under the connection's write lock, and everything that
-may block is a task.  These tests drive a real server over raw sockets
-and pin the contracts that design must keep: identical replies however
-the request stream is segmented, no interleaving on the write side,
-header-time rejection of hostile headers, pipeline backpressure, control
-ops completing out of order like any other, and the failure-injection /
+may block is a dispatch job whose reply comes back as one loop callback.
+These tests drive a real server over raw sockets and pin the contracts
+that design must keep: identical replies however the request stream is
+segmented, no interleaving on the write side, header-time rejection of
+hostile headers, pipeline and write-side backpressure, control ops
+completing out of order like any other, and the failure-injection /
 shutdown paths.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import socket
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -66,6 +69,11 @@ def _stat_req(seq: int) -> bytes:
     return encode_binary_request(Message.request(OP_STAT), seq=seq)
 
 
+def _inflight(conn) -> int:
+    """Requests owing a reply off the one-turn path: dispatch jobs + tasks."""
+    return conn.jobs + len(conn.tasks)
+
+
 def _only_conn(server: FTCacheServer):
     _wait(lambda: len(server._conns) == 1)
     return next(iter(server._conns))
@@ -86,6 +94,21 @@ def node(tmp_path):
         yield server
     finally:
         server.close()
+
+
+@pytest.fixture
+def log_records():
+    """What the server module and asyncio log during the test, attached to
+    the loggers themselves: the ``repro`` hierarchy may not propagate."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    loggers = [logging.getLogger("repro.runtime.server"), logging.getLogger("asyncio")]
+    for logger in loggers:
+        logger.addHandler(handler)
+    yield records
+    for logger in loggers:
+        logger.removeHandler(handler)
 
 
 def _connect(server: FTCacheServer, rcvbuf: int | None = None) -> socket.socket:
@@ -286,18 +309,72 @@ class TestBackpressure:
             with _connect(server) as sock:
                 sock.sendall(b"".join(_read_req(k, i) for i, k in enumerate(keys, start=1)))
                 conn = _only_conn(server)
-                _wait(lambda: conn.paused)
-                assert len(conn.tasks) == _PIPELINE_DEPTH
+                _wait(lambda: conn.paused and _inflight(conn) == _PIPELINE_DEPTH)
                 got = {}
                 for _ in keys:
-                    assert len(conn.tasks) <= _PIPELINE_DEPTH
+                    assert _inflight(conn) <= _PIPELINE_DEPTH
                     resp = recv_message(sock)
                     assert resp.ok
                     got[resp.seq] = resp.payload
                 assert got == {i: bytes([(i - 1) % 251]) * 64 for i in range(1, n + 1)}
-                _wait(lambda: not conn.paused and not conn.tasks)
+                _wait(lambda: not conn.paused and not _inflight(conn))
         finally:
             server.close()
+
+
+class TestCompletionCallback:
+    """A dispatched request comes back to the loop as one callback: it
+    writes at once when it can, and otherwise keeps the write-side rules."""
+
+    def test_completion_while_writing_is_paused_waits_for_resume(self, node):
+        with _connect(node) as sock:
+            sock.sendall(_read_req(HITS[0], 1))
+            assert recv_message(sock).ok
+            conn = _only_conn(node)
+            # the transport's high-water signal, delivered by hand
+            node._loop.call_soon_threadsafe(conn.pause_writing)
+            _wait(lambda: conn.drain is not None)
+            sock.sendall(_read_req(MISSES[0], 2))
+            # dispatched, completed, and parked on the paused write side
+            _wait(lambda: node.stats.counters()["misses"] == 1 and not conn.jobs and len(conn.tasks) == 1)
+            sock.settimeout(0.2)
+            with pytest.raises((socket.timeout, TimeoutError)):
+                sock.recv(1)
+            sock.settimeout(10)
+            node._loop.call_soon_threadsafe(conn.resume_writing)
+            resp = recv_message(sock)
+            assert resp.seq == 2 and resp.payload == node.pfs.read(MISSES[0])
+            _wait(lambda: not _inflight(conn))
+
+    def test_completion_after_connection_lost_is_dropped(self, node, log_records):
+        gate = threading.Event()
+        real_read = node.pfs.read
+        node.pfs.read = lambda key: gate.wait(10) and real_read(key)
+        before = node.stats.counters()["errors"]
+        with _connect(node) as sock:
+            sock.sendall(_read_req(MISSES[0], 1))
+            conn = _only_conn(node)
+            _wait(lambda: conn.jobs == 1)
+            node._loop.call_soon_threadsafe(conn.transport.abort)
+            _wait(lambda: not node._conns)  # connection_lost has run
+            assert conn.jobs == 1  # the job is still inside the PFS read
+            gate.set()
+            _wait(lambda: conn.jobs == 0)  # its completion ran, on a dead connection
+        assert node.stats.counters()["misses"] == 1
+        assert node.stats.counters()["errors"] == before
+        assert log_records == []
+
+    def test_dispatch_exception_counts_once_and_severs(self, node, log_records):
+        def broken(msg, span):
+            raise RuntimeError("dispatch bug")
+
+        node._dispatch = broken
+        before = node.stats.counters()["errors"]
+        with _connect(node) as sock:
+            sock.sendall(_stat_req(1))
+            _assert_severed(sock)
+        assert node.stats.counters()["errors"] == before + 1
+        assert [r.getMessage() for r in log_records] == ["unhandled error serving STAT"]
 
 
 class TestControlOps:
