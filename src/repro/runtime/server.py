@@ -14,8 +14,8 @@ every length bound is checked the moment a fixed header is in), so a
 pipelined ``read_many`` batch costs one ``recv`` and one loop turn.  A
 READ that hits the cache is answered **in that same turn, with no task
 and no await**: ``NVMeDir.open_read`` → books → header →
-one non-blocking ``os.sendfile`` straight from the NVMe file to the
-socket.  Whatever the socket did not take (large entries, slow readers)
+one non-blocking ``os.sendfile`` straight from the entry's NVMe slot to
+the socket.  Whatever the socket did not take (large entries, slow readers)
 is finished by ``loop.sendfile`` from the offset reached, so payload
 bytes never enter Python at any entry size.  Anything that may block
 (a miss, PUT, TRANSFER, STAT/OBS/PING/JOIN_PLAN) becomes one job on the
@@ -419,8 +419,8 @@ class _Conn(asyncio.Protocol):
 
         False sends the caller down the dispatch path (miss, raced eviction,
         empty path).  True: the reply is with the kernel, or — what the
-        socket did not take — left to :meth:`_send_tail`.  The open file
-        pins the inode, so an eviction after ``open_read`` is harmless.
+        socket did not take — left to :meth:`_send_tail`.  The open entry
+        pins its slot, so an eviction after ``open_read`` is harmless.
         """
         srv, transport = self.server, self.transport
         path = msg.header["path"]
@@ -443,7 +443,7 @@ class _Conn(asyncio.Protocol):
             head = b""
             try:
                 if not transport.get_write_buffer_size():  # the header is with the kernel
-                    sent = os.sendfile(self.fd, f.fileno(), 0, size)
+                    sent = os.sendfile(self.fd, f.fileno(), f.offset, size)
             except (BlockingIOError, InterruptedError):
                 pass
             except OSError:
@@ -468,7 +468,9 @@ class _Conn(asyncio.Protocol):
             if head:
                 self.transport.write(head)
             if sent < size:
-                await self.server._loop.sendfile(self.transport, f, sent, size - sent)
+                # asyncio lseeks the shared slab descriptor when it is done:
+                # harmless, every storage I/O is positional
+                await self.server._loop.sendfile(self.transport, f, f.offset + sent, size - sent)
         except (OSError, RuntimeError):
             self.transport.abort()  # part of a payload is on the wire: the stream is unusable
         finally:
@@ -720,8 +722,8 @@ class FTCacheServer:
             pass
 
     def close(self) -> None:
-        """Clean shutdown (not a failure simulation): stop the listener,
-        sever accepted connections, and drain the data-mover pool."""
+        """Clean shutdown (not a failure simulation): stop the listener, sever
+        accepted connections, drain the data-mover pool, close the NVMe dir."""
         if self._closed:
             return
         self._closed = True
@@ -741,6 +743,7 @@ class FTCacheServer:
                 pass
         self._executor.shutdown(wait=True)
         self.mover.close()
+        self.nvme.close()
 
     # -- request handling -----------------------------------------------------------
     def dispatch(self, msg: Message) -> Message:

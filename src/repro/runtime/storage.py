@@ -1,8 +1,8 @@
 """Storage backends for the threaded runtime.
 
 * :class:`NVMeDir` — a local directory standing in for a node's NVMe
-  volume (cache entries are plain files keyed by a sanitised path; reads
-  are gated by the LRU index and pinned, evicted files become spares).
+  volume (entries live in slots of one slab file per slot size, keyed by
+  a digest of their path; reads are gated by the LRU index and pinned).
 * :class:`PFSDir` — a shared directory standing in for the parallel file
   system, with an optional artificial per-read delay so cache hits are
   measurably cheaper on a laptop (the real gap between Lustre and local
@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import itertools
 import os
-import threading
+import struct
 import time
+import weakref
 from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Optional
@@ -27,84 +27,143 @@ from ..obs.events import get_event_log
 
 __all__ = ["NVMeDir", "PFSDir"]
 
-#: in-flight atomic-write staging files and spares: distinguishable by
-#: prefix so the __init__ rescan can exclude them and safely unlink
-#: leftovers from a writer that died mid-install
-_TMP_PREFIX = ".tmp-"
-_SPARES = 8  # evicted files an NVMeDir keeps for later installs to overwrite
-_spare_ids = itertools.count()  # spare names, unique within the process
+_SLOT_MIN = 1 << 12  # slot sizes are the powers of two from 4 KiB up
+#: one record per slot: key digest, install sequence (0: no entry), entry bytes
+_RECORD = struct.Struct("<16sQQ")
+_NO_RECORD = bytes(_RECORD.size)
 _REAL_MEMO = 1 << 14  # verified keys a PFSDir remembers
 
 
-def _entry_name(key: str) -> str:
-    """Filesystem-safe cache-entry name for an arbitrary path key."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=16).hexdigest()
-    tail = os.path.basename(key)[-40:] or "entry"
-    safe_tail = "".join(c if c.isalnum() or c in "._-" else "_" for c in tail)
-    return f"{digest}_{safe_tail}"
+def _digest(key: str) -> bytes:
+    return hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
 
 
-class _PinnedFile(io.FileIO):
-    """An open entry whose ``close`` releases its pin — lock-free: it may run in a finaliser."""
+def _close(*fds: int) -> None:
+    for fd in fds:
+        os.close(fd)
 
-    pin: tuple  # (the owner's release queue, entry name), set right after the open
+
+class _Slab:
+    """Every slot of one size: slot *i* is byte ``i × size`` of
+    ``<size>.data`` and record *i* of ``<size>.records``."""
+
+    def __init__(self, prefix: str, size: int):
+        self.size = size
+        self.data = os.open(f"{prefix}{size}.data", os.O_RDWR | os.O_CREAT, 0o666)
+        self.records = os.open(f"{prefix}{size}.records", os.O_RDWR | os.O_CREAT, 0o666)
+        #: idempotent; also runs once nothing references the slab (an open entry does)
+        self.close = weakref.finalize(self, _close, self.data, self.records)
+        #: slots handed out, from the record file: a short entry leaves the data file short
+        self.count = os.fstat(self.records).st_size // _RECORD.size
+        self.free: list[int] = []  # slots with a zeroed record and no reader
+
+
+class _Entry:
+    """An open cache entry: a pinned slot of the shared slab descriptor,
+    ``fileno()`` at ``offset`` for ``sendfile``, read positionally.  Its
+    ``close`` releases the pin by a lock-free append: safe in a finaliser."""
+
+    mode = "rb"  # what loop.sendfile checks a file for
+
+    def __init__(self, loc: tuple, released: deque):
+        slab, slot, self.size = loc
+        self.offset = slot * slab.size
+        self._loc, self._released, self._fd, self._pos = loc, released, slab.data, 0
+        self.closed = False
+
+    def fileno(self) -> int:
+        return self._fd
+
+    def read(self, n: int = -1) -> bytes:
+        left = self.size - self._pos
+        data = os.pread(self._fd, left if n < 0 else min(n, left), self.offset + self._pos)
+        self._pos += len(data)
+        return data
 
     def close(self) -> None:
         if not self.closed:
-            self.pin[0].append(self.pin[1])
-        super().close()
+            self.closed = True
+            self._released.append(self._loc)
+
+    __del__ = close
+
+    def __enter__(self) -> "_Entry":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class NVMeDir:
-    """Node-local cache directory: byte accounting, atomic writes, LRU eviction.
+    """Node-local cache directory: byte accounting, slab slots, LRU eviction.
 
     Capacity pressure evicts least-recently-used entries (same semantics as
     the sim-side :class:`repro.hvac.cache_store.CacheStore`) instead of
     refusing the write — only an entry larger than the whole device still
-    raises :class:`OSError`.  The LRU index gates every read (a miss costs
-    no syscall); :meth:`open_read` *pins* an entry until its file closes.
-    An evicted entry no reader pins is renamed into a pool of at most
-    ``_SPARES`` ``.tmp-`` spares that later installs overwrite, so an
-    install at capacity creates no inode.  Spares are outside
-    :attr:`used_bytes` (up to ``_SPARES`` × the largest evicted entry of
-    disk overshoot); :meth:`clear` and a reopen remove them.
+    raises :class:`OSError`.  The LRU index gates every read, so neither a
+    miss nor :meth:`open_read` costs a syscall; an open entry *pins* its slot.
+
+    **Layout.**  An entry lives in a slot of the smallest power of two ≥
+    max(size, 4 KiB); each slot size has one data file and one record file
+    (:class:`_Slab`).  A record holds the key's blake2b digest, an install
+    sequence number (0: free) and the entry size.  An install is two
+    ``pwrite`` calls: no inode is created or removed per entry.
+
+    **Record rule: a record is valid iff its slot holds the current bytes
+    of its key.**  It is written only after its data; a slot that leaves
+    the index has its record zeroed, outside the lock, before it joins the
+    free list — a pinned one only after its last reader closes.  A replaced
+    key's old record is zeroed after the new one is written, so of two
+    valid records for one digest a reopen keeps the higher sequence.  A
+    reopen (the warm rejoin) adopts every valid record, LRU order by sequence.
+
+    **Disk bound.**  Slabs never shrink; a slot is under twice its entry (or
+    one 4 KiB block), so per slot size in use the footprint is at most
+    2 × capacity, plus pinned slots.  One live instance per directory;
+    :meth:`close` or garbage collection closes the descriptors.
     """
 
     def __init__(self, root: str | Path, capacity_bytes: Optional[int] = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: pre-joined for the hit path: one ``open(prefix + name)``, no Path built
         self._prefix = os.path.join(str(self.root), "")
         self.capacity_bytes = capacity_bytes
         self._lock = lockwitness.named_lock("nvme-lru")
         self.evictions = 0
-        self._spares: list[tuple[str, int]] = []  # (path, stale bytes)
-        self._pins: dict[str, int] = {}  # entry name → open readers
-        self._released: deque = deque()  # names of closed readers, not yet settled
-        # Recency order for surviving entries: oldest mtime first, so a warm
-        # rejoin resumes with a sensible (if approximate) LRU order.
-        self._lru: "OrderedDict[str, int]" = OrderedDict()
-        for f in sorted(self.root.iterdir(), key=lambda f: f.stat().st_mtime):
-            if not f.is_file():
+        self._slabs: dict[int, _Slab] = {}
+        #: (slab, slot, bytes) → references: the index's (an install's while
+        #: it writes) plus one per open reader; a slot is free at zero
+        self._refs: dict[tuple, int] = {}
+        self._released: deque = deque()  # dropped references, not yet settled
+        self._index: "OrderedDict[bytes, tuple]" = OrderedDict()  # digest → slot, LRU first
+        found = []
+        for name in os.listdir(self._prefix):
+            size, _, ext = name.partition(".")
+            if ext != "records" or not size.isdigit():
                 continue
-            if f.name.startswith(_TMP_PREFIX):
-                # Leftover staging file from a writer that died mid-install:
-                # never a valid entry, so reclaim the bytes instead of
-                # counting them into the LRU.
-                try:
-                    f.unlink()
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
-                continue
-            self._lru[f.name] = f.stat().st_size
-        self._used = sum(self._lru.values())
+            slab = self._slabs[int(size)] = _Slab(self._prefix, int(size))
+            raw = os.pread(slab.records, slab.count * _RECORD.size, 0)
+            for slot, (digest, seq, nbytes) in enumerate(_RECORD.iter_unpack(raw)):
+                if seq:
+                    found.append((seq, digest, (slab, slot, nbytes)))
+                else:
+                    slab.free.append(slot)  # free, or an install that died before its record
+        found.sort(key=lambda rec: rec[0])
+        losers = []  # a crash between a replacement's record and the old one's zeroing
+        for _, digest, loc in found:
+            losers.append(self._index.pop(digest, None))
+            self._index[digest] = loc
+            self._refs[loc] = 1
+        self._retire(losers)
+        self._seqs = itertools.count(found[-1][0] + 1 if found else 1)
+        self._used = sum(nbytes for _, _, nbytes in self._index.values())
 
     @property
     def used_bytes(self) -> int:
         return self._used
 
     def contains(self, key: str) -> bool:
-        return _entry_name(key) in self._lru
+        return _digest(key) in self._index
 
     def read(self, key: str) -> bytes:
         entry = self.open_read(key)
@@ -113,131 +172,107 @@ class NVMeDir:
         with entry[0] as f:
             return f.read()
 
-    def _settle(self) -> None:  # lock held: apply the releases of closed readers
+    def _settle(self) -> None:  # lock held: apply dropped references, free unreferenced slots
         while self._released:
-            name = self._released.popleft()
-            self._pins[name] -= 1
-            if not self._pins[name]:
-                del self._pins[name]
+            loc = self._released.popleft()
+            refs = self._refs.pop(loc) - 1
+            if refs:
+                self._refs[loc] = refs
+            else:
+                loc[0].free.append(loc[1])
+
+    def _retire(self, locs: list) -> None:
+        """Slots that left the index (None: no slot): zero each record, no
+        lock held — the slot is unreachable — then drop the index's reference."""
+        for loc in filter(None, locs):
+            slab, slot, _ = loc
+            os.pwrite(slab.records, _NO_RECORD, slot * _RECORD.size)
+            self._released.append(loc)
 
     def open_read(self, key: str):
-        """Open an installed entry for zero-copy serving: ``(file, size)``
-        or None when the entry is absent (miss, or lost the race to an
-        eviction).  The caller owns the file object and must close it.
-
-        Pinned before it is opened: until ``close()`` an eviction unlinks it
-        instead of recycling it.  The size is the descriptor's: a same-key
-        install may land between pin and open.
-        """
-        name = _entry_name(key)
+        """An installed entry for zero-copy serving: ``(entry, size)``, or
+        None when it is absent (miss, or lost the race to an eviction).  No
+        syscall: the slot is pinned in the index's critical section.  The
+        caller must close the entry; until then no install overwrites it."""
+        digest = _digest(key)
         with self._lock:
-            if name not in self._lru:
+            loc = self._index.get(digest)
+            if loc is None:
                 return None
-            self._lru.move_to_end(name)
+            self._index.move_to_end(digest)
             self._settle()
-            self._pins[name] = self._pins.get(name, 0) + 1
-        try:
-            f = _PinnedFile(self._prefix + name)
-        except OSError:
-            self._released.append(name)
-            return None
-        f.pin = (self._released, name)
-        return f, os.fstat(f.fileno()).st_size
+            self._refs[loc] += 1
+        return _Entry(loc, self._released), loc[2]
 
     def write(self, key: str, data: bytes) -> None:
-        """Atomically install a cache entry, evicting LRU entries if needed.
-
-        *Stage outside, commit inside*: the bytes go to a ``.tmp-`` file (a
-        spare when the pool has one) with no lock held; ``nvme-lru`` covers
-        only the rename, the accounting and the victims' recycling or
-        unlinks, so a hit's ``open_read`` never waits behind a data write.
-        A concurrent writer of the same key is harmless: both write the same
-        bytes and the rename is atomic on POSIX.  Raises ``OSError`` only
-        for an entry that cannot fit even in an empty cache.
-        """
+        """Install a cache entry, evicting LRU entries if needed: under
+        ``nvme-lru`` take a free slot of its size (or a new one at the slab's
+        end), ``pwrite`` the data and then the record outside it, commit in
+        memory under it (index, accounting, victims), then zero the records
+        of the slots that left the index.  A hit never waits behind a data
+        write.  Raises ``OSError`` for an entry larger than the whole cache,
+        or a failed write (which installs nothing)."""
         size, cap = len(data), self.capacity_bytes
         if cap is not None and size > cap:
             raise OSError(f"entry of {size} bytes exceeds cache capacity {cap}")
-        name = _entry_name(key)
+        digest, width = _digest(key), max(_SLOT_MIN, 1 << (size - 1).bit_length())
+        slab = self._slabs.get(width) or self._slabs.setdefault(width, _Slab(self._prefix, width))
         with self._lock:
-            spare = self._spares.pop() if self._spares else None
-        tmp, stale = spare or (f"{self._prefix}{_TMP_PREFIX}{os.getpid()}-{threading.get_ident()}-{name}", 0)
-        evicted: list[tuple[str, int]] = []
+            self._settle()
+            slot = slab.free.pop() if slab.free else slab.count
+            slab.count = max(slab.count, slot + 1)
+            loc = (slab, slot, size)
+            self._refs[loc] = 1
         try:
-            # O_CREAT even for a spare: another instance's rescan may have reclaimed it
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | (0 if spare else os.O_TRUNC), 0o666)
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view) :]
-                if stale > size:
-                    os.ftruncate(fd, size)
-            finally:
-                os.close(fd)
-            # Victims are recycled or unlinked before the lock is released: an
-            # evict → re-install → late unlink would delete a live, counted entry.
-            with self._lock:  # ftlint: disable=RT001 -- commit only: rename + victims' unlinks must be atomic with the accounting
-                os.replace(tmp, self._prefix + name)
-                self._used += size - self._lru.pop(name, 0)
-                self._lru[name] = size  # newest, and it fits: the loop stops short of it
-                self._settle()
-                while cap is not None and self._used > cap and len(self._lru) > 1:
-                    victim, vsize = self._lru.popitem(last=False)
-                    try:
-                        if victim in self._pins or len(self._spares) >= _SPARES:
-                            os.unlink(self._prefix + victim)
-                        else:
-                            dest = f"{self._prefix}{_TMP_PREFIX}spare-{os.getpid()}-{next(_spare_ids)}"
-                            os.replace(self._prefix + victim, dest)
-                            self._spares.append((dest, vsize))
-                    except FileNotFoundError:  # pragma: no cover - already raced away
-                        pass
-                    self._used -= vsize
-                    self.evictions += 1
-                    evicted.append((victim, vsize))
+            view, offset = memoryview(data), slot * width
+            while view:
+                n = os.pwrite(slab.data, view, offset)
+                view, offset = view[n:], offset + n
+            os.pwrite(slab.records, _RECORD.pack(digest, next(self._seqs), size), slot * _RECORD.size)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            self._released.append(loc)  # its record is still zero: the slot is free again
             raise
+        with self._lock:
+            old = self._index.pop(digest, None)
+            self._index[digest] = loc  # newest, and it fits: the loop stops short of it
+            self._used += size - (old[2] if old else 0)
+            victims = []
+            while cap is not None and self._used > cap and len(self._index) > 1:
+                victims.append(self._index.popitem(last=False))
+                self._used -= victims[-1][1][2]
+            self.evictions += len(victims)
+        self._retire([old] + [vloc for _, vloc in victims])
         # Event emission stays outside the critical section (RT001): the
         # counters above are the atomic truth; events are best-effort order.
-        for victim, vsize in evicted:
-            get_event_log().emit("eviction", store=self.root.name, entry=victim, nbytes=vsize)
+        for vdigest, (_, _, vsize) in victims:
+            get_event_log().emit("eviction", store=self.root.name, entry=vdigest.hex(), nbytes=vsize)
 
     def drop(self, key: str) -> None:
-        name = _entry_name(key)
-        # Same contract as write(): the unlink must be atomic with the
-        # accounting update or a concurrent write() would double-count bytes.
-        with self._lock:  # ftlint: disable=RT001 -- unlink must be atomic with LRU accounting (local NVMe, single entry)
-            if name in self._lru:
-                self._used -= self._lru.pop(name)
-                os.unlink(self._prefix + name)
+        with self._lock:
+            loc = self._index.pop(_digest(key), None)
+            self._used -= loc[2] if loc else 0
+        self._retire([loc])
 
     def clear(self) -> None:
-        """Empty the cache and the spare pool.  Only the accounting reset runs
-        under the lock (RT001: an unlink loop is unbounded I/O and has no
-        business in a critical section); every entry is LRU-tracked and every
-        spare pooled, so the snapshot taken under the lock is complete, and
-        the unlinks proceed outside it exactly like evictions racing readers."""
+        """Empty the cache: the index is emptied under the lock, the records
+        are zeroed outside it exactly like evictions racing readers."""
         with self._lock:
-            victims = [self._prefix + name for name in self._lru] + [p for p, _ in self._spares]
-            self._lru.clear()
-            self._spares.clear()
+            locs = list(self._index.values())
+            self._index.clear()
             self._used = 0
-        for path in victims:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+        self._retire(locs)
 
     def entry_count(self) -> int:
-        """Installed entries only, answered from the LRU index (every
-        install goes through :meth:`write`) — in-flight ``.tmp-*`` staging
-        files are never in it, and a STAT costs no directory scan."""
+        """Installed entries only, answered from the LRU index: an install
+        still writing is not in it, and a STAT costs no syscall."""
         with self._lock:
-            return len(self._lru)
+            return len(self._index)
+
+    def close(self) -> None:
+        """Close every slab's descriptors (idempotent).  The directory keeps
+        its entries for the next instance; this one must not be used again."""
+        for slab in list(self._slabs.values()):
+            slab.close()
 
 
 class PFSDir:

@@ -1,12 +1,14 @@
-"""LRU eviction in the threaded runtime's NVMeDir, and the read/evict race.
+"""LRU eviction in the threaded runtime's NVMeDir, its slab records, and
+the read/evict race.
 
 The race regression (``runtime/server.py`` ``_read``): an entry evicted
 between the server's cache-presence check and the actual file read must
 degrade to a PFS miss, never surface as a client-visible error.
 
-At capacity, evicted files are recycled as spares for later installs; a
-reader's pin keeps an open entry out of that pool, so what a reader
-holds open is never overwritten.
+At capacity, the slot an eviction frees is reused by a later install; a
+reader's pin keeps an open entry's slot off the free list, so what a
+reader holds open is never overwritten.  A reopen adopts exactly the
+slots whose record is valid — the record rule (``storage.NVMeDir``).
 """
 
 import os
@@ -16,6 +18,7 @@ import tempfile
 import threading
 import time
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -28,7 +31,7 @@ from hypothesis.stateful import (
 
 from repro.runtime import LocalCluster
 from repro.runtime.server import FTCacheServer
-from repro.runtime.storage import _SPARES, NVMeDir, PFSDir
+from repro.runtime.storage import _RECORD, NVMeDir, PFSDir
 
 
 def _disk(root) -> dict:
@@ -36,8 +39,25 @@ def _disk(root) -> dict:
     return {e.name: (e.inode(), e.stat().st_size) for e in os.scandir(root)}
 
 
-def _spares(root) -> list:
-    return [name for name in os.listdir(root) if name.startswith(".tmp-")]
+def _fds_under(root) -> int:
+    """Descriptors this process holds open on files under ``root``."""
+    n = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            n += os.readlink(f"/proc/self/fd/{fd}").startswith(str(root))
+        except OSError:  # closed since the listing
+            pass
+    return n
+
+
+def _slots_accounted(nv: NVMeDir) -> None:
+    """Every slot ever handed out is exactly one of: free, or referenced
+    (by the index, and by each open reader)."""
+    with nv._lock:
+        nv._settle()
+        for slab in nv._slabs.values():
+            used = [slot for s, slot, _ in nv._refs if s is slab]
+            assert sorted(slab.free + used) == list(range(slab.count))
 
 
 class TestNVMeDirLRU:
@@ -97,7 +117,7 @@ class TestNVMeDirLRU:
         nv.write("/held", held)
         f, size = nv.open_read("/held")
         try:
-            for i in range(2 * _SPARES + 4):
+            for i in range(20):
                 nv.write(f"/k{i}", bytes([i]) * 64)
             assert not nv.contains("/held")  # evicted while open
             assert size == 64
@@ -106,42 +126,49 @@ class TestNVMeDirLRU:
             f.close()
 
     def test_installs_at_capacity_create_no_inode(self, tmp_path):
-        n = 2 * _SPARES  # entries the cache holds
+        """At capacity an install takes the slot its predecessor's eviction
+        freed: 40 installs leave the file set and every slab's length
+        unchanged."""
+        n = 16  # entries the cache holds
         nv = NVMeDir(tmp_path, capacity_bytes=n * 64)
-        for i in range(n + 1):  # the last install evicts: the pool has a spare
+        for i in range(n + 1):  # the last install evicts: a slot is free
             nv.write(f"/warm{i}", bytes(64))
-        inodes = {ino for ino, _ in _disk(tmp_path).values()}
+        disk = _disk(tmp_path)
+        assert sorted(disk) == ["4096.data", "4096.records"]
         for i in range(40):
             nv.write(f"/k{i}", bytes([i]) * 64)
-            disk = _disk(tmp_path)
-            assert {ino for ino, _ in disk.values()} <= inodes
-            assert len(disk) <= nv.entry_count() + _SPARES
+            assert _disk(tmp_path) == disk
         assert nv.evictions == 41 and nv.used_bytes == n * 64
-        nv.write("/whole", bytes(n * 64))  # evicts every entry: the pool keeps _SPARES
-        assert nv.entry_count() == 1 and len(_disk(tmp_path)) == 1 + _SPARES
+        nv.write("/whole", bytes(n * 64))  # evicts every other entry
+        assert nv.entry_count() == 1 and _disk(tmp_path).keys() == disk.keys()
+        _slots_accounted(nv)
 
-    def test_clear_drop_and_reopen_leave_no_spare(self, tmp_path):
+    def test_clear_drop_and_reopen_keep_used_bytes_exact(self, tmp_path):
         nv = NVMeDir(tmp_path, capacity_bytes=4 * 64)
         for i in range(6):
             nv.write(f"/k{i}", bytes(64))
-        nv.write("/big", bytes(192))  # three victims, three spares
-        assert len(_spares(tmp_path)) == 3
-        nv.drop("/big")  # unlinked, not recycled
-        assert len(_spares(tmp_path)) == 3 and nv.used_bytes == 64
+        nv.write("/big", bytes(192))  # three victims
+        assert nv.used_bytes == 256 and nv.entry_count() == 2
+        nv.drop("/big")
+        assert nv.used_bytes == 64 and nv.entry_count() == 1
+        nv.close()
         again = NVMeDir(tmp_path, capacity_bytes=4 * 64)
-        assert _spares(tmp_path) == []
-        assert again.used_bytes == 64 == sum(size for _, size in _disk(tmp_path).values())
+        assert again.used_bytes == 64 and again.read("/k5") == bytes(64)
         for i in range(8):
             again.write(f"/j{i}", bytes(64 + i))
-        assert _spares(tmp_path)
+        assert again.used_bytes == 71 + 70 + 69 and again.entry_count() == 3
         again.clear()
-        assert os.listdir(tmp_path) == [] and again.used_bytes == 0
-        again.write("/after", b"a" * 10)  # the pool was emptied with the directory
+        assert again.entry_count() == 0 and again.used_bytes == 0
+        again.write("/after", b"a" * 10)
         assert again.read("/after") == b"a" * 10 and again.used_bytes == 10
+        again.close()
+        third = NVMeDir(tmp_path, capacity_bytes=4 * 64)  # clear() zeroed every record
+        assert third.entry_count() == 1 and third.used_bytes == 10
+        _slots_accounted(third)
 
     def test_readers_never_see_a_recycled_inode(self, tmp_path):
-        """Hammer: installs at capacity recycle evicted inodes while readers
-        hold entries open; every byte a reader sees belongs to its key.  An
+        """Hammer: installs at capacity reuse freed slots while readers hold
+        entries open; every byte a reader sees belongs to its key.  An
         ignored pin shows as another key's bytes — a race that passes most
         single runs, so CI repeats this test."""
         nv = NVMeDir(tmp_path, capacity_bytes=6 * 512)
@@ -186,8 +213,9 @@ class TestNVMeDirLRU:
         assert not any(t.is_alive() for t in writers + readers)
         assert bad == []
         assert nv.evictions > 1000
-        assert nv.used_bytes == sum(nv._lru.values()) <= nv.capacity_bytes
-        assert len(_spares(tmp_path)) <= _SPARES
+        assert nv.used_bytes == sum(size for _, _, size in nv._index.values()) <= nv.capacity_bytes
+        _slots_accounted(nv)
+        assert sorted(nv._refs.values()) == [1] * nv.entry_count()  # no pin outlived its reader
 
     def test_matches_a_dict_model(self):
         run_state_machine_as_test(
@@ -197,12 +225,12 @@ class TestNVMeDirLRU:
 
 class NVMeDirModel(RuleBasedStateMachine):
     """NVMeDir against a dict of what each key last had written: random
-    sizes, a cache that holds a few entries, readers held open across
-    installs.  Whatever is cached reads back as the model's bytes, the byte
-    count is the index's, and the directory holds the index entries plus
-    at most ``_SPARES`` spares."""
+    sizes over two slot sizes, a cache that holds a few entries, readers
+    held open across installs, reopens.  Whatever is cached reads back as
+    the model's bytes, the byte count is the index's, and every slot is
+    either free or referenced."""
 
-    CAP = 64
+    CAP = 3 * 4096
     KEYS = st.sampled_from([f"/k{i}" for i in range(8)])
 
     def __init__(self):
@@ -210,10 +238,10 @@ class NVMeDirModel(RuleBasedStateMachine):
         self.root = tempfile.mkdtemp(prefix="nvme-model-")
         self.nv = NVMeDir(self.root, capacity_bytes=self.CAP)
         self.model: dict[str, bytes] = {}
-        self.held: list = []  # (open file, the bytes it had when opened)
+        self.held: list = []  # (open entry, the bytes it had when opened)
         self.version = 0
 
-    @rule(key=KEYS, size=st.integers(0, 48))
+    @rule(key=KEYS, size=st.integers(0, 48) | st.integers(4000, 6000))
     def write(self, key, size):
         self.version += 1
         data = bytes([self.version % 256]) * size
@@ -249,19 +277,139 @@ class NVMeDirModel(RuleBasedStateMachine):
         self.model.pop(key, None)
         assert not self.nv.contains(key)
 
+    @rule()
+    def reopen(self):
+        """The warm rejoin: close, then ``NVMeDir(root)`` — the same entries
+        come back, and each reads the model's bytes."""
+        while self.held:
+            self.close_held(0)
+        cached = {key for key in self.model if self.nv.contains(key)}
+        used = self.nv.used_bytes
+        self.nv.close()
+        self.nv = NVMeDir(self.root, capacity_bytes=self.CAP)
+        assert {key for key in self.model if self.nv.contains(key)} == cached
+        assert self.nv.used_bytes == used
+        for key in cached:
+            assert self.nv.read(key) == self.model[key]
+
     @invariant()
-    def books_and_disk_agree(self):
-        index = dict(self.nv._lru)
-        assert self.nv.used_bytes == sum(index.values()) <= self.CAP
-        on_disk = set(os.listdir(self.root))
-        assert set(index) <= on_disk
-        extra = on_disk - set(index)
-        assert len(extra) <= _SPARES and all(name.startswith(".tmp-") for name in extra)
+    def books_and_slots_agree(self):
+        index = self.nv._index.values()
+        assert self.nv.used_bytes == sum(size for _, _, size in index) <= self.CAP
+        _slots_accounted(self.nv)
 
     def teardown(self):
         for f, _ in self.held:
             f.close()
+        self.nv.close()
         shutil.rmtree(self.root)
+
+
+class TestSlabRecords:
+    """The record rule across a reopen: a record is valid iff its slot
+    holds the current bytes of its key."""
+
+    def test_reopen_never_serves_a_stale_version(self, tmp_path):
+        """PUT v1, PUT v2, v2 evicted and its slot reused, restart: the key
+        is absent or reads v2, never v1.  A reader holds v1's slot, so only
+        v2's slot is free to reuse; zeroing records on reuse instead of
+        when a slot is freed would leave v1's record valid."""
+        nv = NVMeDir(tmp_path, capacity_bytes=128)
+        nv.write("/k", b"1" * 64)
+        held, _ = nv.open_read("/k")
+        nv.write("/k", b"2" * 64)
+        nv.write("/a", b"a" * 64)
+        nv.write("/b", b"b" * 64)  # evicts /k: v2's slot is the only free one
+        nv.write("/c", b"c" * 64)  # ...and is reused
+        assert not nv.contains("/k") and held.read() == b"1" * 64
+        held.close()
+        nv.close()
+        again = NVMeDir(tmp_path, capacity_bytes=128)
+        assert not again.contains("/k") or again.read("/k") == b"2" * 64
+        assert again.read("/b") == b"b" * 64 and again.read("/c") == b"c" * 64
+        _slots_accounted(again)
+
+    def test_data_without_a_record_is_not_adopted(self, tmp_path):
+        """An install that died between its data and its record leaves a
+        slot with bytes and a zero record: a reopen does not adopt it, and
+        the next install reuses it."""
+        nv = NVMeDir(tmp_path)
+        nv.write("/a", b"a" * 100)
+        nv.close()
+        with open(tmp_path / "4096.data", "r+b") as f:  # slot 1: data, no record
+            f.seek(4096)
+            f.write(b"junk" * 64)
+        with open(tmp_path / "4096.records", "ab") as f:
+            f.write(bytes(_RECORD.size))
+        disk = _disk(tmp_path)
+        again = NVMeDir(tmp_path)
+        assert again.entry_count() == 1 and again.used_bytes == 100
+        assert again.read("/a") == b"a" * 100
+        again.write("/b", b"b" * 100)
+        assert again.read("/b") == b"b" * 100 and _disk(tmp_path) == disk  # slot 1, reused
+        _slots_accounted(again)
+
+    def test_reused_slot_whose_data_write_died_is_not_adopted(self, tmp_path):
+        """A freed slot's record is zero before it is reused, so a reinstall
+        that dies mid-data leaves nothing a reopen would adopt — neither
+        the old entry nor the torn new one — and the slot is reused."""
+        nv = NVMeDir(tmp_path, capacity_bytes=64)
+        nv.write("/a", b"a" * 64)
+        nv.write("/b", b"b" * 64)  # evicts /a: slot 0 is zeroed and freed
+        with open(tmp_path / "4096.data", "r+b") as f:  # a reinstall into slot 0 dies
+            f.write(b"x" * 32)
+        assert nv.entry_count() == 1 and nv.used_bytes == 64
+        nv.close()
+        disk = _disk(tmp_path)
+        again = NVMeDir(tmp_path, capacity_bytes=64)
+        assert not again.contains("/a") and again.entry_count() == 1
+        assert again.read("/b") == b"b" * 64
+        again.write("/c", b"c" * 64)
+        assert again.read("/c") == b"c" * 64 and _disk(tmp_path) == disk
+        _slots_accounted(again)
+
+    @pytest.mark.parametrize("forged", ["older", "newer"])
+    def test_duplicate_records_keep_the_higher_sequence(self, tmp_path, forged):
+        """A crash between a replacement's record and the zeroing of the old
+        one leaves two valid records for one digest: the higher sequence
+        number wins, wherever its slot is, and the loser is freed."""
+        nv = NVMeDir(tmp_path)
+        nv.write("/k", b"1" * 64)  # slot 0
+        nv.write("/k", b"2" * 64)  # slot 1; record 0 zeroed
+        nv.close()
+        records = tmp_path / "4096.records"
+        digest, seq, size = _RECORD.unpack_from(records.read_bytes(), _RECORD.size)
+        with open(records, "r+b") as f:  # bring record 0 back
+            f.write(_RECORD.pack(digest, seq - 1 if forged == "older" else seq + 1, size))
+        disk = _disk(tmp_path)
+        again = NVMeDir(tmp_path)
+        assert again.entry_count() == 1 and again.used_bytes == 64
+        winner = b"2" * 64 if forged == "older" else b"1" * 64
+        assert again.read("/k") == winner
+        again.write("/j", b"j" * 64)  # takes the loser's slot
+        assert _disk(tmp_path) == disk
+        again.close()
+        third = NVMeDir(tmp_path)
+        assert third.read("/k") == winner and third.read("/j") == b"j" * 64
+        assert third.entry_count() == 2
+
+    def test_small_entry_survives_reopen(self, tmp_path):
+        """An 8-byte entry leaves its slab's data file 8 bytes long: the slot
+        count comes from the record file."""
+        nv = NVMeDir(tmp_path)
+        nv.write("/tiny", b"8 bytes!")
+        nv.close()
+        again = NVMeDir(tmp_path)
+        assert again.read("/tiny") == b"8 bytes!" and again.used_bytes == 8
+
+    def test_close_is_idempotent_and_closes_every_slab(self, tmp_path):
+        nv = NVMeDir(tmp_path)
+        nv.write("/small", b"s")
+        nv.write("/large", bytes(10_000))
+        assert _fds_under(tmp_path) == 4  # two slot sizes, two files each
+        nv.close()
+        nv.close()
+        assert _fds_under(tmp_path) == 0
 
 
 class TestEvictionRaceRegression:
@@ -278,7 +426,7 @@ class TestEvictionRaceRegression:
         def racing_read(key):
             # Simulate a concurrent eviction winning the race: the entry
             # vanishes after contains() said it was there.
-            (nvme.root / [f.name for f in nvme.root.iterdir()][0]).unlink()
+            nvme.drop(key)
             return real_read(key)
 
         nvme.read = racing_read

@@ -8,6 +8,20 @@ from repro.runtime import LocalCluster
 from repro.runtime.chaos import ChaosMonkey
 
 
+def _movers_quiet(client, nodes, timeout: float = 10.0) -> None:
+    """Condition wait on STAT: each node's data movers have installed (or
+    refused) every recache they accepted."""
+    deadline = time.monotonic() + timeout
+    for node in nodes:
+        while True:
+            stat = client.server_stat(node)
+            if stat["mover_queue_len"] == 0 and (
+                stat["mover_enqueued"] - stat["mover_dropped"] == stat["recached"]
+            ):
+                break
+            assert time.monotonic() < deadline, f"node {node}'s data movers never went quiet"
+
+
 class TestRejoin:
     def test_restart_brings_node_back(self):
         with LocalCluster(n_servers=3, policy="nvme", ttl=0.3, timeout_threshold=2) as c:
@@ -30,7 +44,7 @@ class TestRejoin:
             client = c.client()
             for p in paths:
                 client.read(p)
-            time.sleep(0.3)  # data movers land before the failure
+            _movers_quiet(client, c.servers)  # every recache lands before the failure
             victim = c.owner_of(paths[0], client.policy)
             c.kill_server(victim)
             client.read(paths[0])

@@ -221,7 +221,7 @@ class TestRemainderPath:
 
         def open_then_evict(path):
             entry = real_open(path)
-            node.nvme.drop(path)  # unlink while the descriptor pins the inode
+            node.nvme.drop(path)  # leaves the index while the entry pins its slot
             return entry
 
         node.nvme.open_read = open_then_evict
@@ -450,12 +450,12 @@ class TestFailureInjectionAndShutdown:
                 return len(os.listdir("/proc/self/fd"))
 
             root = sys.argv[1]
+            gc.collect(); base = fds()  # before the NVMeDir: its slabs must close with the server
             pfs = PFSDir(root + "/pfs", read_delay=0.05)
             nvme = NVMeDir(root + "/nvme")
             blob = os.urandom(4 << 20)
             pfs.write("/big.bin", blob); nvme.write("/big.bin", blob)
             pfs.write("/miss.bin", b"m" * 64); pfs.write("/late.bin", b"l" * 64)
-            gc.collect(); base = fds()
             server = FTCacheServer(0, nvme, pfs).start()
             sock = socket.socket()
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -475,7 +475,7 @@ class TestFailureInjectionAndShutdown:
             sock.close()
             del conn, tasks, server
             gc.collect()
-            assert fds() == base, (fds(), base)
+            assert fds() == base, (fds(), base)  # nvme is still alive: server.close() closed its slabs
             print("clean")
             """
         )
