@@ -43,7 +43,7 @@ def main() -> None:
 
         print("\ncold epoch (every read misses to the PFS, then recaches):")
         cold = run_epoch(loader, epoch=0)
-        time.sleep(0.3)  # let the data-mover threads finish writing
+        time.sleep(0.3)  # let the installs that follow the replies finish writing
 
         print("warm epoch (served from node-local cache dirs):")
         warm = run_epoch(loader, epoch=1)

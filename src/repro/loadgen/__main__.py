@@ -103,8 +103,6 @@ def build_scenario(cluster: LocalCluster, args: argparse.Namespace) -> Scenario:
         "threshold": args.threshold,
         "pfs_delay": args.pfs_delay,
         "nvme_capacity_bytes": args.capacity or None,
-        "mover_workers": args.mover_workers,
-        "mover_queue_depth": args.mover_queue_depth,
         "join_at": args.join_at,
         "join_weight": args.join_weight,
         "trace_sample_rate": args.trace_sample_rate,
@@ -140,10 +138,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pfs-delay", type=float, default=0.0, help="artificial PFS read delay seconds")
     parser.add_argument("--capacity", type=int, default=0,
                         help="per-server NVMe capacity bytes (0 = unbounded; small values exercise LRU eviction)")
-    parser.add_argument("--mover-workers", type=int, default=2,
-                        help="per-server data-mover worker threads (bounded recache pool)")
-    parser.add_argument("--mover-queue-depth", type=int, default=64,
-                        help="per-server pending recache entries before the submitter installs its own")
     parser.add_argument("--kill-at", type=float, default=None,
                         help="seconds into the chaos phase to kill a server (default: midpoint)")
     parser.add_argument("--restart-at", type=float, default=None,
@@ -180,8 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         timeout_threshold=args.threshold,
         pfs_read_delay=args.pfs_delay,
         nvme_capacity_bytes=args.capacity or None,
-        mover_workers=args.mover_workers,
-        mover_queue_depth=args.mover_queue_depth,
         trace_sample_rate=args.trace_sample_rate,
         trace_seed=args.seed,
     ) as cluster:

@@ -10,8 +10,8 @@ dashboards) reads one merged snapshot instead of knowing three layouts.
 
 What the registry adds on top:
 
-* **gauges** — named callables sampled at snapshot time (mover queue
-  length, cached bytes, ring epoch), never stored;
+* **gauges** — named callables sampled at snapshot time (claimed
+  installs, cached bytes, ring epoch), never stored;
 * **histograms** — named :class:`~repro.metrics.LatencyHistogram` s with a
   lock around ``record`` (the histogram itself is single-writer by
   design; server dispatch is not), giving the server per-op latency

@@ -1,7 +1,7 @@
 """Spans: bounded per-process ring buffer + the tracer that fills it.
 
 A :class:`Span` times one stage of one request (client RPC, server NVMe
-read, mover queue wait...).  Spans are cheap on purpose: two clock reads,
+read, NVMe write...).  Spans are cheap on purpose: two clock reads,
 one dict append into a :class:`SpanBuffer` — a fixed-capacity ring whose
 overflow *drops the oldest* span and counts it (``spans_dropped``), so a
 span storm can never eat unbounded memory and loss is always visible.

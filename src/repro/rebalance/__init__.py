@@ -12,8 +12,8 @@ three-phase protocol rather than a restart:
 2. **Warm** (:class:`~repro.rebalance.coordinator.JoinCoordinator`) —
    backfill the planned keys into the joining node *before* it owns
    anything, reading from current owners (falling back to the PFS) and
-   installing via the node's bounded ``DataMoverPool`` so a join can
-   never stampede the PFS or the hot path.
+   installing through the node's own miss install path, bounded by its
+   dispatch threads, so a join can never stampede the PFS or the hot path.
 3. **Cutover** — flip the node into ``MembershipView`` and every client's
    placement under a new ring epoch; in-flight reads still route to old
    owners, which keep serving the moved keys from their caches, so the

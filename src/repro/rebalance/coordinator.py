@@ -12,11 +12,13 @@ irreversible-only-forward phases:
     Moved keys are backfilled into the joining node: each key is read
     from its *current* owner (whose cache most likely holds it; a miss
     there falls through to the PFS server-side), with a direct PFS read
-    as the coordinator's last resort, then pushed via ``OP_TRANSFER``
-    into the node's bounded ``DataMoverPool``.  The pool's queue depth is
-    the rate limit: when the queue reports at or above the high
-    watermark, the coordinator *pauses* (counted, observable) — warmup
-    yields to the serving hot path instead of competing with it.
+    as the coordinator's last resort, then pushed via ``OP_TRANSFER``,
+    which the node installs on the dispatch thread that received it.  Each
+    reply reports the node's claimed-but-unwritten installs; at or above
+    the high watermark the coordinator *pauses* (counted, observable) —
+    warmup yields to the serving hot path instead of competing with it.
+    The node's dispatch threads bound those installs below the default
+    watermark, so the pause is a guard, not the rate limit.
 ``SERVING``
     The cutover callback flips membership + every client placement under
     a new ring epoch.  Only now can any lookup route to the node — and
@@ -45,7 +47,7 @@ from .stats import JoinReport
 
 __all__ = ["JoinCoordinator", "JoinState", "JoinAborted"]
 
-#: mover queue occupancy (fraction of depth) above which warmup pauses
+#: claimed-install backlog (fraction of ``queue_depth``) above which warmup pauses
 DEFAULT_THROTTLE_FRACTION = 0.75
 
 
@@ -92,7 +94,7 @@ class JoinCoordinator:
         Optional callback run on abort (e.g. shut the spawned server
         down).  Routing state needs no rollback by construction.
     queue_depth:
-        The joining node's mover queue depth (the bound being respected).
+        The install backlog the watermark is a fraction of.
     """
 
     def __init__(
@@ -223,8 +225,7 @@ class JoinCoordinator:
             self._throttle(int(resp.get("queue_len", 0)))
 
     def _throttle(self, queue_len: int) -> None:
-        """Pause while the joining node's mover queue is above watermark —
-        the bounded pool, not the coordinator, sets the backfill rate."""
+        """Pause while the joining node's install backlog is above watermark."""
         pauses = 0
         while queue_len >= self._watermark and pauses < self._max_throttle_pauses:
             time.sleep(self._throttle_sleep)

@@ -31,9 +31,9 @@ class JoinReport:
     source_cache_reads: int = 0
     source_pfs_reads: int = 0
     pfs_fallback_reads: int = 0
-    #: transfers the joining node's mover refused (closed) — should be 0
+    #: transfers the joining node refused — should be 0
     transfers_rejected: int = 0
-    #: times the coordinator paused because the mover queue was at its
+    #: times the coordinator paused because the install backlog was at its
     #: high watermark (the "bounded" in bounded rebalancing, observable)
     throttle_pauses: int = 0
     warmup_seconds: float = 0.0

@@ -57,15 +57,7 @@ def _parse_servers(spec: str) -> dict[int, tuple[str, int]]:
 def cmd_serve(args: argparse.Namespace) -> int:
     nvme = NVMeDir(args.nvme, capacity_bytes=args.capacity or None)
     pfs = PFSDir(args.pfs, read_delay=args.pfs_delay)
-    server = FTCacheServer(
-        args.node_id,
-        nvme,
-        pfs,
-        host=args.host,
-        port=args.port,
-        mover_workers=args.mover_workers,
-        mover_queue_depth=args.mover_queue_depth,
-    ).start()
+    server = FTCacheServer(args.node_id, nvme, pfs, host=args.host, port=args.port).start()
     host, port = server.address
     print(f"ftcache server node {args.node_id} listening on {host}:{port} "
           f"(nvme={args.nvme}, pfs={args.pfs})", flush=True)
@@ -131,7 +123,7 @@ def cmd_stat(args: argparse.Namespace) -> int:
           f"{h.get('cached_bytes', 0) / 1e6:.1f} MB cached, "
           f"{h.get('hits')} hits / {h.get('misses')} misses, "
           f"{h.get('evictions', 0)} evictions, "
-          f"mover {h.get('mover_queue_len', 0)} queued / "
+          f"mover {h.get('mover_queue_len', 0)} installing / "
           f"{h.get('mover_dropped', 0)} dropped / {h.get('mover_coalesced', 0)} coalesced")
     return 0
 
@@ -163,10 +155,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pfs", required=True, help="shared PFS directory")
     p.add_argument("--capacity", type=int, default=0, help="cache capacity bytes (0 = unbounded)")
     p.add_argument("--pfs-delay", type=float, default=0.0)
-    p.add_argument("--mover-workers", type=int, default=2,
-                   help="data-mover worker threads (bounded recache pool)")
-    p.add_argument("--mover-queue-depth", type=int, default=64,
-                   help="pending recache entries before the submitter installs its own")
     p.add_argument("--run-seconds", type=float, default=None, help="exit after N seconds (tests)")
     p.set_defaults(fn=cmd_serve)
 

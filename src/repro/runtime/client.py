@@ -439,12 +439,12 @@ class FTCacheClient:
         return self._rpc_read(node, path)
 
     def transfer(self, node: NodeId, path: str, data: bytes) -> Optional[dict]:
-        """Push one moved key into ``node``'s bounded data mover.
+        """Push one moved key into ``node``'s cache.
 
         Returns ``{"accepted": bool, "queue_len": int}`` from the node's
-        reply, or None on timeout/refusal.  ``accepted=False`` means the
-        mover is closed (node shutting down); ``queue_len`` lets the
-        caller throttle against the bound instead of overrunning it.
+        reply, or None on timeout/refusal.  A live node accepts every key
+        (a duplicate of one it is installing is coalesced); ``queue_len``
+        is its claimed-but-unwritten installs, for the caller's throttle.
         """
         msg = Message.request(OP_TRANSFER, path=path)
         msg.payload = data

@@ -53,8 +53,6 @@ class LocalCluster:
         pfs_read_delay: float = 0.0,
         nvme_capacity_bytes: Optional[int] = None,
         replicas: int = 2,
-        mover_workers: int = 2,
-        mover_queue_depth: int = 64,
         ring_probes: int = 1,
         trace_sample_rate: float = 0.0,
         trace_seed: int = 0,
@@ -67,8 +65,6 @@ class LocalCluster:
         self.replicas = replicas
         self.ttl = ttl
         self.timeout_threshold = timeout_threshold
-        self.mover_workers = mover_workers
-        self.mover_queue_depth = mover_queue_depth
         self.nvme_capacity_bytes = nvme_capacity_bytes
         self.ring_probes = ring_probes
         #: head-based sampling rate for client-rooted traces; 0 disables
@@ -104,15 +100,7 @@ class LocalCluster:
         self._retired_stats = {k: 0 for k in (*STAT_COUNTER_KEYS, "evictions")}
 
     def _spawn_server(self, node_id: int, nvme: NVMeDir, host: str = "127.0.0.1", port: int = 0) -> FTCacheServer:
-        return FTCacheServer(
-            node_id,
-            nvme,
-            self.pfs,
-            host=host,
-            port=port,
-            mover_workers=self.mover_workers,
-            mover_queue_depth=self.mover_queue_depth,
-        ).start()
+        return FTCacheServer(node_id, nvme, self.pfs, host=host, port=port).start()
 
     # -- construction helpers ---------------------------------------------------------
     def _make_placement(self):
@@ -228,7 +216,7 @@ class LocalCluster:
 
         Spawns a fresh server on a new node id, computes the exact
         moved-key plan against the current ring, backfills those keys into
-        the new node via its bounded data mover (reading from current
+        the new node through its install path (reading from current
         owners, falling back to the PFS), and only then flips the node
         into membership and every existing client's placement under a new
         ring epoch.  Until cutover, no placement anywhere can route to the
@@ -306,7 +294,6 @@ class LocalCluster:
             pfs=self.pfs,
             cutover=cutover,
             rollback=rollback,
-            queue_depth=self.mover_queue_depth,
             throttle_fraction=throttle_fraction,
         )
         try:
@@ -338,8 +325,7 @@ class LocalCluster:
                 "cached_bytes": s.nvme.used_bytes,
                 "capacity_bytes": s.nvme.capacity_bytes,
                 "evictions": s.nvme.evictions,
-                "mover_queue_len": s.mover.queue_len,
-                "mover_workers": s.mover.workers,
+                "mover_queue_len": s.mover_queue_len,
                 **s.stats.counters(),
             }
         return out

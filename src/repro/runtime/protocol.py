@@ -78,7 +78,7 @@ OP_STAT = "STAT"
 OP_PUT = "PUT"
 #: announce an impending join's move plan to the joining node (rebalance)
 OP_JOIN_PLAN = "JOIN_PLAN"
-#: backfill one moved key into a joining node's bounded mover (rebalance)
+#: backfill one moved key into a joining node's cache (rebalance)
 OP_TRANSFER = "TRANSFER"
 #: observability export: unified telemetry snapshot + recent spans/events
 #: as a JSON payload (bulk data is payload bytes, not header fields)

@@ -2,9 +2,9 @@
 
 Serves the same protocol as the paper's HVAC server daemon: a READ either
 hits the node-local cache directory or falls through to the shared PFS
-directory, serves the bytes, and hands them to a background *data mover*
-for recaching — the Sec IV-B retrieve → serve → cache sequence, now with
-actual files over an asyncio data plane.
+directory, serves the bytes, and then recaches them — the Sec IV-B
+retrieve → serve → cache sequence, now with actual files over an asyncio
+data plane.
 
 The core is **one event loop per server** and **one
 ``asyncio.Protocol`` per connection** (:class:`_Conn`), not a thread or a
@@ -25,13 +25,13 @@ control ops included; ``_PIPELINE_DEPTH`` requests in flight pause reading.
 :class:`_Conn` states the two rules every reply path keeps: *write
 ordering* and *books before reply*.
 
-The data mover is a **bounded worker pool** (:class:`DataMoverPool`), not
-a thread per miss: a miss storm (cold cache, failover re-homing a node's
-keys, chaos-monkey churn) enqueues recache work onto a fixed number of
-workers behind a bounded queue.  Duplicate keys already queued or being
-written are coalesced, and when the queue is full the submitting dispatch
-thread installs its entry itself (*caller-runs*): threads and memory stay
-bounded, the storm slows to the device's rate, and nothing is shed.
+The data mover is **the dispatch thread that served the miss**, not a
+pool of its own: a READ miss or a TRANSFER *claims* its install before
+its reply is posted (a key claimed and not yet written is coalesced) and
+*installs* it on the same thread right after — the paper's serve → cache
+order, with the claim on the books before the reply.  Installs in flight
+are bounded by the dispatch threads; no thread, queue or buffer is added
+per miss, and nothing is shed.
 
 Failure injection mirrors a drained node: :meth:`FTCacheServer.kill` with
 ``mode="hang"`` keeps the port open but never answers (clients see socket
@@ -47,7 +47,7 @@ import os
 import socket
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -73,7 +73,7 @@ from .protocol import (
 )
 from .storage import NVMeDir, PFSDir
 
-__all__ = ["FTCacheServer", "ServerStats", "DataMoverPool"]
+__all__ = ["FTCacheServer", "ServerStats"]
 
 #: max dispatch jobs + reply tasks in flight per connection before it stops
 #: decoding frames and pauses reading (pipelining backpressure, not an error)
@@ -112,12 +112,13 @@ class ServerStats:
     #: reads that saw ``contains()`` true but lost the race to an eviction
     #: and fell through to the PFS (previously indistinguishable from a miss)
     race_fallthroughs: int = 0
-    #: data-mover queue accounting (see DataMoverPool)
+    #: recache accounting (see FTCacheServer._claim): installs claimed,
+    #: duplicates of a claimed key, installs the device refused
     mover_enqueued: int = 0
     mover_coalesced: int = 0
     mover_dropped: int = 0
     #: elastic-join warmup accounting (repro.rebalance): plans announced
-    #: to this node, transfer requests its mover accepted, and their bytes
+    #: to this node, transfer requests it accepted, and their bytes
     join_plans: int = 0
     transfers_in: int = 0
     transfer_bytes: int = 0
@@ -138,134 +139,6 @@ class ServerStats:
         """Point-in-time copy of every counter (one lock acquisition)."""
         with self._lock:
             return {k: getattr(self, k) for k in STAT_COUNTER_KEYS}
-
-
-class DataMoverPool:
-    """Bounded worker pool for write-through recaching.
-
-    ``submit(path, data)`` accepts one recache; a fixed set of worker
-    threads drains the queue into the cache directory.  Three policies
-    keep a miss storm from melting the node:
-
-    * **bounded queue** — at most ``queue_depth`` pending entries;
-    * **coalescing** — a key already queued or currently being written is
-      not accepted again (the bytes are identical: both came from the
-      PFS), counted as ``mover_coalesced``;
-    * **caller-runs overflow** — on a full queue the submitting thread
-      performs that install itself before ``submit`` returns: no thread
-      or buffer is added, the submitter (a dispatch thread, in front of
-      its reply) is held back by the work it asked for, nothing is shed.
-
-    Every accepted entry, queued or caller-run, counts in ``mover_enqueued``
-    and ends in ``recached`` — or, refused by the device (larger than the
-    whole cache), in ``mover_dropped``, which stays 0 under any load.
-
-    :meth:`close` performs a graceful drain: no new work is accepted,
-    workers finish whatever is queued, then exit.
-    """
-
-    def __init__(
-        self,
-        nvme: NVMeDir,
-        stats: ServerStats,
-        node_id: int,
-        workers: int = 2,
-        queue_depth: int = 64,
-        tracer: Optional[Tracer] = None,
-        events=None,
-    ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        self.nvme = nvme
-        self.stats = stats
-        self.node_id = node_id
-        self.workers = workers
-        self.queue_depth = queue_depth
-        self.tracer = tracer if tracer is not None else Tracer(node=node_id, enabled=False)
-        self.events = events if events is not None else get_event_log()
-        self._cond = lockwitness.named_condition("mover-cond")
-        #: path → (bytes, queue-wait span): the span starts at submit and
-        #: ends at dequeue, so its duration *is* the queue wait
-        self._queue: "OrderedDict[str, tuple]" = OrderedDict()
-        self._inflight: set[str] = set()
-        self._closed = False
-        self._threads = [
-            threading.Thread(target=self._worker, name=f"data-mover-{node_id}-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
-
-    # -- producer side ---------------------------------------------------------------
-    def submit(self, path: str, data: bytes, ctx: Optional[TraceContext] = None) -> bool:
-        """Accept one recache; False only after :meth:`close`.
-
-        On a full queue the caller installs the entry before this returns.
-        ``ctx`` is the submitting request's trace context; when present,
-        the queue wait and the NVMe write become spans of that trace, so a
-        traced READ shows its asynchronous recache tail.
-        """
-        with self._cond:
-            if self._closed:
-                return False
-            if path in self._queue or path in self._inflight:
-                self.stats.bump(mover_coalesced=1)
-                return True
-            self.stats.bump(mover_enqueued=1)
-            if len(self._queue) < self.queue_depth:
-                self._queue[path] = (data, self.tracer.start_span("mover.queue_wait", ctx, path=path))
-                self._cond.notify()
-                return True
-            self._inflight.add(path)  # full queue: the caller runs this one
-        self._install(path, data, ctx)
-        return True
-
-    # -- worker side -----------------------------------------------------------------
-    def _worker(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if not self._queue:  # closed and drained
-                    return
-                path, (data, qspan) = self._queue.popitem(last=False)
-                self._inflight.add(path)
-            qspan.end()
-            self._install(path, data, qspan)
-
-    def _install(self, path: str, data: bytes, parent) -> None:
-        """Write one accepted entry — ``path`` is in ``_inflight`` — on the
-        calling thread: a worker's, or an overflowing submitter's."""
-        self.events.emit("recache_begin", node=self.node_id, path=path, nbytes=len(data))
-        wspan = self.tracer.start_span("mover.nvme_write", parent, path=path)
-        ok = True
-        try:
-            self.nvme.write(path, data)
-            self.stats.bump(recached=1)
-        except OSError:
-            ok = False  # larger than the whole device: serveable, not cacheable
-            self.stats.bump(mover_dropped=1)
-        finally:
-            with self._cond:
-                self._inflight.discard(path)
-        wspan.end(status="ok" if ok else "error")
-        self.events.emit("recache_end", node=self.node_id, path=path, ok=ok)
-
-    # -- introspection / lifecycle -----------------------------------------------------
-    @property
-    def queue_len(self) -> int:
-        with self._cond:
-            return len(self._queue)
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop accepting work; let the workers drain the queue; join them."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        for t in self._threads:
-            t.join(timeout=max(0.1, timeout / len(self._threads)))
 
 
 class _WriteLock:
@@ -313,10 +186,10 @@ class _Conn(asyncio.Protocol):
       Loop callbacks take it only synchronously — a hit only on an empty
       write buffer (its ``os.sendfile`` must not overtake buffered bytes), a
       job's completion only when writing is not paused; else a task awaits it.
-    * **books before reply** — counters are bumped, the latency observed
-      and the request's spans ended *before* the call that hands the
-      reply's last bytes to the kernel, so a client holding a reply never
-      reads server-side books that are behind it.
+    * **books before reply** — counters are bumped, the latency observed,
+      the request's spans ended and its install claimed *before* the call
+      that hands the reply's last bytes to the kernel, so a client holding
+      a reply never reads server-side books that are behind it.
     """
 
     def __init__(self, server: "FTCacheServer"):
@@ -491,11 +364,13 @@ class _Conn(asyncio.Protocol):
                 self.transport.close()
 
     def _job(self, msg: Message, ctx, qspan) -> None:
-        """On a dispatch thread: dispatch, encode, post the reply as one loop callback."""
+        """On a dispatch thread: dispatch, encode, post the reply as one loop
+        callback, then install what the request claimed for the cache."""
         srv = self.server
         qspan.end()  # duration == decode→executor-pickup wait
+        installs: list = []
         try:
-            response = srv.dispatch(msg)
+            response = srv.dispatch(msg, installs)
             sspan = srv.tracer.start_span("server.serialize", ctx, nbytes=len(response.payload))
             reply = (encode_binary_response_header(msg.op, response, seq=msg.seq), response.payload, sspan)
         except Exception:  # a dispatch or encode bug: sever, leave no client waiting
@@ -507,6 +382,8 @@ class _Conn(asyncio.Protocol):
             srv._loop.call_soon_threadsafe(self._complete, reply)
         except RuntimeError:  # loop closed (shutdown): nobody is left to answer
             pass
+        for install in installs:
+            srv._install(*install)
 
     def _complete(self, reply) -> None:
         """A job's reply, on the loop: written now when the write lock is
@@ -556,10 +433,8 @@ class FTCacheServer:
         pfs: PFSDir,
         host: str = "127.0.0.1",
         port: int = 0,
-        mover_workers: int = 2,
-        mover_queue_depth: int = 64,
         tracer: Optional[Tracer] = None,
-        dispatch_workers: int = 4,
+        dispatch_workers: int = 8,
     ):
         self.node_id = node_id
         self.nvme = nvme
@@ -573,7 +448,7 @@ class FTCacheServer:
         self.log = node_logger(__name__, node_id)
         self.telemetry = Telemetry(node=node_id)
         self.telemetry.adopt_counters("server", self.stats.counters)
-        self.telemetry.gauge("mover_queue_len", lambda: self.mover.queue_len)
+        self.telemetry.gauge("mover_queue_len", lambda: self.mover_queue_len)
         self.telemetry.gauge("cached_bytes", lambda: self.nvme.used_bytes)
         self.telemetry.gauge("cached_entries", lambda: self.nvme.entry_count())
         self.telemetry.gauge("evictions", lambda: self.nvme.evictions)
@@ -602,15 +477,9 @@ class FTCacheServer:
             max_workers=dispatch_workers,
             thread_name_prefix=f"ftcache-server-{node_id}-exec",
         )
-        self.mover = DataMoverPool(
-            nvme,
-            self.stats,
-            node_id,
-            workers=mover_workers,
-            queue_depth=mover_queue_depth,
-            tracer=self.tracer,
-            events=self.events,
-        )
+        #: keys whose install is claimed and not yet written
+        self._installing: set[str] = set()
+        self._installing_lock = lockwitness.named_lock("server-installs")
         self._alive = False
         #: last OP_JOIN_PLAN announcement (None until this node is the
         #: target of an elastic join); single dict assignment, read-only
@@ -621,6 +490,12 @@ class FTCacheServer:
     @property
     def address(self) -> tuple[str, int]:
         return self._addr
+
+    @property
+    def mover_queue_len(self) -> int:
+        """Installs claimed and not yet written: 0 when idle, at most one
+        per dispatch thread."""
+        return len(self._installing)
 
     @property
     def alive(self) -> bool:
@@ -723,7 +598,8 @@ class FTCacheServer:
 
     def close(self) -> None:
         """Clean shutdown (not a failure simulation): stop the listener, sever
-        accepted connections, drain the data-mover pool, close the NVMe dir."""
+        accepted connections, let the dispatch threads finish — claimed
+        installs included — then close the NVMe dir."""
         if self._closed:
             return
         self._closed = True
@@ -742,18 +618,19 @@ class FTCacheServer:
             except OSError:  # pragma: no cover
                 pass
         self._executor.shutdown(wait=True)
-        self.mover.close()
         self.nvme.close()
 
     # -- request handling -----------------------------------------------------------
-    def dispatch(self, msg: Message) -> Message:
+    def dispatch(self, msg: Message, installs: list) -> Message:
         """Route one request; every op gets a span (when the request carries
-        a trace context) and a latency observation in the telemetry registry."""
+        a trace context) and a latency observation in the telemetry registry.
+        What the request claimed for the cache is appended to ``installs``,
+        for :meth:`_install` once the reply is posted."""
         op = msg.op or "unknown"
         span = self.tracer.start_span(f"server.{op.lower()}", extract(msg.header))
         t0 = time.perf_counter()
         try:
-            response = self._dispatch(msg, span)
+            response = self._dispatch(msg, span, installs)
         except Exception:
             span.end(status="error")
             raise
@@ -761,7 +638,7 @@ class FTCacheServer:
         span.end(status="ok" if response.ok else "error")
         return response
 
-    def _dispatch(self, msg: Message, span=NULL_SPAN) -> Message:
+    def _dispatch(self, msg: Message, span, installs: list) -> Message:
         if msg.op == OP_PING:
             return Message.ok_response(node_id=self.node_id)
         if msg.op == OP_STAT:
@@ -771,12 +648,11 @@ class FTCacheServer:
                 cached_bytes=self.nvme.used_bytes,
                 capacity_bytes=self.nvme.capacity_bytes,
                 evictions=self.nvme.evictions,
-                mover_queue_len=self.mover.queue_len,
-                mover_workers=self.mover.workers,
+                mover_queue_len=self.mover_queue_len,
                 **self.stats.counters(),
             )
         if msg.op == OP_READ:
-            return self._read(msg.header.get("path", ""), span)
+            return self._read(msg.header.get("path", ""), installs, span)
         if msg.op == OP_PUT:
             return self._put(msg.header.get("path", ""), msg.payload)
         if msg.op == OP_JOIN_PLAN:
@@ -786,7 +662,7 @@ class FTCacheServer:
                 msg.header.get("epoch", 0),
             )
         if msg.op == OP_TRANSFER:
-            return self._transfer(msg.header.get("path", ""), msg.payload, span)
+            return self._transfer(msg.header.get("path", ""), msg.payload, installs, span)
         if msg.op == OP_OBS:
             return self._obs(
                 msg.header.get("spans_limit", 256),
@@ -795,7 +671,7 @@ class FTCacheServer:
         self.stats.bump(errors=1)
         return Message.error_response(f"unknown op {msg.op!r}")
 
-    def _read(self, path: str, parent=NULL_SPAN) -> Message:
+    def _read(self, path: str, installs: list, parent=NULL_SPAN) -> Message:
         if not path:
             self.stats.bump(errors=1)
             return Message.error_response("missing path")
@@ -824,8 +700,38 @@ class FTCacheServer:
             return Message.error_response(str(exc))
         pspan.end()
         self.stats.bump(misses=1, pfs_reads=1)
-        self.mover.submit(path, data, ctx=parent.ctx)
+        self._claim(installs, path, data, parent.ctx)
         return Message.ok_response(payload=data, source="pfs")
+
+    def _claim(self, installs: list, path: str, data: bytes, ctx: Optional[TraceContext]) -> None:
+        """Book one install before the reply that promises it: counted in
+        ``mover_enqueued`` and appended to ``installs``, or — ``path`` is
+        claimed and not yet written, with the same PFS bytes — coalesced."""
+        with self._installing_lock:
+            claimed = path not in self._installing
+            self._installing.add(path)
+        self.stats.bump(mover_enqueued=int(claimed), mover_coalesced=int(not claimed))
+        if claimed:
+            installs.append((path, data, ctx))
+
+    def _install(self, path: str, data: bytes, ctx: Optional[TraceContext]) -> None:
+        """Write one claimed entry, on the dispatch thread that claimed it,
+        after its reply is posted: it ends in ``recached``, or — larger than
+        the whole device — in ``mover_dropped``."""
+        self.events.emit("recache_begin", node=self.node_id, path=path, nbytes=len(data))
+        span = self.tracer.start_span("mover.nvme_write", ctx, path=path)
+        ok = True
+        try:
+            self.nvme.write(path, data)
+            self.stats.bump(recached=1)
+        except OSError:
+            ok = False  # serveable, not cacheable
+            self.stats.bump(mover_dropped=1)
+        finally:
+            with self._installing_lock:
+                self._installing.discard(path)
+        span.end(status="ok" if ok else "error")
+        self.events.emit("recache_end", node=self.node_id, path=path, ok=ok)
 
     def _obs(self, spans_limit, events_limit) -> Message:
         """Observability export: one JSON payload with the unified telemetry
@@ -853,21 +759,17 @@ class FTCacheServer:
         self.stats.bump(join_plans=1)
         return Message.ok_response(node_id=self.node_id, accepted_keys=int(planned_keys))
 
-    def _transfer(self, path: str, data: bytes, parent=NULL_SPAN) -> Message:
-        """Warmup backfill: hand one moved key to the bounded data mover.
-
-        The mover — not this handler — writes the NVMe entry, so transfer
-        ingest obeys the same queue depth / coalescing / caller-runs
-        policy as miss recaching: a join cannot stampede this node.  The
-        reply reports the queue length so the coordinator can throttle.
-        """
+    def _transfer(self, path: str, data: bytes, installs: list, parent=NULL_SPAN) -> Message:
+        """Warmup backfill: one moved key takes the miss's claim → reply →
+        install path, coalescing included, so a join cannot stampede this
+        node.  The reply reports :attr:`mover_queue_len` for the
+        coordinator's throttle."""
         if not path:
             self.stats.bump(errors=1)
             return Message.error_response("missing path")
-        accepted = self.mover.submit(path, data, ctx=parent.ctx)
-        if accepted:
-            self.stats.bump(transfers_in=1, transfer_bytes=len(data))
-        return Message.ok_response(accepted=accepted, queue_len=self.mover.queue_len)
+        self._claim(installs, path, data, parent.ctx)
+        self.stats.bump(transfers_in=1, transfer_bytes=len(data))
+        return Message.ok_response(accepted=True, queue_len=self.mover_queue_len)
 
     def _put(self, path: str, data: bytes) -> Message:
         """Replica push (replication extension): install an entry directly."""

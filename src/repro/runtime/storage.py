@@ -11,10 +11,11 @@
 
 from __future__ import annotations
 
-import functools
+import errno
 import hashlib
 import itertools
 import os
+import stat
 import struct
 import time
 import weakref
@@ -31,7 +32,10 @@ _SLOT_MIN = 1 << 12  # slot sizes are the powers of two from 4 KiB up
 #: one record per slot: key digest, install sequence (0: no entry), entry bytes
 _RECORD = struct.Struct("<16sQQ")
 _NO_RECORD = bytes(_RECORD.size)
-_REAL_MEMO = 1 << 14  # verified keys a PFSDir remembers
+_DIR_MEMO = 1 << 12  # verified directories a PFSDir remembers
+#: leaves that name no file of their directory: they take the full check
+_NOT_A_NAME = ("", ".", "..")
+_OPEN_LEAF = os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC
 
 
 def _digest(key: str) -> bytes:
@@ -276,9 +280,20 @@ class NVMeDir:
 
 
 class PFSDir:
-    """Shared 'parallel file system' directory with optional read delay;
-    containment is checked once per key (only verified paths are memoised):
-    the TOCTOU window of ``realpath`` followed by ``open``, held open longer."""
+    """Shared 'parallel file system' directory with optional read delay.
+
+    **Containment.**  No key reaches outside the root: ``..`` climbs,
+    symlinks, and sibling directories that merely share the root's name as
+    a prefix (``/x/pfs-evil`` against ``/x/pfs``) raise ``PermissionError``.
+    A key splits at its last ``/``.  Its directory part is resolved with
+    ``realpath`` and checked once per directory; only a directory that
+    exists and passed is memoised.  Its leaf is opened with ``O_NOFOLLOW``,
+    so a read in a verified directory is one ``open`` and a leaf swapped
+    for a symlink meanwhile fails the open.  A symlink leaf (``ELOOP``, or
+    one ``lstat`` outside :meth:`read`) and a leaf of ``.``, ``..`` or
+    nothing take the full ``realpath`` check of the whole key.  The window
+    left open is a directory on a verified path swapped for a symlink later.
+    """
 
     def __init__(self, root: str | Path, read_delay: float = 0.0):
         self.root = Path(root)
@@ -290,35 +305,65 @@ class PFSDir:
             raise ValueError("read_delay must be >= 0")
         self.read_delay = read_delay
         self._reads = 0
-        self._lock = lockwitness.named_lock("pfs-reads")
-        self._real = functools.lru_cache(maxsize=_REAL_MEMO)(self._real)
+        self._lock = lockwitness.named_lock("pfs-dir")
+        #: a key's directory part → its verified real path, with separator
+        self._dirs: dict[str, str] = {}
 
     @property
     def reads(self) -> int:
         return self._reads
 
-    def _real(self, key: str) -> str:
-        """Map a dataset key (absolute-ish path) into this PFS root.
-
-        Raises ``PermissionError`` for a key that resolves outside it —
-        ``..`` climbs, symlinks, and sibling directories that merely share
-        the root's name as a prefix (``/x/pfs-evil`` against ``/x/pfs``).
-        """
-        path = os.path.realpath(self._real_prefix + key.lstrip("/"))
+    def _real(self, key: str, part: Optional[str] = None) -> str:
+        """``part`` of ``key`` (all of it by default) resolved symlink-free;
+        ``PermissionError`` when that lands outside the root."""
+        path = os.path.realpath(self._real_prefix + (key if part is None else part).lstrip("/"))
         if not (path + os.sep).startswith(self._real_prefix):
             raise PermissionError(f"path escape: {key!r}")
         return path
 
+    def _leaf(self, key: str) -> str:
+        """The key's leaf in its verified directory; the full check's answer
+        for a leaf that names no file."""
+        head, _, leaf = key.rpartition("/")
+        if leaf in _NOT_A_NAME:
+            return self._real(key)
+        real = self._dirs.get(head)
+        if real is None:
+            real = os.path.join(self._real(key, head), "")
+            # only a directory that exists: one created later may be a symlink
+            if os.path.isdir(real):
+                with self._lock:
+                    if len(self._dirs) >= _DIR_MEMO:
+                        del self._dirs[next(iter(self._dirs))]
+                    self._dirs[head] = real
+        return real + leaf
+
+    def _path(self, key: str) -> str:
+        """:meth:`_leaf`, with a symlink leaf resolved and checked in full."""
+        path = self._leaf(key)
+        try:
+            mode = os.lstat(path).st_mode
+        except OSError:
+            return path  # nothing there (yet): the caller's own call reports it
+        return self._real(key) if stat.S_ISLNK(mode) else path
+
     def resolve(self, key: str) -> Path:
-        return Path(self._real(key))
+        return Path(self._path(key))
 
     def exists(self, key: str) -> bool:
-        return os.path.exists(self._real(key))
+        return os.path.exists(self._path(key))
 
     def read(self, key: str) -> bytes:
         if self.read_delay:
             time.sleep(self.read_delay)
-        with open(self._real(key), "rb", buffering=0) as f:
+        path = self._leaf(key)
+        try:
+            fd = os.open(path, _OPEN_LEAF)
+        except OSError as exc:
+            if exc.errno != errno.ELOOP:
+                raise
+            fd = os.open(self._real(key), os.O_RDONLY | os.O_CLOEXEC)  # a symlink leaf
+        with open(fd, "rb", buffering=0) as f:
             data = f.read()
         with self._lock:
             self._reads += 1

@@ -28,10 +28,9 @@ from repro.analysis import lockwitness
 from repro.sim import Environment
 
 #: thread-name prefixes owned by the runtime; anything still alive after the
-#: suite means a handler/mover/chaos thread leaked past its owner's close()
+#: suite means a handler/chaos thread leaked past its owner's close()
 _RUNTIME_THREAD_PREFIXES = (
     "ftcache-server-",
-    "data-mover-",
     "replica-push",
     "loadgen-chaos",
     "chaos-monkey",
@@ -100,7 +99,7 @@ def _combined_lock_cycles(runtime_report: dict) -> list:
 
 
 def pytest_sessionfinish(session, exitstatus):  # noqa: D103 - pytest hook
-    # Post-suite leaked-thread assertion: a hung handler or mover thread
+    # Post-suite leaked-thread assertion: a hung handler or chaos thread
     # should fail the build, not wedge it until the CI job timeout.
     deadline = time.monotonic() + 5.0
     leaked = _leaked_runtime_threads()

@@ -74,14 +74,14 @@ class TestSpan:
             assert "t_wall" in rec and "t_mono" in rec
 
     def test_cross_thread_end_is_safe(self):
-        # The mover ends queue-wait spans on a worker thread, not the
-        # submitting thread; the contextvar token reset must not blow up.
+        # The loop starts exec-queue spans and a dispatch thread ends them;
+        # the contextvar token reset must not blow up.
         tracer = Tracer(node="n")
-        span = tracer.start_trace("mover.queue_wait")
+        span = tracer.start_trace("server.exec_queue")
         t = threading.Thread(target=span.end, name="obs-test-end", daemon=True)
         t.start()
         t.join()
-        assert tracer.buffer.snapshot()[0]["name"] == "mover.queue_wait"
+        assert tracer.buffer.snapshot()[0]["name"] == "server.exec_queue"
 
 
 class TestTracerSampling:

@@ -1,7 +1,7 @@
 """End-to-end elastic join against a real LocalCluster (sockets and all).
 
 The contract under test is the tentpole: a live join is planned, warmed
-through the bounded mover, and cut over with zero client-visible errors —
+through the joiner's install path, and cut over with zero client-visible errors —
 and the MembershipView admission is observable *before* any placement can
 route to the new node (the lookup-before-backfill window).
 """
@@ -15,9 +15,9 @@ from repro.runtime.cluster import LocalCluster
 
 
 def _wait_mover_drained(server, timeout=5.0):
-    """Transfers are async behind the bounded mover; wait for the flush."""
+    """Transfers are installed after their replies; wait for the flush."""
     deadline = time.monotonic() + timeout
-    while (server.mover.queue_len or server.mover._inflight) and time.monotonic() < deadline:
+    while server.mover_queue_len and time.monotonic() < deadline:
         time.sleep(0.01)
 
 

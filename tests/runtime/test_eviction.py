@@ -431,7 +431,7 @@ class TestEvictionRaceRegression:
 
         nvme.read = racing_read
         try:
-            resp = server._read("/data/a.bin")
+            resp = server._read("/data/a.bin", [])
         finally:
             server.close()
         assert resp.ok

@@ -1,59 +1,71 @@
-"""Connection & data-mover lifecycle hardening (the ISSUE 3 bug classes).
+"""Connection & data-mover lifecycle hardening.
 
 Two failure modes this file pins down:
 
 * a **stale pooled socket** after a server restart must never be fed to
   the failure detector as node evidence — the client reconnects
   transparently and only the fresh attempt counts;
-* a **miss storm** must not spawn unbounded data-mover threads — the
-  bounded pool coalesces duplicates, makes the submitter run what the
-  full queue cannot take (nothing is shed), and drains gracefully on close.
+* a **miss storm** must not spawn threads beyond the dispatch threads —
+  each miss claims its install before its reply and writes it on its own
+  dispatch thread after, duplicates coalesce, nothing is shed, and close
+  waits for what was claimed.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.runtime import LocalCluster
-from repro.runtime.server import DataMoverPool, FTCacheServer, ServerStats
+from repro.runtime import LocalCluster, Message, recv_message
+from repro.runtime.server import FTCacheServer
 from repro.runtime.storage import NVMeDir, PFSDir
 
+from tests.runtime.test_server_conn import _connect, _read_req, _stat_req
 
-def _mover_threads(node_id: int = 0) -> list[threading.Thread]:
-    prefix = f"data-mover-{node_id}-"
+
+def _threads(prefix: str) -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name.startswith(prefix) and t.is_alive()]
 
 
-class _SlowNVMeDir(NVMeDir):
-    """NVMe stand-in whose writes lag, so the mover queue actually fills."""
-
-    def __init__(self, root, write_delay: float = 0.002, **kwargs):
-        super().__init__(root, **kwargs)
-        self.write_delay = write_delay
-
-    def write(self, key: str, data: bytes) -> None:
-        time.sleep(self.write_delay)
-        super().write(key, data)
+def _rpc(sock: socket.socket, frame: bytes) -> Message:
+    sock.sendall(frame)
+    resp = recv_message(sock)
+    assert resp.ok, resp.header
+    return resp
 
 
 class _GatedNVMeDir(NVMeDir):
-    """NVMe stand-in whose writes announce themselves, park until released,
-    and record which thread performed them."""
+    """NVMe stand-in whose writes announce themselves and park until
+    released; it records the keys written and how many were when closed."""
 
     def __init__(self, root):
         super().__init__(root)
         self.entered = threading.Semaphore(0)
         self.release = threading.Event()
-        self.writers: dict[str, str] = {}
+        self.writes: list[str] = []
+        self.written_at_close = None
 
     def write(self, key: str, data: bytes) -> None:
-        self.writers[key] = threading.current_thread().name
         self.entered.release()
         assert self.release.wait(timeout=10)
         super().write(key, data)
+        self.writes.append(key)
+
+    def close(self) -> None:
+        if self.written_at_close is None:
+            self.written_at_close = len(self.writes)
+        super().close()
+
+
+def _gated_server(tmp_path, files: dict[str, bytes]) -> tuple[FTCacheServer, _GatedNVMeDir]:
+    pfs = PFSDir(tmp_path / "pfs")
+    for key, data in files.items():
+        pfs.write(key, data)
+    nvme = _GatedNVMeDir(tmp_path / "nvme")
+    return FTCacheServer(0, nvme, pfs).start(), nvme
 
 
 class TestStaleSocketRegression:
@@ -157,7 +169,7 @@ class TestStaleSocketRegression:
             for p in paths:  # misses: served by the server *from the PFS*
                 client.read(p)
             deadline = time.monotonic() + 5.0
-            while c.servers[0].mover.queue_len and time.monotonic() < deadline:
+            while c.servers[0].mover_queue_len and time.monotonic() < deadline:
                 time.sleep(0.01)
             for p in paths:  # hits: served from the cache
                 client.read(p)
@@ -168,103 +180,109 @@ class TestStaleSocketRegression:
 
 
 class TestDataMoverPool:
+    """The install path: claimed before the reply, written after it on the
+    dispatch thread that served the miss — no thread or queue of its own."""
+
     def test_miss_storm_keeps_threads_bounded(self, tmp_path):
-        """500 distinct misses against one server with an 8-deep queue and a
-        slow device: live mover threads stay at the pool size, the overflow
-        is installed by the submitting thread, and nothing is shed."""
+        """500 distinct misses pipelined at one server: no thread beyond its
+        dispatch threads ever runs, and every miss is recached."""
         pfs = PFSDir(tmp_path / "pfs")
         keys = [f"/dataset/storm/sample_{i:06d}.bin" for i in range(500)]
         for k in keys:
             pfs.write(k, b"\x42" * 64)
-        nvme = _SlowNVMeDir(tmp_path / "nvme", write_delay=0.002)
-        server = FTCacheServer(0, nvme, pfs, mover_workers=2, mover_queue_depth=8)
+        nvme = NVMeDir(tmp_path / "nvme")
+        server = FTCacheServer(0, nvme, pfs, dispatch_workers=3).start()
         try:
-            baseline = threading.active_count()
-            max_movers = 0
-            max_active = 0
-            for k in keys:
-                resp = server._read(k)
-                assert resp.ok and resp.header["source"] == "pfs"
-                max_movers = max(max_movers, len(_mover_threads(0)))
-                max_active = max(max_active, threading.active_count())
-                assert server.mover.queue_len <= 8
-            assert max_movers <= 2
-            # the old thread-per-miss code would have pushed this by O(storm)
-            assert max_active <= baseline + 4
-            counters = server.stats.counters()
-            assert counters["mover_enqueued"] + counters["mover_coalesced"] == 500
+            with _connect(server) as sock:
+                sock.sendall(b"".join(_read_req(k, seq) for seq, k in enumerate(keys, start=1)))
+                for _ in keys:
+                    resp = recv_message(sock)
+                    assert resp.ok and resp.header["source"] == "pfs"
+                    assert len(_threads("ftcache-server-0-exec")) <= 3
+                    assert not _threads("data-mover-")
         finally:
-            server.close()
-        # graceful drain: everything admitted got written — queued or caller-run
+            server.close()  # returns once every claimed install is written
         final = server.stats.counters()
-        assert final["mover_dropped"] == 0
+        assert final["mover_dropped"] == final["mover_coalesced"] == 0
         assert final["recached"] == final["mover_enqueued"] == 500
         assert nvme.entry_count() == 500
-        assert len(_mover_threads(0)) == 0  # workers exited
 
     def test_duplicate_keys_coalesce(self, tmp_path):
-        nvme = _SlowNVMeDir(tmp_path / "nvme", write_delay=0.01)
-        stats = ServerStats()
-        pool = DataMoverPool(nvme, stats, node_id=7, workers=1, queue_depth=16)
+        """A second dispatch thread missing a key whose install is still
+        being written serves it and coalesces: the key is written once."""
+        server, nvme = _gated_server(tmp_path, {"/same/key.bin": b"payload"})
         try:
-            for _ in range(10):
-                assert pool.submit("/same/key.bin", b"payload")
-        finally:
-            pool.close()
-        assert stats.mover_coalesced >= 8
-        assert stats.mover_enqueued + stats.mover_coalesced == 10
-        assert stats.mover_dropped == 0
-        assert nvme.entry_count() == 1
-
-    def test_overflow_runs_on_the_caller(self, tmp_path):
-        """A full queue makes the submitter install its own entry — on its
-        own thread, before ``submit`` returns — and a duplicate of that key
-        submitted meanwhile is coalesced, not installed twice."""
-        nvme = _GatedNVMeDir(tmp_path / "nvme")
-        stats = ServerStats()
-        pool = DataMoverPool(nvme, stats, node_id=8, workers=1, queue_depth=1)
-        overflow = threading.Thread(
-            target=pool.submit, args=("/k2.bin", b"x" * 16), name="overflow-submitter", daemon=True
-        )
-        try:
-            pool.submit("/k0.bin", b"x" * 16)
-            assert nvme.entered.acquire(timeout=10)  # the worker holds k0, parked in write
-            pool.submit("/k1.bin", b"x" * 16)  # fills the queue
-            overflow.start()
-            assert nvme.entered.acquire(timeout=10)  # k2's install is running inline
-            assert pool.queue_len == 1 and overflow.is_alive()
-            assert pool.submit("/k2.bin", b"x" * 16)  # returns at once: coalesced
-            assert stats.mover_coalesced == 1
+            with _connect(server) as sock:
+                assert _rpc(sock, _read_req("/same/key.bin", 1)).payload == b"payload"
+                assert nvme.entered.acquire(timeout=10)  # its install is parked in write
+                second = _rpc(sock, _read_req("/same/key.bin", 2))
+                assert second.payload == b"payload" and second.header["source"] == "pfs"
         finally:
             nvme.release.set()
-            overflow.join(timeout=10)
-            pool.close()
-        assert not overflow.is_alive()
-        assert nvme.writers["/k2.bin"] == "overflow-submitter"
-        assert nvme.writers["/k0.bin"] == nvme.writers["/k1.bin"] == "data-mover-8-0"
-        assert (stats.mover_enqueued, stats.recached, stats.mover_dropped) == (3, 3, 0)
-        assert nvme.entry_count() == 3
+            server.close()
+        assert nvme.writes == ["/same/key.bin"]
+        c = server.stats.counters()
+        assert (c["misses"], c["mover_enqueued"], c["mover_coalesced"], c["recached"]) == (2, 1, 1, 1)
 
-    def test_close_drains_queue(self, tmp_path):
-        nvme = _SlowNVMeDir(tmp_path / "nvme", write_delay=0.005)
-        stats = ServerStats()
-        pool = DataMoverPool(nvme, stats, node_id=9, workers=2, queue_depth=64)
-        for i in range(20):
-            pool.submit(f"/drain/{i}.bin", b"y" * 32)
-        pool.close()
-        assert nvme.entry_count() == 20
-        assert stats.recached == 20
-        assert not pool.submit("/late.bin", b"z")  # closed pool refuses work
+    def test_serve_then_cache(self, tmp_path):
+        """Sec IV-B order: a miss's bytes reach the client while its install
+        is parked on the device, and the install was claimed when the reply
+        was posted; releasing the device brings STAT to quiescence."""
+        server, nvme = _gated_server(tmp_path, {"/k.bin": b"bytes"})
+        loop = server._loop
+        posted: list[int] = []  # claimed installs as each reply was handed to the loop
+
+        def post(callback, *args):
+            posted.append(server.mover_queue_len)
+            return type(loop).call_soon_threadsafe(loop, callback, *args)
+
+        loop.call_soon_threadsafe = post
+        try:
+            with _connect(server) as sock:
+                assert _rpc(sock, _read_req("/k.bin", 1)).payload == b"bytes"
+                del loop.call_soon_threadsafe
+                assert posted == [1]
+                assert nvme.entered.acquire(timeout=10) and not nvme.writes
+                stat = _rpc(sock, _stat_req(2)).header
+                assert stat["mover_queue_len"] == 1
+                assert stat["mover_enqueued"] - stat["recached"] == 1
+                nvme.release.set()
+                deadline = time.monotonic() + 10
+                while stat["mover_queue_len"] or stat["mover_enqueued"] != stat["recached"]:
+                    assert time.monotonic() < deadline, stat
+                    stat = _rpc(sock, _stat_req(3)).header
+            assert nvme.writes == ["/k.bin"] and stat["recached"] == 1
+        finally:
+            nvme.release.set()
+            server.close()
+
+    def test_close_waits_for_a_claimed_install(self, tmp_path):
+        """close() returns after a claimed install is written, and closes
+        the NVMe dir only then."""
+        server, nvme = _gated_server(tmp_path, {"/k.bin": b"bytes"})
+        closer = threading.Thread(target=server.close, name="closer", daemon=True)
+        try:
+            with _connect(server) as sock:
+                assert _rpc(sock, _read_req("/k.bin", 1)).payload == b"bytes"
+            assert nvme.entered.acquire(timeout=10)
+            closer.start()
+            closer.join(timeout=0.3)
+            assert closer.is_alive()  # held by the parked install
+        finally:
+            nvme.release.set()
+            if closer.is_alive():
+                closer.join(timeout=10)
+            server.close()
+        assert not closer.is_alive()
+        assert nvme.written_at_close == 1
+        assert server.stats.counters()["recached"] == 1 and server.mover_queue_len == 0
 
     def test_validation(self, tmp_path):
-        nvme = NVMeDir(tmp_path / "nvme")
         with pytest.raises(ValueError):
-            DataMoverPool(nvme, ServerStats(), 0, workers=0)
-        with pytest.raises(ValueError):
-            DataMoverPool(nvme, ServerStats(), 0, queue_depth=0)
+            FTCacheServer(0, NVMeDir(tmp_path / "nvme"), PFSDir(tmp_path / "pfs"), dispatch_workers=0)
 
     def test_mover_counters_surface_in_stat_and_snapshots(self, tmp_path):
-        with LocalCluster(n_servers=1, workdir=tmp_path, mover_workers=1, mover_queue_depth=4) as c:
+        with LocalCluster(n_servers=1, workdir=tmp_path) as c:
             paths = c.populate(n_files=6, file_bytes=128, seed=10)
             client = c.client()
             for p in paths:
@@ -272,8 +290,9 @@ class TestDataMoverPool:
             stat = client.server_stat(0)
             assert stat is not None
             for key in ("mover_enqueued", "mover_coalesced", "mover_dropped",
-                        "mover_queue_len", "mover_workers", "race_fallthroughs"):
+                        "mover_queue_len", "race_fallthroughs"):
                 assert key in stat
+            assert "mover_workers" not in stat
             snap = c.server_snapshots()[0]
             for key in ("mover_enqueued", "mover_dropped", "race_fallthroughs", "mover_queue_len"):
                 assert key in snap
@@ -297,7 +316,7 @@ class TestRaceFallthroughCounter:
                 return real_read(k)
 
             nvme.read = racing_read
-            resp = server._read(key)
+            resp = server._read(key, [])
             assert resp.ok and resp.header["source"] == "pfs"
             counters = server.stats.counters()
             assert counters["race_fallthroughs"] == 1

@@ -1,6 +1,7 @@
 """Property-based fuzzing of the wire protocol."""
 
 import json
+import os
 import socket
 import threading
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.runtime import Message, PFSDir, recv_message
+from repro.runtime import Message, PFSDir, recv_message, storage
 from repro.runtime.protocol import (
     _MAX_HEADER,
     BIN_OPS,
@@ -231,6 +232,7 @@ class TestPFSRootEscape:
         pfs.write("/dataset/a.bin", b"inside")
         (pfs.root / "linkdir").symlink_to(base / "pfs-evil", target_is_directory=True)
         (pfs.root / "dataset" / "link.bin").symlink_to(base / "outside.txt")
+        (pfs.root / "dataset" / "inlink.bin").symlink_to(pfs.root / "dataset" / "a.bin")
         return pfs
 
     @pytest.mark.parametrize(
@@ -269,6 +271,39 @@ class TestPFSRootEscape:
     def test_dotdot_inside_the_root_is_fine(self, pfs):
         assert pfs.read("/dataset/sub/../a.bin") == b"inside"
         assert pfs.read("dataset/./a.bin") == b"inside"
+
+    def test_leaf_symlink_inside_the_root_is_followed(self, pfs):
+        key = "/dataset/inlink.bin"
+        assert pfs.read(key) == b"inside"
+        assert pfs.exists(key)
+        assert pfs.resolve(key) == pfs.resolve("/dataset/a.bin")
+
+    def test_directory_memo_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(storage, "_DIR_MEMO", 8)
+        pfs = PFSDir(tmp_path / "pfs")
+        for i in range(3 * 8):
+            (pfs.root / f"d{i}").mkdir()
+            (pfs.root / f"d{i}" / "k.bin").write_bytes(b"k")
+            assert pfs.read(f"/d{i}/k.bin") == b"k"
+            assert len(pfs._dirs) <= 8
+        assert len(pfs._dirs) == 8
+
+    def test_a_verified_directory_costs_no_path_walk(self, tmp_path, monkeypatch):
+        """Once one read has verified a directory, a fresh key in it is one
+        ``open``: neither ``lstat`` nor ``realpath`` runs."""
+        train = tmp_path / "pfs" / "dataset" / "train"
+        train.mkdir(parents=True)
+        (train / "a.bin").write_bytes(b"a")
+        (train / "b.bin").write_bytes(b"b")
+        pfs = PFSDir(tmp_path / "pfs")
+        assert pfs.read("/dataset/train/a.bin") == b"a"
+
+        def walk(*args, **kwargs):
+            raise AssertionError("path walk in a verified directory")
+
+        monkeypatch.setattr(os, "lstat", walk)
+        monkeypatch.setattr(os.path, "realpath", walk)
+        assert pfs.read("/dataset/train/b.bin") == b"b"
 
     @settings(max_examples=120, deadline=None)
     @given(

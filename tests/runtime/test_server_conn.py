@@ -365,7 +365,7 @@ class TestCompletionCallback:
         assert log_records == []
 
     def test_dispatch_exception_counts_once_and_severs(self, node, log_records):
-        def broken(msg, span):
+        def broken(*_):
             raise RuntimeError("dispatch bug")
 
         node._dispatch = broken
