@@ -22,11 +22,8 @@ Package map
 ``repro.failures``
     Synthetic Frontier SLURM log + Section III analysis + injection.
 ``repro.runtime``
-    Real threaded FT-Cache over TCP/files, sharing the same core.
-``repro.loadgen``
-    Load generation & latency benchmarking against the real runtime:
-    Zipf/uniform workloads, closed/open-loop drivers, chaos scenarios
-    (``python -m repro.loadgen``).
+    Real threaded FT-Cache over TCP/files, sharing the same core
+    (timed end to end by ``bench/run.py``).
 ``repro.metrics``
     Counters, timelines, traces, and the mergeable log-bucketed
     :class:`~repro.metrics.LatencyHistogram`.

@@ -1,7 +1,7 @@
 """RES001 — socket/file handle must be closed on *every* path.
 
-A CFG-based may-leak analysis scoped to ``repro.runtime`` and
-``repro.loadgen`` (the packages that own real sockets and spill files).
+A CFG-based may-leak analysis scoped to ``repro.runtime`` (the package
+that owns real sockets and spill files).
 For each local variable bound directly from an acquiring call —
 ``open(...)``, ``socket.socket(...)``, ``socket.create_connection(...)``
 — a forward boolean dataflow ("may this variable hold an open resource
@@ -47,7 +47,7 @@ _ACQUIRE_NAMES = {
     "socket.create_connection",
 }
 _CLOSE_ATTRS = {"close"}
-_PACKAGES = (("repro", "runtime"), ("repro", "loadgen"))
+_PACKAGES = (("repro", "runtime"),)
 
 
 def _is_acquire(call: ast.Call) -> Optional[str]:

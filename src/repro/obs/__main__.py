@@ -1,7 +1,7 @@
 """``python -m repro.obs`` — merge span dumps into cross-node trace trees.
 
-Typical use after a traced loadgen run (which writes one
-``spans-<node>.jsonl`` per process into ``--obs-dir``)::
+Typical use after a traced run, once ``LocalCluster.dump_obs(dir)`` has
+written one ``spans-<node>.jsonl`` per process into ``dir``::
 
     python -m repro.obs results/obs/            # whole directory
     python -m repro.obs spans-client.jsonl spans-0.jsonl --slowest 5
@@ -48,7 +48,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def analyse(paths: list[str], slowest: int = 3, root_name=None) -> dict:
-    """The full analysis as one JSON-safe dict (shared by CLI and loadgen)."""
+    """The full analysis as one JSON-safe dict (what ``--json`` writes)."""
     spans = load_span_files(paths)
     traces = build_traces(spans)
     exemplars = slowest_traces(traces, n=slowest, root_name=root_name)

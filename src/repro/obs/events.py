@@ -165,7 +165,7 @@ def get_event_log() -> EventLog:
 
 
 def reset_event_log(capacity: int = DEFAULT_CAPACITY, path: Optional[str | Path] = None) -> EventLog:
-    """Replace the global log (tests; loadgen runs opening a file sink)."""
+    """Replace the global log (tests; runs that want a file sink)."""
     global _default
     fresh = EventLog(capacity=capacity, path=path)
     with _default_lock:

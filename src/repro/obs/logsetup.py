@@ -5,7 +5,7 @@ without making any CLI noisy until asked:
 
 * the ``repro`` logger gets a :class:`logging.NullHandler` on import, so
   an un-configured process emits nothing (no ``lastResort`` stderr spam);
-* :func:`configure_logging` (wired to ``--log-level`` on both CLIs)
+* :func:`configure_logging` (wired to the runtime CLI's ``--log-level``)
   attaches one stream handler whose formatter stamps every line with the
   emitting node and the trace id active on the calling thread — a log
   line inside a traced request is greppable by the same ``trace_id`` the

@@ -56,7 +56,7 @@ class MovePlan:
         return sum(self.bytes_by_source.values())
 
     def to_dict(self) -> dict:
-        """JSON-ready summary (the BENCH ``rebalance.plan`` block)."""
+        """JSON-ready summary of the plan."""
         return {
             "node": self.node,
             "weight": self.weight,

@@ -2,8 +2,7 @@
 
 One :class:`JoinReport` per join attempt, combining the plan summary, the
 warmup's measured traffic (where each key's bytes actually came from, how
-often the mover's bounded queue pushed back), and the cutover epochs.
-``to_dict()`` is the BENCH ``rebalance`` block (schema v3).
+often the install backlog throttled it), and the cutover epochs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ __all__ = ["JoinReport"]
 
 @dataclass
 class JoinReport:
-    """Everything one join attempt did, for bench JSON and assertions."""
+    """Everything one join attempt did, for the bench and assertions."""
 
     node: object
     state: str = "PLANNED"
@@ -42,24 +41,3 @@ class JoinReport:
     abort_reason: str = ""
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        out = {
-            "node": self.node,
-            "state": self.state,
-            "warmed_keys": self.warmed_keys,
-            "warmed_bytes": self.warmed_bytes,
-            "source_cache_reads": self.source_cache_reads,
-            "source_pfs_reads": self.source_pfs_reads,
-            "pfs_fallback_reads": self.pfs_fallback_reads,
-            "transfers_rejected": self.transfers_rejected,
-            "throttle_pauses": self.throttle_pauses,
-            "warmup_seconds": self.warmup_seconds,
-            "planned_epoch": self.planned_epoch,
-            "cutover_epoch": self.cutover_epoch,
-        }
-        if self.plan is not None:
-            out["plan"] = self.plan.to_dict()
-        if self.abort_reason:
-            out["abort_reason"] = self.abort_reason
-        out.update(self.extras)
-        return out

@@ -39,9 +39,8 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import time
 from contextlib import contextmanager
-from typing import Callable, Hashable, Optional
+from typing import Hashable, Optional
 
 from ..analysis import lockwitness
 from ..core.failure_detector import TimeoutFailureDetector
@@ -117,15 +116,13 @@ class _OpContext(threading.local):
     """Per-thread state of the top-level operation in flight.
 
     ``span`` is the active root span (RPC spans parent to it and inject
-    its trace context on the wire); ``node_id``/``reconnects`` accumulate
-    attribution for the ``on_op`` hook: which node finally served the
-    request and how many transparent pooled-socket reconnects it took.
+    its trace context on the wire); ``node_id`` is the node that finally
+    served the request, recorded on the root span.
     """
 
     def __init__(self) -> None:
         self.span = None
         self.node_id: Optional[NodeId] = None
-        self.reconnects = 0
 
 
 class FTCacheClient:
@@ -139,22 +136,9 @@ class FTCacheClient:
         ttl: float = 1.0,
         timeout_threshold: int = 3,
         max_reroute_rounds: int = 32,
-        on_op: Optional[Callable[[str, str, float, str, Optional[NodeId], int], None]] = None,
         tracer: Optional[Tracer] = None,
     ):
         """``servers`` maps node id → ``(host, port)``.
-
-        ``on_op(op, path, seconds, outcome, node_id, reconnects)`` — if
-        given — is invoked after every completed top-level operation with
-        its wall-clock duration: ``op`` is ``"read"``/``"write"``;
-        ``outcome`` is the serving source (``"cache"``/``"pfs"``/
-        ``"pfs_direct"``), ``"ok"`` for writes, or ``"error"`` when the
-        call raised; ``node_id`` is the node that answered (None when the
-        bytes came straight from the PFS); ``reconnects`` counts the
-        transparent pooled-socket reconnects the operation needed.  The
-        load generator uses this to time requests end-to-end, including
-        detection stalls and re-routes.  The callback runs on the calling
-        thread and must be cheap.
 
         ``tracer`` — when given — roots a distributed trace per top-level
         operation (subject to the tracer's sample rate) and injects its
@@ -166,7 +150,6 @@ class FTCacheClient:
         self.pfs = pfs
         self.detector = TimeoutFailureDetector(ttl=ttl, threshold=timeout_threshold)
         self.max_reroute_rounds = max_reroute_rounds
-        self.on_op = on_op
         self.tracer = tracer if tracer is not None else Tracer(node="client", enabled=False)
         self.log = node_logger(__name__, getattr(self.tracer, "node", "client"))
         self._op_ctx = _OpContext()
@@ -200,9 +183,8 @@ class FTCacheClient:
         declaration), and any bytes that had to come from the PFS are
         pushed to the remaining replicas in the background.
         """
-        t0 = time.perf_counter()
         octx = self._op_ctx
-        octx.node_id, octx.reconnects = None, 0
+        octx.node_id = None
         span = self.tracer.start_trace("client.read", path=path)
         octx.span = span
         try:
@@ -210,11 +192,9 @@ class FTCacheClient:
         except Exception:
             octx.span = None
             span.end(status="error")
-            self._notify("read", path, time.perf_counter() - t0, "error")
             raise
         octx.span = None
         span.set(source=source, node_id=octx.node_id).end()
-        self._notify("read", path, time.perf_counter() - t0, source)
         return data
 
     def _read_routed(self, path: str) -> tuple[bytes, str]:
@@ -249,9 +229,8 @@ class FTCacheClient:
         read, so sustained write traffic also detects dead nodes, but the
         write itself still succeeds — the next read misses to the PFS).
         """
-        t0 = time.perf_counter()
         octx = self._op_ctx
-        octx.node_id, octx.reconnects = None, 0
+        octx.node_id = None
         span = self.tracer.start_trace("client.write", path=path)
         octx.span = span
         try:
@@ -262,11 +241,9 @@ class FTCacheClient:
         except Exception:
             octx.span = None
             span.end(status="error")
-            self._notify("write", path, time.perf_counter() - t0, "error")
             raise
         octx.span = None
         span.set(node_id=octx.node_id).end()
-        self._notify("write", path, time.perf_counter() - t0, "ok")
 
     def _install_in_cache(self, path: str, data: bytes) -> None:
         """Best-effort synchronous OP_PUT of fresh bytes to the owner node."""
@@ -352,7 +329,6 @@ class FTCacheClient:
             candidates = self._candidates(path)
             if candidates is not None and len(candidates) == 1:
                 groups.setdefault(candidates[0], []).append((i, path))
-        t0, octx = time.perf_counter(), self._op_ctx
         with self.tracer.start_trace("client.read_many", owners=len(groups), batch=len(paths)) as span:
             sent = [(node, batch, self._send_batch(node, batch, span)) for node, batch in groups.items()]
             drained = [(node, batch, conn and self._drain_batch(node, conn, len(batch)))
@@ -360,13 +336,11 @@ class FTCacheClient:
             for node, batch, replies in drained:
                 if not replies:
                     continue  # socket retired: this owner's keys go the sequential way
-                octx.node_id, octx.reconnects = node, 0
                 for seq, (i, path) in enumerate(batch, start=1):
                     if seq in replies:
                         results[i], source = self._read_outcome(node, path, replies[seq], pipelined=1)
                         if source == "pfs":
                             self._push_replicas(path, results[i], served_by=node)
-                        self._notify("read", path, time.perf_counter() - t0, source)
         # the rest (unpipelined routes, retired owners, unmatched seqs): sequential path
         return [results[i] if i in results else self.read(p) for i, p in enumerate(paths)]
 
@@ -549,11 +523,6 @@ class FTCacheClient:
         return resp.header.get("node_id") == node
 
     # -- internals -----------------------------------------------------------------
-    def _notify(self, op: str, path: str, seconds: float, outcome: str) -> None:
-        if self.on_op is not None:
-            octx = self._op_ctx
-            self.on_op(op, path, seconds, outcome, octx.node_id, octx.reconnects)
-
     def _bump(self, **deltas: int) -> None:
         with self._stats_lock:
             for k, d in deltas.items():
@@ -655,7 +624,6 @@ class FTCacheClient:
                     span.end(status="conn_error")
                     return None
                 self._bump(reconnects=1)  # stale pooled socket: retry once
-                octx.reconnects += 1
         span.end(status="error")
         return None  # pragma: no cover - loop always returns
 

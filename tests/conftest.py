@@ -32,7 +32,6 @@ from repro.sim import Environment
 _RUNTIME_THREAD_PREFIXES = (
     "ftcache-server-",
     "replica-push",
-    "loadgen-chaos",
     "chaos-monkey",
 )
 

@@ -97,7 +97,7 @@ class TestFig5:
         res = run_fig5(scale=tiny, model="des")
         assert res.model == "des"
         row = res.rows[0]
-        assert row.withfail["FT w/ NVMe"] > 0
+        assert row.withfail["FT w/ NVMe"] > row.nofail["FT w/ NVMe"] > 0
 
     def test_invalid_model(self):
         with pytest.raises(ValueError):
@@ -121,6 +121,12 @@ class TestFig6a:
     def test_nvme_beats_pfs_in_victim_epoch(self, result):
         for row in result.rows:
             assert row.nvme_recache <= row.pfs_redirect
+        # NVMe recaching approaches no-failure as the node count grows, and
+        # PFS redirection hurts most at the smallest scale
+        nvme_excess = [r.nvme_recache - r.no_failure for r in result.rows]
+        pfs_excess = [r.pfs_redirect - r.no_failure for r in result.rows]
+        assert nvme_excess[-1] <= nvme_excess[0]
+        assert pfs_excess[0] == max(pfs_excess)
 
     def test_format(self, result):
         assert "victim-epoch" in format_fig6a(result)
@@ -170,12 +176,12 @@ class TestAblations:
         assert "Strategy" in text
 
     def test_detector_tradeoff(self):
-        r = run_detector_ablation(ttls=(0.05, 2.0), thresholds=(1, 3), trials=50)
+        r = run_detector_ablation(ttls=(0.05, 2.0), thresholds=(1, 3, 5), trials=50)
         pts = {(p.ttl, p.threshold): p for p in r.points}
-        # Aggressive TTL + threshold 1 → many false positives; lenient
-        # TTL over the tail → none.
+        # Aggressive TTL + threshold 1 → many false positives; the published
+        # guidance (TTL over the latency tail, threshold >= 3) → none.
         assert pts[(0.05, 1)].false_positive_rate > 0.5
-        assert pts[(2.0, 3)].false_positive_rate < 0.05
+        assert all(p.false_positive_rate == 0.0 for p in r.points if p.ttl >= 2.0 and p.threshold >= 3)
         # Detection delay grows with both knobs.
         assert pts[(2.0, 3)].mean_detection_delay > pts[(0.05, 1)].mean_detection_delay
 

@@ -1,6 +1,7 @@
 """Property-based coverage for the log-bucketed latency histogram.
 
-The two contracts the loadgen subsystem leans on:
+The two contracts the per-op histograms of :mod:`repro.obs.registry`
+lean on:
 
 1. every reported quantile is within one bucket width (a bounded
    *relative* error) of the exact sorted-array quantile;

@@ -10,16 +10,19 @@ These are the trace-propagation invariants the tentpole promises:
 * a live ``join_server`` warmup roots one trace per moved key that spans
   the control client, the source owner, and the joining node;
 * ``OP_OBS`` exports the unified snapshot without disturbing RPC
-  conformance; tracing disabled injects no headers and records nothing.
+  conformance; tracing disabled injects no headers and records nothing;
+* ``dump_obs`` → ``python -m repro.obs`` accounts for where READ latency
+  goes and renders a cross-node critical path.
 """
 
+import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.loadgen import DriverConfig, PhaseSpec, Scenario, Workload, WorkloadSpec
 from repro.obs import build_traces, get_event_log
-from repro.obs.analysis import coverage_quantile, slowest_traces
+from repro.obs.__main__ import analyse, main as obs_main
 from repro.runtime import LocalCluster
 
 
@@ -31,6 +34,18 @@ def traced_cluster():
     ) as c:
         c.populate(n_files=18, file_bytes=1024, seed=5)
         yield c
+
+
+def _quiesce(cluster, client, timeout: float = 10.0) -> None:
+    """Condition wait: every install claimed before a reply is written, and
+    every tracer has closed each span it started."""
+    deadline = time.monotonic() + timeout
+    for node in cluster.servers:
+        while client.server_stat(node)["mover_queue_len"]:
+            assert time.monotonic() < deadline, f"node {node}'s installs never landed"
+    tracers = [client.tracer, *(s.tracer for s in cluster.servers.values())]
+    while any(t.in_flight for t in tracers):
+        assert time.monotonic() < deadline, "a span was started and never ended"
 
 
 def _all_spans(cluster):
@@ -70,16 +85,13 @@ class TestCrossNodeStitching:
         client = traced_cluster.client()
         for p in traced_cluster.paths:
             client.read(p)
-        time.sleep(0.3)  # let the installs after the replies end their spans
-        assert client.tracer.in_flight == 0
-        for server in traced_cluster.servers.values():
-            assert server.tracer.in_flight == 0
+        _quiesce(traced_cluster, client)  # the installs after the replies end their spans
 
     def test_recache_spans_reach_the_mover(self, traced_cluster):
         client = traced_cluster.client()
         for p in traced_cluster.paths[:4]:
             client.read(p)  # miss → PFS → mover recache
-        time.sleep(0.3)
+        _quiesce(traced_cluster, client)
         names = {s["name"] for s in _all_spans(traced_cluster)}
         assert {"mover.nvme_write", "server.pfs_read"} <= names
 
@@ -117,7 +129,7 @@ class TestJoinWarmupTracing:
         client = traced_cluster.client()
         for p in traced_cluster.paths:
             client.read(p)
-        time.sleep(0.2)
+        _quiesce(traced_cluster, client)
         report = traced_cluster.join_server(weight=1.0)
         assert report.warmed_keys > 0
         traces = build_traces(_all_spans(traced_cluster))
@@ -174,48 +186,40 @@ class TestObsExport:
                 assert len(s.tracer.buffer) == 0
 
 
-class TestScenarioObsBlock:
-    def test_v4_artifact_carries_breakdown_and_exemplars(self, traced_cluster):
-        workload = Workload(WorkloadSpec(n_files=18, file_bytes=1024, seed=5))
-        scenario = Scenario(
-            traced_cluster, workload,
-            phases=[PhaseSpec(name="steady", duration=0.6,
-                              driver=DriverConfig(mode="closed", workers=2))],
-        )
-        report = scenario.run(materialize=False)
-        obs = report.to_dict()["obs"]
-        assert obs["trace_sample_rate"] == 1.0
-        assert obs["spans"] > 0 and obs["traces"] > 0
-        assert "client.read" in obs["stage_breakdown"]
-        assert "server.read" in obs["stage_breakdown"]
-        assert obs["slowest_read_traces"], "no exemplar traces"
-        exemplar = obs["slowest_read_traces"][0]
-        assert exemplar["critical_path"][0] == "client.read"
-        # the acceptance bar: stages account for >= 90% of READ latency at p50
-        assert obs["coverage_p50"] >= 0.9
-        assert obs["events"]["events_emitted"] >= 0
+def _traced_reads_dumped(cluster, obs_dir):
+    """Two closed-loop readers over the corpus (the first pass misses, the
+    rest hit), then every process's spans dumped under ``obs_dir``."""
+    client = cluster.client()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert all(pool.map(client.read, cluster.paths * 4))
+    _quiesce(cluster, client)
+    return cluster.dump_obs(obs_dir)
 
-    def test_untraced_scenario_has_empty_obs_block(self):
-        with LocalCluster(n_servers=1, policy="elastic") as cluster:
-            cluster.populate(n_files=4, file_bytes=256, seed=2)
-            workload = Workload(WorkloadSpec(n_files=4, file_bytes=256, seed=2))
-            report = Scenario(
-                cluster, workload,
-                phases=[PhaseSpec(name="only", duration=0.3,
-                                  driver=DriverConfig(workers=1))],
-            ).run(materialize=False)
-        assert report.to_dict()["obs"] == {}
+
+class TestScenarioObsBlock:
+    def test_v4_artifact_carries_breakdown_and_exemplars(self, traced_cluster, tmp_path):
+        obs_dir = tmp_path / "obs"
+        _traced_reads_dumped(traced_cluster, obs_dir)
+        report = analyse([str(obs_dir)], slowest=1, root_name="client.read")
+        assert report["spans"] > 0 and report["traces"] > 0
+        assert {"client.read", "server.read"} <= set(report["stage_breakdown"])
+        # the acceptance bar: stages account for >= 90% of READ latency at p50
+        assert report["coverage_p50"] >= 0.9
+        assert report["slowest"], "no exemplar traces"
+        hops = report["slowest"][0]["critical_path"]
+        assert hops[0]["name"] == "client.read"
+        assert len({h["node"] for h in hops}) >= 2, "the slowest read never left the client"
 
     def test_dump_obs_round_trips_through_the_cli(self, traced_cluster, tmp_path, capsys):
-        from repro.obs.__main__ import main as obs_main
-
-        client = traced_cluster.client()
-        for p in traced_cluster.paths[:5]:
-            client.read(p)
-        files = traced_cluster.dump_obs(tmp_path / "obs")
+        obs_dir = tmp_path / "obs"
+        files = _traced_reads_dumped(traced_cluster, obs_dir)
         assert any(f.name.startswith("spans-server-") for f in files)
         assert any(f.name.startswith("spans-client-") for f in files)
-        rc = obs_main([str(tmp_path / "obs"), "--slowest", "1", "--root-name", "client.read"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "client.read" in out and "critical path:" in out
+
+        out = tmp_path / "analysis.json"
+        assert obs_main([str(obs_dir), "--slowest", "1", "--root-name", "client.read",
+                         "--json", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "client.read" in text and "critical path:" in text
+        report = analyse([str(obs_dir)], slowest=1, root_name="client.read")
+        assert json.loads(out.read_text())["spans"] == report["spans"]

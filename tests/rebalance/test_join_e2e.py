@@ -60,6 +60,23 @@ class TestJoinE2E:
         assert stat["join_plans"] == 1
         assert client.stats["timeouts"] == 0 and client.stats["declared"] == 0
 
+    def test_join_after_kill_and_restart(self, cluster):
+        """A join composes with a repair: the rejoined node kept its cache,
+        so the warmup still reads every moved key from a source cache."""
+        client = cluster.client()
+        for p in cluster.paths:
+            client.read(p)
+        for server in cluster.servers.values():
+            _wait_mover_drained(server)
+        cluster.kill_server(0)
+        cluster.restart_server(0)
+        report = cluster.join_server()
+        assert report.state == JoinState.SERVING.value
+        assert report.warmed_keys == report.source_cache_reads == report.plan.moved_keys > 0
+        for p in cluster.paths:
+            client.read(p)
+        assert client.stats["timeouts"] == 0 and client.stats["declared"] == 0
+
     def test_membership_notified_before_any_placement_routes(self, cluster):
         """Regression: the lookup-before-backfill window.
 

@@ -42,6 +42,14 @@ class TestHappyPath:
         for p, expected in direct.items():
             assert client.read(p) == expected
             assert client.read(p) == expected  # cached copy identical
+        # a write is durable in the PFS and installed in the owner's cache
+        path, data = "/dataset/train/written.bin", b"\x5a" * 4096
+        client.write(path, data)
+        assert cluster.pfs.read(path) == data
+        assert client.stats["writes"] == client.stats["cache_installs"] == 1
+        pfs_reads = client.stats["server_pfs_reads"]
+        assert client.read(path) == data
+        assert client.stats["server_pfs_reads"] == pfs_reads  # served from the installed copy
 
     def test_missing_file_raises(self, cluster):
         client = cluster.client()
