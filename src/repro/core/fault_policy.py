@@ -22,14 +22,17 @@ the real threaded runtime client:
 
 A policy owns a :class:`~repro.core.placement.PlacementPolicy` and exposes
 one routing query, :meth:`FaultPolicy.target_for`, returning either a node
-target or a PFS target.
+target or a PFS target; :meth:`FaultPolicy.targets_for` answers it for a
+whole batch (one bulk ring lookup under the ring-backed policies).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Hashable, Literal, Optional
+from typing import AbstractSet, Hashable, Literal, Optional, Sequence
+
+import numpy as np
 
 from .placement import Key, PlacementPolicy
 
@@ -71,6 +74,14 @@ class Target:
         return Target("pfs")
 
 
+def _owner_targets(owners: np.ndarray, failed: AbstractSet[NodeId] = frozenset()) -> list[Target]:
+    """The targets of a bulk lookup's owners — the PFS for a ``failed`` one —
+    with one shared :class:`Target` per distinct owner."""
+    owners = owners.tolist()
+    targets = {o: Target.to_pfs() if o in failed else Target.to_node(o) for o in set(owners)}
+    return [targets[o] for o in owners]
+
+
 class FaultPolicy(abc.ABC):
     """Routing + failure-reaction strategy over a placement policy."""
 
@@ -92,6 +103,10 @@ class FaultPolicy(abc.ABC):
     @abc.abstractmethod
     def target_for(self, key: Key) -> Target:
         """Routing decision for ``key`` under the current failure state."""
+
+    def targets_for(self, keys: Sequence[Key]) -> list[Target]:
+        """``[target_for(k) for k in keys]``: a batch's routing in one call."""
+        return [self.target_for(k) for k in keys]
 
     @abc.abstractmethod
     def on_node_failed(self, node: NodeId) -> None:
@@ -117,6 +132,9 @@ class NoFT(FaultPolicy):
     def target_for(self, key: Key) -> Target:
         return Target.to_node(self.placement.lookup(key))
 
+    def targets_for(self, keys: Sequence[Key]) -> list[Target]:
+        return _owner_targets(self.placement.lookup_many(keys))
+
     def on_node_failed(self, node: NodeId) -> None:
         self._failed.add(node)
         raise UnrecoverableNodeFailure(node)
@@ -138,6 +156,9 @@ class PFSRedirect(FaultPolicy):
             return Target.to_pfs()
         return Target.to_node(owner)
 
+    def targets_for(self, keys: Sequence[Key]) -> list[Target]:
+        return _owner_targets(self.placement.lookup_many(keys), self._failed)
+
     def on_node_failed(self, node: NodeId) -> None:
         self._failed.add(node)
 
@@ -155,6 +176,9 @@ class ElasticRecache(FaultPolicy):
 
     def target_for(self, key: Key) -> Target:
         return Target.to_node(self.placement.lookup(key))
+
+    def targets_for(self, keys: Sequence[Key]) -> list[Target]:
+        return _owner_targets(self.placement.lookup_many(keys))
 
     def on_node_failed(self, node: NodeId) -> None:
         if node in self._failed:

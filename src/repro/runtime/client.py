@@ -319,16 +319,23 @@ class FTCacheClient:
         (a half-drained pipeline is never reused) and sends only that
         owner's keys down the sequential :meth:`read` path with its full
         detection/re-route semantics — where PFS-direct routes and
-        replicated multi-candidate reads go from the start.
+        replicated reads go from the start.  **Once per batch**: the whole
+        batch is routed in one :meth:`FaultPolicy.targets_for` call under
+        one policy-lock acquisition, and booked in one counter bump plus one
+        detector success per owner that answered — the books of every
+        pipelined reply are in before a missing file's error is raised.
         """
-        if len(paths) < 2:
+        if len(paths) < 2 or isinstance(self.policy, ReplicatedRecache):
             return [self.read(p) for p in paths]
-        results: dict[int, bytes] = {}
+        with self._policy_lock:
+            targets = self.policy.targets_for(paths)
         groups: dict[NodeId, list[tuple[int, str]]] = {}
-        for i, path in enumerate(paths):
-            candidates = self._candidates(path)
-            if candidates is not None and len(candidates) == 1:
-                groups.setdefault(candidates[0], []).append((i, path))
+        for i, (path, target) in enumerate(zip(paths, targets)):
+            if target.kind == "node":
+                groups.setdefault(target.node, []).append((i, path))
+        results: dict[int, bytes] = {}
+        sources = {"cache": 0, "pfs": 0}
+        error: Optional[ReadError] = None
         with self.tracer.start_trace("client.read_many", owners=len(groups), batch=len(paths)) as span:
             sent = [(node, batch, self._send_batch(node, batch, span)) for node, batch in groups.items()]
             drained = [(node, batch, conn and self._drain_batch(node, conn, len(batch)))
@@ -336,23 +343,32 @@ class FTCacheClient:
             for node, batch, replies in drained:
                 if not replies:
                     continue  # socket retired: this owner's keys go the sequential way
+                self.detector.record_success(node)
                 for seq, (i, path) in enumerate(batch, start=1):
                     if seq in replies:
-                        results[i], source = self._read_outcome(node, path, replies[seq], pipelined=1)
-                        if source == "pfs":
-                            self._push_replicas(path, results[i], served_by=node)
-        # the rest (unpipelined routes, retired owners, unmatched seqs): sequential path
+                        try:
+                            results[i], source = self._verdict(path, replies[seq])
+                        except ReadError as exc:
+                            error = error or exc
+                        else:
+                            sources[source] += 1
+            self._bump(server_cache_reads=sources["cache"], server_pfs_reads=sources["pfs"],
+                       pipelined_reads=len(results))
+            if error is not None:
+                raise error
+        # the rest (PFS routes, retired owners, unmatched seqs): sequential path
         return [results[i] if i in results else self.read(p) for i, p in enumerate(paths)]
 
     def _send_batch(self, node: NodeId, batch: list[tuple[int, str]], span) -> Optional[_PooledConn]:
         """Scatter half: one owner's READs (seq 1…n) in one send; None — socket retired — if it fails."""
         try:
             conn, _ = self._checkout(node)
+            msg = Message.request(OP_READ)
+            if span.ctx is not None:
+                inject(msg.header, span.ctx)
             frames = []
             for seq, (_, path) in enumerate(batch, start=1):
-                msg = Message.request(OP_READ, path=path)
-                if span.ctx is not None:
-                    inject(msg.header, span.ctx)
+                msg.header["path"] = path
                 frames.append(encode_binary_request(msg, seq))
             conn.sock.sendall(b"".join(frames))
             return conn
@@ -630,22 +646,25 @@ class FTCacheClient:
     def _rpc_read(self, node: NodeId, path: str) -> Optional[tuple[bytes, str]]:
         """One READ attempt: ``(data, source)``, or None on timeout/refusal."""
         resp = self._rpc(node, Message.request(OP_READ, path=path))
-        return None if resp is None else self._read_outcome(node, path, resp)
+        if resp is None:
+            return None
+        data, source = self._verdict(path, resp)
+        self.detector.record_success(node)
+        if source == "pfs":
+            self._bump(server_pfs_reads=1)
+        else:
+            self._bump(server_cache_reads=1)
+        return data, source
 
-    def _read_outcome(self, node: NodeId, path: str, resp: Message, pipelined: int = 0) -> tuple[bytes, str]:
-        """Books and verdict of one READ reply: ``(data, source)``, or the
-        :class:`ReadError` the server's error reply stands for."""
+    @staticmethod
+    def _verdict(path: str, resp: Message) -> tuple[bytes, str]:
+        """One READ reply's ``(data, source)`` — ``source`` is ``cache`` or
+        ``pfs`` — or the :class:`ReadError` its error reply stands for."""
         if not resp.ok:
             if resp.header.get("code") == "ENOENT":
                 raise ReadError(f"no such file: {path}")
             raise ReadError(f"server error for {path!r}: {resp.header.get('reason')}")
-        self.detector.record_success(node)
-        source = resp.header.get("source", "cache")
-        if source == "pfs":
-            self._bump(server_pfs_reads=1, pipelined_reads=pipelined)
-        else:
-            self._bump(server_cache_reads=1, pipelined_reads=pipelined)
-        return resp.payload, source
+        return resp.payload, resp.header.get("source", "cache")
 
     def close(self) -> None:
         """Close every pooled socket this client ever opened, including

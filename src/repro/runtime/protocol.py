@@ -36,7 +36,11 @@ fixed header — on the server's buffer and under both receivers here.
 :class:`FrameReader`, buffered (one ``recv_into`` yields every frame that
 arrived), serves sockets that live across requests: the client's pooled
 connections.  :func:`recv_message`, unbuffered (it never reads past its
-frame), serves the rest: the replica push, tests, the bench ladder.
+frame), serves the rest: the replica push, tests, the bench ladder.  The
+codec pays for what a frame carries — a key or ext is sliced only when
+there is one, JSON only under ``_FLAG_FIELDS`` — so a READ request or
+OK reply decodes to one dict and one :class:`Message`, and a READ's OK
+reply header (every cache hit's) is one ``struct`` pack.
 """
 
 from __future__ import annotations
@@ -136,6 +140,8 @@ _OK_PACKED = {
     OP_PUT: frozenset({"status", "stored"}),
 }
 _OK_PACKED_DEFAULT = frozenset({"status"})
+_READ_OK_PACKED = _OK_PACKED[OP_READ]
+_READ_CODE = BIN_OPS[OP_READ]
 
 #: error-code table for binary error responses (aux field)
 _ERR_CODES = {"ENOENT": 1, "ENOSPC": 2}
@@ -283,33 +289,19 @@ def _unpack_trace_ext(ext, header: dict) -> None:
 def encode_binary_request(message: Message, seq: int = 0) -> bytes:
     """Fixed header + key + ext (+ fields payload) of one request; the
     message's own payload is sent separately."""
-    code = BIN_OPS.get(message.op or "")
+    h, plen = message.header, len(message.payload)
+    code = BIN_OPS.get(h.get("op") or "")
     if code is None:
         raise ProtocolError(f"op {message.op!r} is not in the op table")
-    key = str(message.header.get("path", "")).encode("utf-8")
+    key = str(h.get("path", "")).encode("utf-8")
     if len(key) > 0xFFFF:
         raise ProtocolError(f"key length {len(key)} exceeds field width")
-    if len(message.payload) > _MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {len(message.payload)} exceeds bound {_MAX_PAYLOAD}")
-    ext = _trace_ext(message.header)
-    fields = _fields_payload(message.header, _REQUEST_PACKED, len(message.payload))
-    return (
-        _BIN_HDR.pack(
-            BIN_MAGIC,
-            BIN_VERSION,
-            _KIND_REQUEST,
-            code,
-            _FLAG_FIELDS if fields else 0,
-            len(key),
-            len(ext),
-            seq & 0xFFFFFFFF,
-            0,
-            len(fields) or len(message.payload),
-        )
-        + key
-        + ext
-        + fields
-    )
+    if plen > _MAX_PAYLOAD:
+        raise ProtocolError(f"payload length {plen} exceeds bound {_MAX_PAYLOAD}")
+    ext = _trace_ext(h) if len(h) > 2 else b""  # a trace context is two fields beside ``op``
+    fields = b"" if h.keys() <= _REQUEST_PACKED else _fields_payload(h, _REQUEST_PACKED, plen)
+    return _BIN_HDR.pack(BIN_MAGIC, BIN_VERSION, _KIND_REQUEST, code, _FLAG_FIELDS if fields else 0,
+                         len(key), len(ext), seq & 0xFFFFFFFF, 0, len(fields) or plen) + key + ext + fields
 
 
 def send_binary_request(sock: socket.socket, message: Message, seq: int = 0) -> None:
@@ -325,10 +317,15 @@ def encode_binary_response_header(
     serve path, where the payload never enters Python (``sendfile`` moves
     it straight from the NVMe entry to the socket).
     """
+    h = message.header
+    plen = len(message.payload) if payload_len is None else payload_len
+    if op == OP_READ and h.get("status") == STATUS_OK and h.keys() <= _READ_OK_PACKED and plen <= _MAX_PAYLOAD:
+        # the READ branch (every cache hit): the source flag is all there is to pack
+        flags = _FLAG_SOURCE_PFS if h.get("source") == "pfs" else 0
+        return _BIN_HDR.pack(BIN_MAGIC, BIN_VERSION, _KIND_OK, _READ_CODE, flags, 0, 0, seq & 0xFFFFFFFF, 0, plen)
     code = BIN_OPS.get(op)
     if code is None:
         raise ProtocolError(f"op {op!r} is not in the op table")
-    h = message.header
     flags = 0
     aux = 0
     key = b""
@@ -348,7 +345,6 @@ def encode_binary_response_header(
         packed = _ERROR_PACKED
         key = str(h.get("reason", "")).encode("utf-8")[:0xFFFF]
         aux = _ERR_CODES.get(h.get("code") or "", 0)
-    plen = len(message.payload) if payload_len is None else payload_len
     if plen > _MAX_PAYLOAD:
         raise ProtocolError(f"payload length {plen} exceeds bound {_MAX_PAYLOAD}")
     fields = _fields_payload(h, packed, plen)
@@ -362,48 +358,6 @@ def encode_binary_response_header(
         + key
         + fields
     )
-
-
-def _build_message(
-    kind: int, op: str, flags: int, seq: int, aux: int, body: memoryview,
-    key_len: int, ext_len: int,
-) -> Message:
-    """Assemble a Message from a validated header + body buffer.
-
-    ``body`` is sliced with memoryviews — key, ext, and payload are never
-    re-joined or copied twice.  Packed fields win over same-named fields
-    of a fields payload: the fixed header is what the peer routed on.
-    """
-    key = body[:key_len]
-    ext = body[key_len : key_len + ext_len]
-    payload = body[key_len + ext_len :]
-    try:
-        key_text = bytes(key).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"bad key encoding: {exc}") from exc
-    header: dict = {}
-    if flags & _FLAG_FIELDS:
-        header, payload = _parse_fields(payload), b""
-    if kind == _KIND_REQUEST:
-        header["op"] = op
-        header["path"] = key_text
-        _unpack_trace_ext(ext, header)
-    elif kind == _KIND_OK:
-        header["status"] = STATUS_OK
-        if op == OP_READ:
-            header["source"] = "pfs" if flags & _FLAG_SOURCE_PFS else "cache"
-        elif op == OP_TRANSFER:
-            header["accepted"] = bool(flags & _FLAG_ACCEPTED)
-            header["queue_len"] = aux
-        elif op == OP_PUT:
-            header["stored"] = aux
-    else:
-        header["status"] = STATUS_ERROR
-        header["reason"] = key_text
-        code_name = _ERR_NAMES.get(aux)
-        if code_name is not None:
-            header["code"] = code_name
-    return Message(header=header, payload=bytes(payload), seq=seq)
 
 
 def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optional[Message], int]:
@@ -444,8 +398,35 @@ def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optiona
     end = body + key_len + ext_len + plen
     if len(buf) < end:
         return None, end
-    msg = _build_message(kind, op, flags, seq, aux, memoryview(buf)[body:end], key_len, ext_len)
-    return msg, end
+    at = end - plen  # the payload's offset: key and ext are sliced only when present
+    try:
+        key = str(buf[body : body + key_len], "utf-8") if key_len else ""
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"bad key encoding: {exc}") from exc
+    payload = bytes(memoryview(buf)[at:end]) if plen else b""
+    header: dict = {}
+    if flags & _FLAG_FIELDS:  # packed fields win over these: the header is what the peer routed on
+        header, payload = _parse_fields(payload), b""
+    if kind == _KIND_REQUEST:
+        header["op"] = op
+        header["path"] = key
+        if ext_len:
+            _unpack_trace_ext(buf[at - ext_len : at], header)
+    elif kind == _KIND_OK:
+        header["status"] = STATUS_OK
+        if op == OP_READ:
+            header["source"] = "pfs" if flags & _FLAG_SOURCE_PFS else "cache"
+        elif op == OP_TRANSFER:
+            header["accepted"] = bool(flags & _FLAG_ACCEPTED)
+            header["queue_len"] = aux
+        elif op == OP_PUT:
+            header["stored"] = aux
+    else:
+        header["status"] = STATUS_ERROR
+        header["reason"] = key
+        if aux in _ERR_NAMES:
+            header["code"] = _ERR_NAMES[aux]
+    return Message(header, payload, seq), end
 
 
 def recv_message(sock: socket.socket) -> Message:

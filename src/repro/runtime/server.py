@@ -11,12 +11,15 @@ The core is **one event loop per server** and **one
 reader coroutine per socket: ``data_received`` appends to a receive
 buffer and decodes every complete frame in it (``protocol.parse_frame``;
 every length bound is checked the moment a fixed header is in), so a
-pipelined ``read_many`` batch costs one ``recv`` and one loop turn.  A
-READ that hits the cache is answered **in that same turn, with no task
-and no await**: ``NVMeDir.open_read`` → books → header →
-one non-blocking ``os.sendfile`` straight from the entry's NVMe slot to
-the socket.  Whatever the socket did not take (large entries, slow readers)
-is finished by ``loop.sendfile`` from the offset reached, so payload
+pipelined ``read_many`` batch costs one ``recv`` and one loop turn, and is
+booked once: the turn decodes the frames, opens each READ's cache entry
+(``NVMeDir.open_read``), books them all in one counter bump, and only then
+replies.  A hit is answered **in that same turn, with no task and no
+await**: a header of one ``struct`` pack, then one non-blocking
+``os.sendfile`` from the entry's NVMe slot to the socket.  A miss, decoded
+and looked up once, goes to a job.  Whatever the socket did not take
+(large entries, slow readers) is finished by ``loop.sendfile`` from the
+offset reached, so payload
 bytes never enter Python at any entry size.  Anything that may block
 (a miss, PUT, TRANSFER, STAT/OBS/PING/JOIN_PLAN) becomes one job on the
 small bounded dispatch executor, its reply **one loop callback**.  Every
@@ -246,7 +249,9 @@ class _Conn(asyncio.Protocol):
 
     # -- decode + one-turn hit ---------------------------------------------------------
     def _parse(self) -> None:
-        """Serve every complete frame in the buffer, up to the pipeline depth."""
+        """Serve every complete frame in the buffer, up to the pipeline depth:
+        in rounds of as many frames as the pipeline has room for, each round
+        booked in one counter bump before its first reply."""
         srv, buf, transport = self.server, self.buf, self.transport
         pos = self.need = 0
         if srv.dropped.is_set():
@@ -256,27 +261,43 @@ class _Conn(asyncio.Protocol):
             # is the only way it learns anything (Sec IV-A).
             del buf[:]
             return
-        try:
-            while (
-                pos < len(buf)
-                and self.jobs + len(self.tasks) < _PIPELINE_DEPTH
-                and not transport.is_closing()
-            ):
-                msg, end = parse_frame(buf, pos, requests_only=True)
-                if msg is None:
-                    self.need = end - pos
-                    break
-                pos = end
-                # Replies complete out of order, matched by seq.
-                srv.stats.bump(binary_reqs=1)
-                if msg.op != OP_READ or not self._serve_hit(msg):
+        error = None
+        while pos < len(buf) and not (error or self.need or transport.is_closing()):
+            room = _PIPELINE_DEPTH - self.jobs - len(self.tasks)
+            if room <= 0:
+                break
+            frames = []
+            hits = 0
+            try:
+                while len(frames) < room and pos < len(buf):
+                    msg, end = parse_frame(buf, pos, requests_only=True)
+                    if msg is None:
+                        self.need = end - pos
+                        break
+                    pos = end
+                    path = msg.header["path"] if msg.op == OP_READ else ""
+                    t0 = time.perf_counter()
+                    entry = srv.nvme.open_read(path) if path else None
+                    hits += entry is not None
+                    frames.append((msg, entry, t0))
+            except ProtocolError as exc:
+                error = exc  # the frames before it are still answered
+            srv.stats.bump(binary_reqs=len(frames), hits=hits, sendfile_serves=hits)
+            # Replies complete out of order, matched by seq.
+            for msg, entry, t0 in frames:
+                if transport.is_closing():  # a hit's peer went away mid-reply
+                    if entry is not None:
+                        entry[0].close()
+                elif entry is not None:
+                    self._serve_hit(msg, *entry, t0)
+                else:  # a miss, a READ without a path, or not a READ
                     ctx = extract(msg.header)
                     qspan = srv.tracer.start_span("server.exec_queue", ctx)
                     srv._executor.submit(self._job, msg, ctx, qspan)
                     self.jobs += 1
-        except ProtocolError as exc:
+        if error is not None:
             srv.stats.bump(errors=1)
-            srv.log.warning("protocol error from %s: %s", transport.get_extra_info("peername"), exc)
+            srv.log.warning("protocol error from %s: %s", transport.get_extra_info("peername"), error)
             del buf[:]
             return self.sever()
         del buf[:pos]
@@ -287,26 +308,16 @@ class _Conn(asyncio.Protocol):
             transport.resume_reading()
             self.paused = False
 
-    def _serve_hit(self, msg: Message) -> bool:
-        """Answer a READ from the cache within this loop turn.
-
-        False sends the caller down the dispatch path (miss, raced eviction,
-        empty path).  True: the reply is with the kernel, or — what the
-        socket did not take — left to :meth:`_send_tail`.  The open entry
-        pins its slot, so an eviction after ``open_read`` is harmless.
-        """
+    def _serve_hit(self, msg: Message, f, size: int, t0: float) -> None:
+        """Answer a booked READ hit from its open entry within this loop turn:
+        the reply is with the kernel, or — what the socket did not take —
+        left to :meth:`_send_tail`.  The open entry pins its slot, so an
+        eviction after ``open_read`` is harmless."""
         srv, transport = self.server, self.transport
-        path = msg.header["path"]
-        t0 = time.perf_counter()
-        entry = srv.nvme.open_read(path) if path else None
-        if entry is None:
-            return False
-        f, size = entry
         span = srv.tracer.start_span(
-            "server.read", extract(msg.header), path=path, mode="sendfile", nbytes=size
+            "server.read", extract(msg.header), path=msg.header["path"], mode="sendfile", nbytes=size
         )
         head = encode_binary_response_header(OP_READ, _HIT_REPLY, seq=msg.seq, payload_len=size)
-        srv.stats.bump(hits=1, sendfile_serves=1)
         srv.telemetry.observe("op_read_s", time.perf_counter() - t0)
         span.end()
         sent = 0
@@ -324,13 +335,11 @@ class _Conn(asyncio.Protocol):
                 sent = size
             if sent == size:
                 self.wlock.release()
-                f.close()
-                return True
+                return f.close()
         # the callback runs even if the task is cancelled before its first step
         self._spawn(self._send_tail(f, head, sent, size, owned)).add_done_callback(
             lambda _task: f.close()
         )
-        return True
 
     async def _send_tail(self, f, head: bytes, sent: int, size: int, owned: bool) -> None:
         """Finish a hit the one-turn path could not: under the write lock,

@@ -42,6 +42,35 @@ class TestMakePolicy:
             make_policy("bogus", ring())
 
 
+class TestBulkRouting:
+    """``targets_for`` — one bulk ring lookup per batch — routes every key
+    exactly as ``target_for`` does, through failure and join."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("probes", [1, 3])
+    @pytest.mark.parametrize("cls", [NoFT, PFSRedirect, ElasticRecache])
+    def test_agrees_with_target_for(self, cls, probes, seed):
+        rng = np.random.default_rng(seed)
+        keys = [f"/d/sample_{i:05d}" for i in rng.choice(100_000, size=400, replace=False)]
+        policy = cls(HashRing(nodes=range(6), vnodes_per_node=40, probes=probes))
+
+        def agree() -> None:
+            assert policy.targets_for(keys) == [policy.target_for(k) for k in keys]
+
+        agree()
+        victim = int(rng.integers(6))
+        try:
+            policy.on_node_failed(victim)
+        except UnrecoverableNodeFailure:
+            assert cls is NoFT
+        agree()
+        if cls is PFSRedirect:
+            assert Target.to_pfs() in policy.targets_for(keys)
+        policy.on_node_joined(6, weight=2.0)
+        agree()
+        assert policy.targets_for([]) == []
+
+
 class TestNoFT:
     def test_routes_to_owner(self):
         p = NoFT(ring())

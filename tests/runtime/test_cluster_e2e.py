@@ -1,9 +1,20 @@
 """End-to-end tests of the threaded runtime: real sockets, real failures."""
 
+import socket
+
 import pytest
 
 from repro.core import UnrecoverableNodeFailure
 from repro.runtime import LocalCluster, ReadError
+from repro.runtime.protocol import FrameReader
+
+from tests.runtime.test_server_conn import _read_req, _stat_req, _wait
+
+
+def _recached(client, nodes) -> int:
+    """Installs written across ``nodes`` (STAT), or -1 while any is still claimed."""
+    stats = [client.server_stat(n) for n in nodes]
+    return -1 if any(s["mover_queue_len"] for s in stats) else sum(s["recached"] for s in stats)
 
 
 @pytest.fixture
@@ -27,9 +38,7 @@ class TestHappyPath:
         client = cluster.client()
         for p in cluster.paths:
             client.read(p)
-        import time
-
-        time.sleep(0.2)  # data movers are async
+        _wait(lambda: _recached(client, cluster.servers) == len(cluster.paths))  # recaches trail replies
         for p in cluster.paths:
             client.read(p)
         stats = cluster.total_stats()
@@ -155,6 +164,54 @@ class TestFailureRecovery:
         for p in cluster.paths:
             assert len(client.read(p)) == 2048
         assert len(client.policy.placement.nodes) == 2
+
+
+class TestBooksAheadOfReplies:
+    """A batch is booked once — a server's hits once per decode round, the
+    client's reads once per ``read_many`` — and the books still close before
+    anyone can hold a reply they describe."""
+
+    def test_stat_after_a_pipelined_batch_counts_every_hit(self):
+        with LocalCluster(n_servers=1, policy="nvme") as c:
+            paths = c.populate(n_files=32, file_bytes=4096, seed=5)
+            server = c.servers[0]
+            for p in paths:
+                server.nvme.write(p, c.pfs.read(p))
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.settimeout(5)
+                reader = FrameReader(sock)
+                sock.sendall(_stat_req(100))
+                before = reader.recv().header
+                sock.sendall(b"".join(_read_req(p, seq) for seq, p in enumerate(paths, start=1)))
+                replies = {r.seq: r for r in (reader.recv() for _ in paths)}
+                sock.sendall(_stat_req(101))  # the moment the last reply is in
+                after = reader.recv().header
+            assert [replies[i + 1].payload for i in range(32)] == [c.pfs.read(p) for p in paths]
+            assert all(r.header["source"] == "cache" for r in replies.values())
+            delta = {k: after[k] - before[k] for k in ("hits", "sendfile_serves", "binary_reqs")}
+            assert delta == {"hits": 32, "sendfile_serves": 32, "binary_reqs": 32 + 1}  # + this STAT
+
+    def test_mixed_batch_books_per_key_and_leaves_no_frame_behind(self, cluster):
+        client = cluster.client()
+        warm, cold = cluster.paths[:12], cluster.paths[12:]
+        assert client.read_many(warm) == [cluster.pfs.read(p) for p in warm]
+        _wait(lambda: _recached(client, cluster.servers) == len(warm))
+        before = client.stats
+        with pytest.raises(ReadError, match="no such file"):
+            client.read_many([*warm, "/dataset/train/missing.bin", *cold])
+        after = client.stats
+        moved = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+        assert moved == {"server_cache_reads": len(warm), "server_pfs_reads": len(cold),
+                         "pipelined_reads": len(warm) + len(cold)}
+        assert len(client._pool.conns) == len(cluster.servers)
+        for conn in client._pool.conns.values():
+            assert conn.reader._lo == conn.reader._hi  # nothing buffered ...
+            conn.sock.setblocking(False)
+            with pytest.raises(BlockingIOError):  # ... and nothing left in the kernel
+                conn.sock.recv(1, socket.MSG_PEEK)
+            conn.sock.settimeout(client.detector.ttl)
+        assert client.read_many(cluster.paths) == [cluster.pfs.read(p) for p in cluster.paths]
+        assert client.stats["reconnects"] == 0
 
 
 class TestClusterManager:

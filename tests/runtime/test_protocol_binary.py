@@ -36,6 +36,10 @@ from repro.runtime.protocol import (
     set_nodelay,
 )
 
+from tests.runtime.test_cluster_e2e import _recached
+from tests.runtime.test_server_conn import _wait
+
+
 def _pump(sock: socket.socket):
     """Decode one frame from ``sock`` on a reader thread; return
     ``(thread, out, err)`` dicts the caller joins and inspects."""
@@ -157,6 +161,104 @@ class TestBinaryRoundTrip:
     def test_non_table_op_refused(self):
         with pytest.raises(ProtocolError, match="op table"):
             encode_binary_request(Message.request("EVICT"))
+
+
+_TRACE = {"trace_id": "0123456789abcdef", "span_id": "fedcba98"}
+_HIT_PAYLOAD = bytes(range(256)) * 64  # 16 KiB
+
+#: ``(encode, golden frame, payload, decoded message)``: each frame as the
+#: codec wrote it before READ frames got their cheap paths, which must
+#: reproduce these bytes and these messages exactly
+_GOLDEN = {
+    "read": (
+        lambda: encode_binary_request(Message.request(OP_READ, path="/dataset/train/x.bin"), 7),
+        "f7c501000100001400000000000700000000000000002f646174617365742f747261696e2f782e62696e",
+        b"",
+        Message({"op": OP_READ, "path": "/dataset/train/x.bin"}, b"", 7),
+    ),
+    "read_traced": (
+        lambda: encode_binary_request(Message.request(OP_READ, path="/dataset/train/x.bin", **_TRACE), 8),
+        "f7c501000100001400180000000800000000000000002f646174617365742f747261696e2f782e62696e"
+        "303132333435363738396162636465666665646362613938",
+        b"",
+        Message({"op": OP_READ, "path": "/dataset/train/x.bin", **_TRACE}, b"", 8),
+    ),
+    "read_non_ascii": (
+        lambda: encode_binary_request(Message.request(OP_READ, path="/données/ñ/файл.bin"), 9),
+        "f7c501000100001900000000000900000000000000002f646f6e6ec3a965732fc3b12fd184d0b0d0b9d0bb2e62696e",
+        b"",
+        Message({"op": OP_READ, "path": "/données/ñ/файл.bin"}, b"", 9),
+    ),
+    "read_empty_path": (
+        lambda: encode_binary_request(Message.request(OP_READ, path=""), 0),
+        "f7c50100010000000000000000000000000000000000",
+        b"",
+        Message({"op": OP_READ, "path": ""}, b"", 0),
+    ),
+    "ping_traced": (  # a trace context and no path: three header fields
+        lambda: encode_binary_request(Message.request(OP_PING, **_TRACE), 1),
+        "f7c50100040000000018000000010000000000000000303132333435363738396162636465666665646362613938",
+        b"",
+        Message({"op": OP_PING, "path": "", **_TRACE}, b"", 1),
+    ),
+    "hit_reply": (
+        lambda: encode_binary_response_header(OP_READ, Message.ok_response(source="cache"), seq=5,
+                                              payload_len=len(_HIT_PAYLOAD)),
+        "f7c50101010000000000000000050000000000004000",
+        _HIT_PAYLOAD,
+        Message({"status": "OK", "source": "cache"}, _HIT_PAYLOAD, 5),
+    ),
+    "pfs_reply": (
+        lambda: encode_binary_response_header(OP_READ, Message.ok_response(payload=b"data", source="pfs"), seq=6),
+        "f7c50101010100000000000000060000000000000004",
+        b"data",
+        Message({"status": "OK", "source": "pfs"}, b"data", 6),
+    ),
+    "enoent_reply": (
+        lambda: encode_binary_response_header(
+            OP_READ, Message.error_response("no such file: /k", code="ENOENT"), seq=2),
+        "f7c501020100001000000000000200000001000000006e6f20737563682066696c653a202f6b",
+        b"",
+        Message({"status": "ERROR", "reason": "no such file: /k", "code": "ENOENT"}, b"", 2),
+    ),
+    "reason_reply": (
+        lambda: encode_binary_response_header(OP_READ, Message.error_response("missing path"), seq=3),
+        "f7c501020100000c00000000000300000000000000006d697373696e672070617468",
+        b"",
+        Message({"status": "ERROR", "reason": "missing path"}, b"", 3),
+    ),
+    "stat_reply": (
+        lambda: encode_binary_response_header(OP_STAT, Message.ok_response(node_id=3, hits=9), seq=4),
+        "f7c501010504000000000000000400000000000000167b226e6f64655f6964223a332c2268697473223a397d",
+        b"",
+        Message({"status": "OK", "node_id": 3, "hits": 9}, b"", 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+class TestGoldenFrames:
+    """The codec made cheap in place — READ frames skip what they do not
+    carry, a hit's reply header is one pack — is the same codec: the same
+    bytes out and the same messages in as before."""
+
+    def test_encoder_writes_the_golden_frame(self, name):
+        encode, golden, _, _ = _GOLDEN[name]
+        assert encode().hex() == golden
+
+    def test_every_driver_decodes_the_golden_message(self, name):
+        _, golden, payload, expected = _GOLDEN[name]
+        frame = bytes.fromhex(golden) + payload
+        assert parse_frame(frame) == (expected, len(frame))
+        assert parse_frame(bytearray(b"\0" + frame), 1) == (expected, 1 + len(frame))
+        assert FrameReader(_Segments(frame)).recv() == expected
+        a, b = socket.socketpair()
+        try:
+            a.sendall(frame)
+            assert recv_message(b) == expected
+        finally:
+            a.close()
+            b.close()
 
 
 class TestTruncation:
@@ -552,6 +654,35 @@ class TestPipelining:
             assert {n: client._pool.conns[n] for n in healthy} == healthy
             assert client.stats["reconnects"] == 0
 
+    def test_first_owner_hangs(self):
+        """Pins today's drain order (owner by owner, the batch's first owner
+        first) for the case where it costs most: that owner hangs.  The
+        others' pipelined replies wait out its TTL on their sockets and are
+        still used — each of their keys reaches its server once — and only
+        the hung owner's keys take the sequential path."""
+        ttl, threshold = 0.25, 2
+        with LocalCluster(n_servers=3, policy="nvme", ttl=ttl, timeout_threshold=threshold) as c:
+            paths = c.populate(n_files=30, file_bytes=2048, seed=13)
+            expected = [c.pfs.read(p) for p in paths]
+            client = c.client()
+            assert client.read_many(paths) == expected
+            victim = c.owner_of(paths[0], client.policy)  # routed first, so drained first
+            survivors = [n for n in c.servers if n != victim]
+            theirs = sum(c.owner_of(p, client.policy) != victim for p in paths)
+            before = client.stats
+            reqs = {n: client.server_stat(n)["binary_reqs"] for n in survivors}
+            c.kill_server(victim, mode="hang")
+            t0 = time.perf_counter()
+            assert client.read_many(paths) == expected
+            elapsed = time.perf_counter() - t0
+            after = client.stats
+            served = sum(after[k] - before[k] for k in ("server_cache_reads", "server_pfs_reads"))
+            assert served == 30 and after["pipelined_reads"] - before["pipelined_reads"] == theirs
+            # every survivor read is one pipelined READ or one re-homed sequential READ (+ this STAT)
+            assert sum(client.server_stat(n)["binary_reqs"] - reqs[n] - 1 for n in survivors) == 30
+            assert (after["declared"], after["timeouts"]) == (1, threshold)
+            assert elapsed < (2 + threshold) * ttl + 1.0  # one TTL for the batch, one per strike
+
     def test_dropped_owner_mid_epoch(self):
         with LocalCluster(n_servers=3, policy="nvme", ttl=0.25, timeout_threshold=2) as c:
             paths = c.populate(n_files=48, file_bytes=1024, seed=12)
@@ -707,7 +838,7 @@ class TestBinaryWireEndToEnd:
             c.populate(n_files=2, file_bytes=1 << 20, seed=9)  # 1 MiB entries
             client = c.client()
             first = client.read(c.paths[0])  # miss: executor path
-            time.sleep(0.3)  # let the mover install the entry
+            _wait(lambda: _recached(client, [0]) == 1)  # the recache is in
             second = client.read(c.paths[0])  # hit: sendfile path
             assert first == second == c.pfs.read(c.paths[0])
             assert c.total_stats()["sendfile_serves"] >= 1

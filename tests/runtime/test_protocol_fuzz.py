@@ -12,8 +12,12 @@ import pytest
 
 from repro.runtime import Message, PFSDir, recv_message, storage
 from repro.runtime.protocol import (
+    _MAX_EXT,
     _MAX_HEADER,
+    _MAX_PAYLOAD,
+    BIN_MAGIC,
     BIN_OPS,
+    BIN_VERSION,
     FrameReader,
     OP_PUT,
     OP_READ,
@@ -216,6 +220,60 @@ class TestIncrementalDecode:
         else:
             assert not buf
         assert got == [m[1:] for m in messages]
+
+
+#: a READ request (maybe traced) or a READ reply (cache or PFS): the frame
+#: shapes the decoder's READ branch takes, as ``(header, body)``
+_read_frames = st.one_of(
+    st.tuples(_paths, st.booleans(), _seqs).map(lambda t: encode_binary_request(
+        Message.request(OP_READ, path=t[0], **({"trace_id": "0" * 16, "span_id": "1" * 8} if t[1] else {})),
+        t[2])),
+    st.tuples(st.sampled_from(["cache", "pfs"]), st.binary(max_size=64), _seqs).map(
+        lambda t: encode_binary_response_header(OP_READ, Message.ok_response(payload=t[1], source=t[0]),
+                                                seq=t[2]) + t[1]),
+).map(lambda frame: (frame[:22], frame[22:]))
+
+#: ``(byte range, hostile value, verdict)`` of each fixed-header field the
+#: READ branch relies on having been judged
+_hostile_fields = st.one_of(
+    st.integers(0, 255).filter(lambda b: b != BIN_MAGIC[0]).map(lambda b: (slice(0, 1), bytes([b]), "magic")),
+    st.integers(0, 255).filter(lambda b: b != BIN_VERSION).map(lambda b: (slice(2, 3), bytes([b]), "version")),
+    st.integers(3, 255).map(lambda b: (slice(3, 4), bytes([b]), "frame kind")),
+    st.integers(_MAX_EXT + 1, 0xFFFF).map(lambda n: (slice(8, 10), n.to_bytes(2, "big"), "ext length")),
+    st.integers(_MAX_PAYLOAD + 1, 2**32 - 1).map(lambda n: (slice(18, 22), n.to_bytes(4, "big"), "payload length")),
+)
+
+
+class TestReadBranchRefusals:
+    """A frame shaped for the READ branch is judged on its fixed header like
+    any other: a hostile field is refused the moment the header is in —
+    never with a body byte asked for — and so is a reply sent to a server."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(frame=_read_frames, hostile=_hostile_fields)
+    def test_hostile_header_refused_on_arrival(self, frame, hostile):
+        (head, body), (field, value, verdict) = frame, hostile
+        head = bytearray(head)
+        head[field] = value
+        verdict_at = 1 if verdict == "magic" else 22
+        assert parse_frame(head[: verdict_at - 1])[0] is None
+        for buf in (head[:verdict_at], head + body):
+            with pytest.raises(ProtocolError, match=verdict):
+                parse_frame(buf)
+        sock = _Segments(bytes(head), body)
+        with pytest.raises(ProtocolError, match=verdict):
+            FrameReader(sock).recv()
+        assert sock.fed == len(head)  # the body was never asked for
+
+    @settings(max_examples=40, deadline=None)
+    @given(frame=_read_frames)
+    def test_a_reply_sent_to_the_server_is_refused(self, frame):
+        head, body = frame
+        if head[3] == 0:  # a request: the server decodes it
+            assert parse_frame(head + body, requests_only=True)[0].op == OP_READ
+            return
+        with pytest.raises(ProtocolError, match="not a request"):
+            parse_frame(head, requests_only=True)
 
 
 class TestPFSRootEscape:

@@ -6,6 +6,9 @@ import pytest
 
 from repro.runtime import LocalCluster
 
+from tests.runtime.test_cluster_e2e import _recached
+from tests.runtime.test_server_conn import _wait
+
 
 @pytest.fixture
 def cluster():
@@ -17,9 +20,13 @@ def cluster():
 
 
 def warm(cluster, client):
+    """Cold-read every path, then wait out the background replica pushes (one
+    per further distinct replica of a path) and every primary's recache."""
     for p in cluster.paths:
         client.read(p)
-    time.sleep(0.4)  # background replica pushes + data movers
+    pushes = sum(len(set(client.policy.replica_targets(p))) - 1 for p in cluster.paths)
+    _wait(lambda: client.stats["replica_pushes"] == pushes)
+    _wait(lambda: _recached(client, cluster.servers) == len(cluster.paths) + pushes)
 
 
 class TestReplicaPopulation:
