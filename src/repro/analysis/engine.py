@@ -4,9 +4,8 @@ Two rule layers run over the same tree:
 
 * **module rules** (:class:`~.visitor.Rule`) see one file at a time;
 * **project rules** (:class:`~.visitor.ProjectRule`) see the whole-tree
-  :class:`~.callgraph.CallGraph` — transitive blocking (RT003), RPC
-  conformance (RPC000–RPC004), resource leaks (RES001) and static lock
-  ordering (LOCK001) live here.
+  :class:`~.callgraph.CallGraph` — transitive blocking (RT003), resource
+  leaks (RES001) and static lock ordering (LOCK001) live here.
 
 Findings from both layers flow through the same suppression machinery:
 
@@ -79,11 +78,9 @@ def _default_project_rules() -> tuple:
     from .lockgraph import LockOrderRule
     from .registry import CounterRegistryProjectRule
     from .resources import ResourceLeakRule
-    from .rpccheck import RpcConformanceRule
 
     return (
         TransitiveBlockingRule,
-        RpcConformanceRule,
         ResourceLeakRule,
         LockOrderRule,
         CounterRegistryProjectRule,
@@ -251,7 +248,7 @@ def lint_source(
     """Lint one in-memory module; ``path`` scopes path-sensitive rules.
 
     Project rules run too, over the single-module call graph — so the
-    intraprocedural slices of RT003/RES001/RPC000 behave identically
+    intraprocedural slices of RT003/RES001 behave identically
     whether a file is linted alone or as part of the tree.
     """
     return run_lint([(path, source)], rule_classes, project_rule_classes).findings

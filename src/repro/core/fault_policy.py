@@ -195,12 +195,10 @@ def make_policy(name: str, placement: PlacementPolicy) -> FaultPolicy:
     """Factory from an experiment-table name to a policy instance."""
     table = {
         "NoFT": NoFT,
-        "noft": NoFT,
         "FT w/ PFS": PFSRedirect,
         "pfs": PFSRedirect,
         "FT w/ NVMe": ElasticRecache,
         "nvme": ElasticRecache,
-        "elastic": ElasticRecache,
     }
     try:
         cls = table[name]

@@ -205,7 +205,7 @@ class FluidTrainingModel:
         n_start = len(self._alive)
 
         compute = self.cc.compute.step_compute_time
-        if self.policy_name not in ("NoFT", "noft"):
+        if self.policy_name != "NoFT":
             compute = compute + cfg.ft_step_overhead
 
         if cfg.warmup and not self._cached.all():
@@ -302,7 +302,7 @@ class FluidTrainingModel:
                     done = True  # epoch attempt ran to completion
                     continue
 
-                if self.policy_name in ("NoFT", "noft"):
+                if self.policy_name == "NoFT":
                     completed = False
                     aborted = True
                     abort_reason = f"node {failed_mid} failed under NoFT"

@@ -441,7 +441,7 @@ class TrainingJob:
             self.timeline.note_failure(self.env.now, int(failed_node), epoch)
             self.metrics.inc("job.node_failures")
 
-            if self.policy_name in ("NoFT", "noft"):
+            if self.policy_name == "NoFT":
                 # Baseline HVAC: no recovery — the job dies here (Fig 5b's
                 # dashed line is the *no-failure* reference for this case).
                 for p in rank_procs:
@@ -496,7 +496,7 @@ class TrainingJob:
         client = self.clients[node_id]
         node = self.cluster.nodes[node_id]
         compute = self.cluster.config.compute.step_compute_time
-        if self.policy_name not in ("NoFT", "noft"):
+        if self.policy_name != "NoFT":
             compute = compute + cfg.ft_step_overhead
         steps = len(shard) // cfg.batch_size
         try:

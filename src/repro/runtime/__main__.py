@@ -29,7 +29,7 @@ from ..core.hash_ring import HashRing
 from ..core.fault_policy import make_policy
 from ..obs import configure_logging
 from .client import FTCacheClient
-from .protocol import OP_STAT, Message, recv_message, send_binary_request, set_nodelay
+from .protocol import OP_STAT, Message, ProtocolError, recv_message, send_binary_request, set_nodelay
 from .server import FTCacheServer
 from .storage import NVMeDir, PFSDir
 
@@ -112,7 +112,9 @@ def cmd_stat(args: argparse.Namespace) -> int:
             set_nodelay(sock)
             send_binary_request(sock, Message.request(OP_STAT))
             resp = recv_message(sock)
-    except OSError as exc:
+            if resp.status is None:  # a frame, but no reply: an echo, say
+                raise ProtocolError(f"{resp.op} frame in reply: not an FT-Cache server")
+    except (OSError, ProtocolError) as exc:  # nothing there, or something else is
         print(f"unreachable: {exc}")
         return 1
     if not resp.ok:

@@ -442,10 +442,7 @@ class FTCacheClient:
         if resp is None or not resp.ok:
             return None
         self._bump(transfers_sent=1)
-        return {
-            "accepted": bool(resp.header.get("accepted", False)),
-            "queue_len": int(resp.header.get("queue_len", 0)),
-        }
+        return {"accepted": resp.header["accepted"], "queue_len": resp.header["queue_len"]}
 
     def join_plan(
         self, node: NodeId, planned_keys: int, planned_bytes: int, epoch: int
@@ -536,7 +533,7 @@ class FTCacheClient:
         if not resp.ok:
             return False
         self.detector.record_success(node)
-        return resp.header.get("node_id") == node
+        return resp.header["node_id"] == node
 
     # -- internals -----------------------------------------------------------------
     def _bump(self, **deltas: int) -> None:
@@ -664,7 +661,7 @@ class FTCacheClient:
             if resp.header.get("code") == "ENOENT":
                 raise ReadError(f"no such file: {path}")
             raise ReadError(f"server error for {path!r}: {resp.header.get('reason')}")
-        return resp.payload, resp.header.get("source", "cache")
+        return resp.payload, resp.header["source"]
 
     def close(self) -> None:
         """Close every pooled socket this client ever opened, including

@@ -104,7 +104,7 @@ class LocalCluster:
 
     # -- construction helpers ---------------------------------------------------------
     def _make_placement(self):
-        if self.policy_name in ("FT w/ NVMe", "nvme", "elastic", "replicated", "FT w/ NVMe (replicated)"):
+        if self.policy_name in ("FT w/ NVMe", "nvme", "replicated", "FT w/ NVMe (replicated)"):
             return HashRing(
                 nodes=sorted(self.servers),
                 vnodes_per_node=self.vnodes_per_node,

@@ -3,14 +3,22 @@
 A frame is a fixed 22-byte header — magic + version + kind + op + flags +
 key-len + ext-len + seq + aux + payload-len — followed by the key (a
 path, or the reason of an error), an extension blob (the trace context
-rides here), and the payload.  Data and control ops share it: the fixed
-header packs what the hot path reads (``op``/``path``, ``status``,
-``source``, ``reason``/``code``, the PUT/TRANSFER counters, the trace
-ids), so no JSON is parsed or produced anywhere on a READ, PUT or
-TRANSFER.  Any other header field — STAT's counters, PING's ``node_id``,
-JOIN_PLAN's plan — rides as one JSON object in the payload under
+rides here), and the payload.
+
+**One op table.**  :data:`BIN_OPS` declares each op once, as an
+:class:`Op` row: its name and wire code, the fields its requests and OK
+replies carry, which reply field rides the flag bit and which the aux
+word, and the server method that answers it.  The encoder, the decoder
+and the server's dispatch all read the row; none branches on the op.
+The fixed header packs what the hot path reads — ``op``/``path``,
+``status``, ``reason``/``code``, the trace ids and the row's flag and
+aux fields — so no JSON is parsed or produced anywhere on a READ, PUT or
+TRANSFER.  A row's other fields — STAT's counters, PING's ``node_id``,
+JOIN_PLAN's plan — ride as one JSON object in the payload under
 ``_FLAG_FIELDS``, which is legal only on a message with no payload bytes
-of its own.  That encoding lives in this module alone: callers build
+of its own.  The encoder refuses a message whose fields are not exactly
+its row's (STAT's reply takes any), so a field the row declares is
+always there for the peer to read.  Callers build
 ``Message.request(OP_JOIN_PLAN, planned_keys=…)`` and read
 ``resp.header["node_id"]`` whichever way the field travelled.
 
@@ -64,6 +72,7 @@ __all__ = [
     "set_nodelay",
     "ProtocolError",
     "BIN_OPS",
+    "Op",
     "BIN_MAGIC",
     "BIN_VERSION",
     "OP_READ",
@@ -112,36 +121,55 @@ _KIND_REQUEST = 0
 _KIND_OK = 1
 _KIND_ERROR = 2
 
-#: the op table: every op and its 8-bit wire code.  The RPC conformance
-#: checker (``repro.analysis.rpccheck``) parses this table and cross-checks
-#: it against senders and handler branches, so it cannot drift silently.
-BIN_OPS = {
-    OP_READ: 1,
-    OP_PUT: 2,
-    OP_TRANSFER: 3,
-    OP_PING: 4,
-    OP_STAT: 5,
-    OP_OBS: 6,
-    OP_JOIN_PLAN: 7,
-}
-_BIN_OP_NAMES = {v: k for k, v in BIN_OPS.items()}
+#: flag bit: the payload is the JSON object of the fields the fixed header
+#: does not pack (the rows' flag fields take the other bits)
+_FLAG_FIELDS = 0x04
 
-#: flag bits
-_FLAG_SOURCE_PFS = 0x01  # READ ok: bytes came from the PFS, not the cache
-_FLAG_ACCEPTED = 0x02  # TRANSFER ok: the mover accepted the entry
-_FLAG_FIELDS = 0x04  # the payload is the JSON object of the unpacked header fields
 
-#: header fields the fixed header packs; every other field is a fields payload
-_REQUEST_PACKED = frozenset({"op", "path", TRACE_ID_FIELD, SPAN_ID_FIELD})
-_ERROR_PACKED = frozenset({"status", "reason", "code"})
-_OK_PACKED = {
-    OP_READ: frozenset({"status", "source"}),
-    OP_TRANSFER: frozenset({"status", "accepted", "queue_len"}),
-    OP_PUT: frozenset({"status", "stored"}),
-}
-_OK_PACKED_DEFAULT = frozenset({"status"})
-_READ_OK_PACKED = _OK_PACKED[OP_READ]
-_READ_CODE = BIN_OPS[OP_READ]
+class Op:
+    """One row of the op table: all the wire and the server know of an op.
+
+    ``code`` is its 8-bit wire code and ``handler`` the
+    :class:`~repro.runtime.server.FTCacheServer` method that answers it.
+    Every request carries ``path`` (the frame's key, ``""`` when there is
+    none) and may carry a trace context; ``request`` names the fields it
+    carries besides, ``reply`` those of an OK reply (None: any, STAT's
+    counters).  Those ride the JSON fields payload, all of them, every time.
+    ``flag`` is the OK-reply field the flag word carries — ``(field, bit,
+    value if set, value if clear)`` — and ``aux`` the one the aux word
+    carries; the decoder sets both on every OK reply.  ``inline``: a
+    request whose key is cached is answered within the server's loop turn.
+    """
+
+    __slots__ = ("name", "code", "handler", "request", "reply", "flag", "aux", "inline", "ok_fixed")
+
+    def __init__(self, name: str, code: int, handler: str, *, request=(), reply=(),
+                 flag: Optional[tuple] = None, aux: Optional[str] = None, inline: bool = False):
+        self.name, self.code, self.handler, self.inline = name, code, handler, inline
+        self.request = frozenset(request)
+        self.reply = None if reply is None else frozenset(reply)
+        self.flag, self.aux = flag, aux
+        #: what an OK reply's fixed header packs
+        self.ok_fixed = frozenset({"status", aux, flag and flag[0]} - {None})
+
+
+#: the op table, name → row: encode, decode and the server's dispatch read it
+BIN_OPS = {op.name: op for op in (
+    Op(OP_READ, 1, "_read", flag=("source", 0x01, "pfs", "cache"), inline=True),
+    Op(OP_PUT, 2, "_put", aux="stored"),
+    Op(OP_TRANSFER, 3, "_transfer", flag=("accepted", 0x02, True, False), aux="queue_len"),
+    Op(OP_PING, 4, "_ping", reply=("node_id",)),
+    Op(OP_STAT, 5, "_stat", reply=None),
+    Op(OP_OBS, 6, "_obs", request=("spans_limit", "events_limit")),
+    Op(OP_JOIN_PLAN, 7, "_join_plan", request=("planned_keys", "planned_bytes", "epoch"),
+       reply=("node_id", "accepted_keys")),
+)}
+_BY_CODE = {op.code: op for op in BIN_OPS.values()}
+
+#: what a request's and an error reply's fixed header packs, whatever the op
+_REQUEST_FIXED = frozenset({"op", "path", TRACE_ID_FIELD, SPAN_ID_FIELD})
+_ERROR_FIXED = frozenset({"status", "reason", "code"})
+_NO_FIELDS = frozenset()
 
 #: error-code table for binary error responses (aux field)
 _ERR_CODES = {"ENOENT": 1, "ENOSPC": 2}
@@ -235,17 +263,19 @@ def _recv_exact_into(sock: socket.socket, view: memoryview) -> None:
 
 
 # -- codec -------------------------------------------------------------------------
-def _fields_payload(header: dict, packed: frozenset, own_payload: int) -> bytes:
-    """The JSON object of the header fields ``packed`` does not cover, or
-    ``b""`` when there are none (the READ/PUT/TRANSFER case: no JSON)."""
-    if header.keys() <= packed:
-        return b""
-    if own_payload:
+def _fields_payload(op: str, header: dict, fixed: frozenset, declared, own_payload: int) -> bytes:
+    """The JSON object of the header fields ``fixed`` does not cover, or
+    ``b""`` when there are none; refused unless they are exactly the row's
+    ``declared`` fields (None: any)."""
+    fields = {k: v for k, v in header.items() if k not in fixed}
+    if fields and own_payload:
         raise ProtocolError(
-            f"fields {sorted(header.keys() - packed)} need the payload, which carries "
-            f"{own_payload} bytes of its own"
+            f"fields {sorted(fields)} need the payload, which carries {own_payload} bytes of its own"
         )
-    fields = {k: v for k, v in header.items() if k not in packed}
+    if declared is not None and fields.keys() != declared:
+        raise ProtocolError(f"{op} carries fields {sorted(fields)}; its row declares {sorted(declared)}")
+    if not fields:
+        return b""
     raw = json.dumps(fields, separators=(",", ":")).encode("utf-8")
     if len(raw) > _MAX_HEADER:
         raise ProtocolError(f"fields length {len(raw)} exceeds bound {_MAX_HEADER}")
@@ -290,8 +320,8 @@ def encode_binary_request(message: Message, seq: int = 0) -> bytes:
     """Fixed header + key + ext (+ fields payload) of one request; the
     message's own payload is sent separately."""
     h, plen = message.header, len(message.payload)
-    code = BIN_OPS.get(h.get("op") or "")
-    if code is None:
+    row = BIN_OPS.get(h.get("op") or "")
+    if row is None:
         raise ProtocolError(f"op {message.op!r} is not in the op table")
     key = str(h.get("path", "")).encode("utf-8")
     if len(key) > 0xFFFF:
@@ -299,8 +329,9 @@ def encode_binary_request(message: Message, seq: int = 0) -> bytes:
     if plen > _MAX_PAYLOAD:
         raise ProtocolError(f"payload length {plen} exceeds bound {_MAX_PAYLOAD}")
     ext = _trace_ext(h) if len(h) > 2 else b""  # a trace context is two fields beside ``op``
-    fields = b"" if h.keys() <= _REQUEST_PACKED else _fields_payload(h, _REQUEST_PACKED, plen)
-    return _BIN_HDR.pack(BIN_MAGIC, BIN_VERSION, _KIND_REQUEST, code, _FLAG_FIELDS if fields else 0,
+    fields = (_fields_payload(row.name, h, _REQUEST_FIXED, row.request, plen)
+              if row.request or not h.keys() <= _REQUEST_FIXED else b"")
+    return _BIN_HDR.pack(BIN_MAGIC, BIN_VERSION, _KIND_REQUEST, row.code, _FLAG_FIELDS if fields else 0,
                          len(key), len(ext), seq & 0xFFFFFFFF, 0, len(fields) or plen) + key + ext + fields
 
 
@@ -319,42 +350,30 @@ def encode_binary_response_header(
     """
     h = message.header
     plen = len(message.payload) if payload_len is None else payload_len
-    if op == OP_READ and h.get("status") == STATUS_OK and h.keys() <= _READ_OK_PACKED and plen <= _MAX_PAYLOAD:
-        # the READ branch (every cache hit): the source flag is all there is to pack
-        flags = _FLAG_SOURCE_PFS if h.get("source") == "pfs" else 0
-        return _BIN_HDR.pack(BIN_MAGIC, BIN_VERSION, _KIND_OK, _READ_CODE, flags, 0, 0, seq & 0xFFFFFFFF, 0, plen)
-    code = BIN_OPS.get(op)
-    if code is None:
+    row = BIN_OPS.get(op)
+    if row is None:
         raise ProtocolError(f"op {op!r} is not in the op table")
-    flags = 0
-    aux = 0
-    key = b""
-    if h.get("status") == STATUS_OK:
-        kind = _KIND_OK
-        packed = _OK_PACKED.get(op, _OK_PACKED_DEFAULT)
-        if op == OP_READ and h.get("source") == "pfs":
-            flags |= _FLAG_SOURCE_PFS
-        elif op == OP_TRANSFER:
-            if h.get("accepted"):
-                flags |= _FLAG_ACCEPTED
-            aux = int(h.get("queue_len", 0)) & 0xFFFFFFFF
-        elif op == OP_PUT:
-            aux = int(h.get("stored", 0)) & 0xFFFFFFFF
-    else:
-        kind = _KIND_ERROR
-        packed = _ERROR_PACKED
-        key = str(h.get("reason", "")).encode("utf-8")[:0xFFFF]
-        aux = _ERR_CODES.get(h.get("code") or "", 0)
     if plen > _MAX_PAYLOAD:
         raise ProtocolError(f"payload length {plen} exceeds bound {_MAX_PAYLOAD}")
-    fields = _fields_payload(h, packed, plen)
+    if h.get("status") == STATUS_OK:
+        flag = row.flag
+        flags = flag[1] if flag and h.get(flag[0]) == flag[2] else 0
+        aux = int(h.get(row.aux, 0)) & 0xFFFFFFFF if row.aux else 0
+        if not row.reply and h.keys() <= row.ok_fixed:  # every cache hit: one pack
+            return _BIN_HDR.pack(BIN_MAGIC, BIN_VERSION, _KIND_OK, row.code, flags, 0, 0, seq & 0xFFFFFFFF, aux, plen)
+        kind, key = _KIND_OK, b""
+        fields = _fields_payload(op, h, row.ok_fixed, row.reply, plen)
+    else:
+        flags, kind = 0, _KIND_ERROR
+        # cut on a character boundary: the decoder refuses a split one
+        key = str(h.get("reason", "")).encode("utf-8")[:0xFFFF].decode("utf-8", "ignore").encode("utf-8")
+        aux = _ERR_CODES.get(h.get("code") or "", 0)
+        fields = _fields_payload(op, h, _ERROR_FIXED, _NO_FIELDS, plen)
     if fields:
         flags |= _FLAG_FIELDS
         plen = len(fields)
     return (
-        _BIN_HDR.pack(
-            BIN_MAGIC, BIN_VERSION, kind, code, flags, len(key), 0, seq & 0xFFFFFFFF, aux, plen
-        )
+        _BIN_HDR.pack(BIN_MAGIC, BIN_VERSION, kind, row.code, flags, len(key), 0, seq & 0xFFFFFFFF, aux, plen)
         + key
         + fields
     )
@@ -387,8 +406,8 @@ def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optiona
         raise ProtocolError(f"bad frame kind {kind}")
     if requests_only and kind != _KIND_REQUEST:
         raise ProtocolError(f"frame kind {kind} is not a request")
-    op = _BIN_OP_NAMES.get(code)
-    if op is None:
+    row = _BY_CODE.get(code)
+    if row is None:
         raise ProtocolError(f"unknown op code {code}")
     if ext_len > _MAX_EXT:
         raise ProtocolError(f"ext length {ext_len} exceeds bound {_MAX_EXT}")
@@ -408,19 +427,17 @@ def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optiona
     if flags & _FLAG_FIELDS:  # packed fields win over these: the header is what the peer routed on
         header, payload = _parse_fields(payload), b""
     if kind == _KIND_REQUEST:
-        header["op"] = op
+        header["op"] = row.name
         header["path"] = key
         if ext_len:
             _unpack_trace_ext(buf[at - ext_len : at], header)
     elif kind == _KIND_OK:
         header["status"] = STATUS_OK
-        if op == OP_READ:
-            header["source"] = "pfs" if flags & _FLAG_SOURCE_PFS else "cache"
-        elif op == OP_TRANSFER:
-            header["accepted"] = bool(flags & _FLAG_ACCEPTED)
-            header["queue_len"] = aux
-        elif op == OP_PUT:
-            header["stored"] = aux
+        if row.flag is not None:
+            name, bit, on, off = row.flag
+            header[name] = on if flags & bit else off
+        if row.aux is not None:
+            header[row.aux] = aux
     else:
         header["status"] = STATUS_ERROR
         header["reason"] = key

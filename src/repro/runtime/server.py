@@ -58,16 +58,11 @@ from typing import Optional
 from functools import partial
 
 from ..analysis import lockwitness
-from ..obs import NULL_SPAN, Telemetry, Tracer, extract, get_event_log, node_logger
+from ..obs import Telemetry, Tracer, extract, get_event_log, node_logger
 from ..obs.context import TraceContext
 from .protocol import (
-    OP_JOIN_PLAN,
-    OP_OBS,
-    OP_PING,
-    OP_PUT,
+    BIN_OPS,
     OP_READ,
-    OP_STAT,
-    OP_TRANSFER,
     Message,
     ProtocolError,
     encode_binary_response_header,
@@ -84,6 +79,8 @@ _PIPELINE_DEPTH = 64
 
 #: the reply header of every cache hit is encoded from this one message
 _HIT_REPLY = Message.ok_response(source="cache")
+#: ops whose cached keys are answered within the loop turn (the table's ``inline`` rows)
+_INLINE_OPS = frozenset(op.name for op in BIN_OPS.values() if op.inline)
 
 #: every monotone per-server counter, in one place so cluster aggregation,
 #: STAT responses, and snapshot dictionaries can never drift apart
@@ -275,7 +272,7 @@ class _Conn(asyncio.Protocol):
                         self.need = end - pos
                         break
                     pos = end
-                    path = msg.header["path"] if msg.op == OP_READ else ""
+                    path = msg.header["path"] if msg.op in _INLINE_OPS else ""
                     t0 = time.perf_counter()
                     entry = srv.nvme.open_read(path) if path else None
                     hits += entry is not None
@@ -290,7 +287,7 @@ class _Conn(asyncio.Protocol):
                         entry[0].close()
                 elif entry is not None:
                     self._serve_hit(msg, *entry, t0)
-                else:  # a miss, a READ without a path, or not a READ
+                else:  # a miss, a READ without a path, or not inline
                     ctx = extract(msg.header)
                     qspan = srv.tracer.start_span("server.exec_queue", ctx)
                     srv._executor.submit(self._job, msg, ctx, qspan)
@@ -635,57 +632,43 @@ class FTCacheServer:
         a trace context) and a latency observation in the telemetry registry.
         What the request claimed for the cache is appended to ``installs``,
         for :meth:`_install` once the reply is posted."""
-        op = msg.op or "unknown"
-        span = self.tracer.start_span(f"server.{op.lower()}", extract(msg.header))
+        op = msg.op.lower()
+        span = self.tracer.start_span(f"server.{op}", extract(msg.header))
         t0 = time.perf_counter()
         try:
             response = self._dispatch(msg, span, installs)
         except Exception:
             span.end(status="error")
             raise
-        self.telemetry.observe(f"op_{op.lower()}_s", time.perf_counter() - t0)
+        self.telemetry.observe(f"op_{op}_s", time.perf_counter() - t0)
         span.end(status="ok" if response.ok else "error")
         return response
 
     def _dispatch(self, msg: Message, span, installs: list) -> Message:
-        if msg.op == OP_PING:
-            return Message.ok_response(node_id=self.node_id)
-        if msg.op == OP_STAT:
-            return Message.ok_response(
-                node_id=self.node_id,
-                cached_entries=self.nvme.entry_count(),
-                cached_bytes=self.nvme.used_bytes,
-                capacity_bytes=self.nvme.capacity_bytes,
-                evictions=self.nvme.evictions,
-                mover_queue_len=self.mover_queue_len,
-                **self.stats.counters(),
-            )
-        if msg.op == OP_READ:
-            return self._read(msg.header.get("path", ""), installs, span)
-        if msg.op == OP_PUT:
-            return self._put(msg.header.get("path", ""), msg.payload)
-        if msg.op == OP_JOIN_PLAN:
-            return self._join_plan(
-                msg.header.get("planned_keys", 0),
-                msg.header.get("planned_bytes", 0),
-                msg.header.get("epoch", 0),
-            )
-        if msg.op == OP_TRANSFER:
-            return self._transfer(msg.header.get("path", ""), msg.payload, installs, span)
-        if msg.op == OP_OBS:
-            return self._obs(
-                msg.header.get("spans_limit", 256),
-                msg.header.get("events_limit", 256),
-            )
-        self.stats.bump(errors=1)
-        return Message.error_response(f"unknown op {msg.op!r}")
+        return _HANDLERS[msg.op](self, msg, span, installs)
 
-    def _read(self, path: str, installs: list, parent=NULL_SPAN) -> Message:
+    # -- handlers, one per op-table row: (msg, span, installs) -> reply ---------------
+    def _ping(self, msg: Message, span, installs: list) -> Message:
+        return Message.ok_response(node_id=self.node_id)
+
+    def _stat(self, msg: Message, span, installs: list) -> Message:
+        return Message.ok_response(
+            node_id=self.node_id,
+            cached_entries=self.nvme.entry_count(),
+            cached_bytes=self.nvme.used_bytes,
+            capacity_bytes=self.nvme.capacity_bytes,
+            evictions=self.nvme.evictions,
+            mover_queue_len=self.mover_queue_len,
+            **self.stats.counters(),
+        )
+
+    def _read(self, msg: Message, span, installs: list) -> Message:
+        path = msg.header["path"]
         if not path:
             self.stats.bump(errors=1)
             return Message.error_response("missing path")
         if self.nvme.contains(path):
-            nspan = self.tracer.start_span("server.nvme_read", parent, path=path)
+            nspan = self.tracer.start_span("server.nvme_read", span, path=path)
             try:
                 data = self.nvme.read(path)
             except OSError:
@@ -696,20 +679,20 @@ class FTCacheServer:
                 nspan.end()
                 self.stats.bump(hits=1)
                 return Message.ok_response(payload=data, source="cache")
-        pspan = self.tracer.start_span("server.pfs_read", parent, path=path)
+        pspan = self.tracer.start_span("server.pfs_read", span, path=path)
         try:
             data = self.pfs.read(path)
         except FileNotFoundError:
             pspan.end(status="enoent")
             self.stats.bump(errors=1)
             return Message.error_response(f"no such file: {path}", code="ENOENT")
-        except PermissionError as exc:  # key resolves outside the PFS root
-            pspan.end(status="eacces")
+        except OSError as exc:  # a directory, a key through a file, a leaf too long, an escape from the root
+            pspan.end(status="error")
             self.stats.bump(errors=1)
-            return Message.error_response(str(exc))
+            return Message.error_response(f"{exc.strerror}: {path}" if exc.strerror else str(exc))
         pspan.end()
         self.stats.bump(misses=1, pfs_reads=1)
-        self._claim(installs, path, data, parent.ctx)
+        self._claim(installs, path, data, span.ctx)
         return Message.ok_response(payload=data, source="pfs")
 
     def _claim(self, installs: list, path: str, data: bytes, ctx: Optional[TraceContext]) -> None:
@@ -742,46 +725,44 @@ class FTCacheServer:
         span.end(status="ok" if ok else "error")
         self.events.emit("recache_end", node=self.node_id, path=path, ok=ok)
 
-    def _obs(self, spans_limit, events_limit) -> Message:
+    def _obs(self, msg: Message, span, installs: list) -> Message:
         """Observability export: one JSON payload with the unified telemetry
         snapshot, tracer accounting, recent spans, and recent events.  The
-        response header stays empty on purpose — bulk data is payload
-        bytes, keeping the wire contract (RPC004) trivially green."""
+        response header stays empty on purpose — bulk data is payload bytes."""
         snap = self.telemetry.snapshot()
         snap["tracer"] = self.tracer.counters()
-        snap["spans"] = self.tracer.buffer.snapshot(limit=int(spans_limit))
-        snap["events"] = self.events.snapshot(limit=int(events_limit))
+        snap["spans"] = self.tracer.buffer.snapshot(limit=int(msg.header["spans_limit"]))
+        snap["events"] = self.events.snapshot(limit=int(msg.header["events_limit"]))
         return Message.ok_response(payload=json.dumps(snap, default=str).encode("utf-8"))
 
-    def _join_plan(self, planned_keys: int, planned_bytes: int, epoch: int) -> Message:
+    def _join_plan(self, msg: Message, span, installs: list) -> Message:
         """Record an impending join's move plan (this node is the joiner).
 
         Purely informational — warmup arrives as OP_TRANSFERs — but it
         doubles as the coordinator's liveness check and makes the plan
         visible in this node's state for debugging an aborted join.
         """
-        self.join_plan = {
-            "planned_keys": int(planned_keys),
-            "planned_bytes": int(planned_bytes),
-            "epoch": int(epoch),
-        }
+        h = msg.header
+        self.join_plan = {f: int(h[f]) for f in ("planned_keys", "planned_bytes", "epoch")}
         self.stats.bump(join_plans=1)
-        return Message.ok_response(node_id=self.node_id, accepted_keys=int(planned_keys))
+        return Message.ok_response(node_id=self.node_id, accepted_keys=self.join_plan["planned_keys"])
 
-    def _transfer(self, path: str, data: bytes, installs: list, parent=NULL_SPAN) -> Message:
+    def _transfer(self, msg: Message, span, installs: list) -> Message:
         """Warmup backfill: one moved key takes the miss's claim → reply →
         install path, coalescing included, so a join cannot stampede this
         node.  The reply reports :attr:`mover_queue_len` for the
         coordinator's throttle."""
+        path, data = msg.header["path"], msg.payload
         if not path:
             self.stats.bump(errors=1)
             return Message.error_response("missing path")
-        self._claim(installs, path, data, parent.ctx)
+        self._claim(installs, path, data, span.ctx)
         self.stats.bump(transfers_in=1, transfer_bytes=len(data))
         return Message.ok_response(accepted=True, queue_len=self.mover_queue_len)
 
-    def _put(self, path: str, data: bytes) -> Message:
+    def _put(self, msg: Message, span, installs: list) -> Message:
         """Replica push (replication extension): install an entry directly."""
+        path, data = msg.header["path"], msg.payload
         if not path:
             self.stats.bump(errors=1)
             return Message.error_response("missing path")
@@ -794,3 +775,8 @@ class FTCacheServer:
             return Message.error_response(f"cache full: {exc}", code="ENOSPC")
         self.stats.bump(recached=1)
         return Message.ok_response(stored=len(data))
+
+
+#: op name → the method that answers it, one per op-table row: a row that
+#: names no method fails here, when the module is imported
+_HANDLERS = {op.name: getattr(FTCacheServer, op.handler) for op in BIN_OPS.values()}

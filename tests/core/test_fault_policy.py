@@ -31,7 +31,7 @@ class TestTarget:
 class TestMakePolicy:
     @pytest.mark.parametrize(
         "name,cls",
-        [("NoFT", NoFT), ("noft", NoFT), ("FT w/ PFS", PFSRedirect), ("pfs", PFSRedirect),
+        [("NoFT", NoFT), ("FT w/ PFS", PFSRedirect), ("pfs", PFSRedirect),
          ("FT w/ NVMe", ElasticRecache), ("nvme", ElasticRecache)],
     )
     def test_names(self, name, cls):
@@ -40,6 +40,11 @@ class TestMakePolicy:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_policy("bogus", ring())
+
+    @pytest.mark.parametrize("name", ["noft", "elastic"])
+    def test_retired_aliases_refused(self, name):
+        with pytest.raises(ValueError):
+            make_policy(name, ring())
 
 
 class TestBulkRouting:

@@ -29,7 +29,7 @@ from repro.runtime import LocalCluster
 @pytest.fixture
 def traced_cluster():
     with LocalCluster(
-        n_servers=3, policy="elastic", ttl=0.3, timeout_threshold=2,
+        n_servers=3, policy="nvme", ttl=0.3, timeout_threshold=2,
         trace_sample_rate=1.0, trace_seed=9,
     ) as c:
         c.populate(n_files=18, file_bytes=1024, seed=5)
@@ -174,7 +174,7 @@ class TestObsExport:
         assert client.obs_snapshot(0) is None
 
     def test_disabled_tracing_records_nothing_and_injects_nothing(self):
-        with LocalCluster(n_servers=2, policy="elastic", ttl=0.5) as cluster:
+        with LocalCluster(n_servers=2, policy="nvme", ttl=0.5) as cluster:
             cluster.populate(n_files=4, file_bytes=512, seed=3)
             client = cluster.client()
             for p in cluster.paths:

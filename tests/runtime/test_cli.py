@@ -1,5 +1,6 @@
 """Tests for the runtime CLI (in-process invocation)."""
 
+import socket
 import threading
 
 import pytest
@@ -88,6 +89,24 @@ class TestCommands:
     def test_stat_unreachable(self, capsys):
         assert main(["stat", "--server", "127.0.0.1:1", "--ttl", "0.2"]) == 1
         assert "unreachable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("answer", [lambda got: got, lambda got: b"SSH-2.0-OpenSSH\r\n"],
+                             ids=["echo", "banner"])
+    def test_stat_against_a_peer_that_is_no_server(self, answer, capsys):
+        """A plain echo socket (our own STAT frame comes back) or a peer
+        speaking another protocol: one line, exit 1, no traceback."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def peer() -> None:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.sendall(answer(conn.recv(64)))
+
+            t = threading.Thread(target=peer, name="cli-echo-peer", daemon=True)
+            t.start()
+            host, port = listener.getsockname()
+            assert main(["stat", "--server", f"{host}:{port}", "--ttl", "2"]) == 1
+            t.join(timeout=5)
+        assert capsys.readouterr().out.startswith("unreachable: ")
 
     def test_serve_run_seconds(self, tmp_path, capsys):
         done = {}

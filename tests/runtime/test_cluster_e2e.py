@@ -65,6 +65,29 @@ class TestHappyPath:
         with pytest.raises(ReadError, match="no such file"):
             client.read("/dataset/train/missing.bin")
 
+    def test_bad_keys_are_read_errors_not_failures(self, tmp_path):
+        """A key naming a PFS directory, one going through a file and one
+        with a leaf over 255 bytes each get an error reply: the client
+        raises ``ReadError``, feeds nothing to the detector, and keeps its
+        pooled socket for the next read, which then hits."""
+        with LocalCluster(n_servers=1, workdir=tmp_path, ttl=0.3) as one:
+            path = one.populate(n_files=1, file_bytes=512)[0]
+            (one.pfs.root / "sub").mkdir()
+            client = one.client()
+            client.read(path)  # a miss, recached
+            _wait(lambda: _recached(client, [0]) == 1)
+            sock = client._pool.conns[0].sock
+            for key in ("sub", path + "/x", "/" + "k" * 300):
+                with pytest.raises(ReadError):
+                    client.read(key)
+            hits = client.server_stat(0)["hits"]
+            assert client.read(path) == one.pfs.read(path)
+            assert client.server_stat(0)["hits"] == hits + 1
+            assert client._pool.conns[0].sock is sock
+            stats = client.stats
+            assert stats["timeouts"] == stats["declared"] == stats["reconnects"] == 0
+            assert client.policy.failed_nodes == set()
+
     def test_server_stat(self, cluster):
         client = cluster.client()
         client.read(cluster.paths[0])

@@ -29,7 +29,8 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.runtime import LocalCluster
+from repro.runtime import LocalCluster, Message
+from repro.runtime.protocol import OP_READ
 from repro.runtime.server import FTCacheServer
 from repro.runtime.storage import _RECORD, NVMeDir, PFSDir
 
@@ -431,7 +432,7 @@ class TestEvictionRaceRegression:
 
         nvme.read = racing_read
         try:
-            resp = server._read("/data/a.bin", [])
+            resp = server.dispatch(Message.request(OP_READ, path="/data/a.bin"), [])
         finally:
             server.close()
         assert resp.ok
@@ -444,7 +445,7 @@ class TestEvictionRaceRegression:
         """End-to-end: tiny caches churn entries while readers hammer them."""
         with LocalCluster(
             n_servers=2,
-            policy="elastic",
+            policy="nvme",
             ttl=0.5,
             timeout_threshold=3,
             nvme_capacity_bytes=8 * 1024,  # holds only 4 of 32 x 2 KiB entries

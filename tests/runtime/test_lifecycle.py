@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.runtime import LocalCluster, Message, recv_message
+from repro.runtime.protocol import OP_READ
 from repro.runtime.server import FTCacheServer
 from repro.runtime.storage import NVMeDir, PFSDir
 
@@ -316,7 +317,7 @@ class TestRaceFallthroughCounter:
                 return real_read(k)
 
             nvme.read = racing_read
-            resp = server._read(key, [])
+            resp = server.dispatch(Message.request(OP_READ, path=key), [])
             assert resp.ok and resp.header["source"] == "pfs"
             counters = server.stats.counters()
             assert counters["race_fallthroughs"] == 1

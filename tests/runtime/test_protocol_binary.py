@@ -23,6 +23,8 @@ from repro.runtime.protocol import (
     _MAX_PAYLOAD,
     _WINDOW,
     FrameReader,
+    OP_JOIN_PLAN,
+    OP_OBS,
     OP_PING,
     OP_PUT,
     OP_READ,
@@ -298,7 +300,7 @@ class TestTruncation:
             msg = Message.request(OP_PUT, path="/dataset/x.bin")
             msg.payload = b"payload-bytes"
         else:
-            msg = Message.request(OP_STAT, k="v", n=[1, 2])
+            msg = Message.request(OP_JOIN_PLAN, planned_keys=3, planned_bytes=[1, 2], epoch="v")
         frame = encode_binary_request(msg, seq=5) + msg.payload
         for cut in range(len(frame)):
             got, need = parse_frame(bytearray(frame[:cut]))
@@ -315,7 +317,7 @@ class TestSizeBounds:
     def test_json_oversized_header_rejected(self):
         """A fields payload longer than ``_MAX_HEADER`` fails on the fixed
         header, before a byte of it is waited for."""
-        good = bytearray(encode_binary_request(Message.request(OP_STAT, k=1))[:22])
+        good = bytearray(encode_binary_request(Message.request(OP_OBS, spans_limit=1, events_limit=1))[:22])
         good[18:22] = (_MAX_HEADER + 1).to_bytes(4, "big")  # payload_len field
         a, b = socket.socketpair()
         try:
@@ -397,7 +399,7 @@ class TestSizeBounds:
 
     def test_incremental_parser_json_bounds(self):
         """Hostile fields payloads raise as soon as their bytes are in."""
-        head = bytearray(encode_binary_request(Message.request(OP_STAT, k=1))[:22])
+        head = bytearray(encode_binary_request(Message.request(OP_OBS, spans_limit=1, events_limit=1))[:22])
         for raw, match in ((b"[1,2]", "not an object"), (b'"x"', "not an object"),
                            (b"\xff\xfe{}", "bad fields"), (b"{nope", "bad fields"),
                            (b"[" * 100_000, "bad fields")):

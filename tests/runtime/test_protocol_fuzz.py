@@ -5,7 +5,7 @@ import os
 import socket
 import threading
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -19,10 +19,8 @@ from repro.runtime.protocol import (
     BIN_OPS,
     BIN_VERSION,
     FrameReader,
-    OP_PUT,
+    OP_OBS,
     OP_READ,
-    OP_STAT,
-    OP_TRANSFER,
     ProtocolError,
     encode_binary_request,
     encode_binary_response_header,
@@ -50,41 +48,44 @@ _fields = st.dictionaries(
 )
 _paths = st.text(max_size=200).filter(lambda s: len(s.encode("utf-8")) <= 0xFFFF)
 _seqs = st.integers(min_value=0, max_value=2**32 - 1)
-#: what the fixed header packs of an ok reply, per op
-_OK_PACKED = {
-    OP_READ: st.sampled_from(["cache", "pfs"]).map(lambda s: {"source": s}),
-    OP_PUT: st.integers(0, 2**32 - 1).map(lambda n: {"stored": n}),
-    OP_TRANSFER: st.tuples(st.booleans(), st.integers(0, 2**32 - 1)).map(
-        lambda t: {"accepted": t[0], "queue_len": t[1]}
-    ),
-}
+
+
+def _ok_packed(op):
+    """What the fixed header packs of an OK reply of ``op``: its row's flag and aux fields."""
+    packed = {}
+    if op.flag is not None:
+        packed[op.flag[0]] = st.sampled_from(op.flag[2:])
+    if op.aux is not None:
+        packed[op.aux] = st.integers(0, 2**32 - 1)
+    return st.fixed_dictionaries(packed)
 
 
 @st.composite
 def _messages(draw):
     """``(frame bytes, expected decoded header, payload, seq)`` of one message
-    of any of the seven ops, in either direction: a message carries header
-    fields or payload bytes of its own, never both."""
-    op = draw(st.sampled_from(sorted(BIN_OPS)))
+    of any op in the table, in either direction, with the fields its row
+    declares (any, on a STAT reply): a message carries header fields or
+    payload bytes of its own, never both."""
+    op = BIN_OPS[draw(st.sampled_from(sorted(BIN_OPS)))]
     seq = draw(_seqs)
-    fields = draw(st.one_of(st.just({}), _fields))
-    payload = b"" if fields else draw(st.binary(max_size=4096))
     kind = draw(st.sampled_from(["request", "ok", "error"]))
     if kind == "request":
-        path = draw(_paths)
-        msg = Message.request(op, path=path, **fields)
-        msg.payload = payload
-        return encode_binary_request(msg, seq=seq) + payload, msg.header, payload, seq
-    if kind == "ok":
-        msg = Message.ok_response(payload=payload, **fields)
-        msg.header.update(draw(_OK_PACKED.get(op, st.just({}))))
+        fields = {f: draw(_header_values) for f in sorted(op.request)}
+        msg = Message.request(op.name, path=draw(_paths), **fields)
+    elif kind == "ok":
+        fields = draw(_fields) if op.reply is None else {f: draw(_header_values) for f in sorted(op.reply)}
+        msg = Message.ok_response(**fields)
+        msg.header.update(draw(_ok_packed(op)))
     else:
+        fields = {}
+        msg = Message.error_response(draw(st.text(max_size=60)))
         code = draw(st.sampled_from([None, "ENOENT", "ENOSPC"]))
-        msg = Message.error_response(draw(st.text(max_size=60)), **fields)
-        msg.payload = payload
         if code:
             msg.header["code"] = code
-    return encode_binary_response_header(op, msg, seq=seq) + payload, msg.header, payload, seq
+    msg.payload = b"" if fields else draw(st.binary(max_size=4096))
+    if kind == "request":
+        return encode_binary_request(msg, seq=seq) + msg.payload, msg.header, msg.payload, seq
+    return encode_binary_response_header(op.name, msg, seq=seq) + msg.payload, msg.header, msg.payload, seq
 
 
 def _recv_all(frames: list[bytes]) -> list[Message]:
@@ -120,8 +121,8 @@ class TestProtocolRoundTrip:
         assert [(g.header, g.payload, g.seq) for g in got] == [m[1:] for m in messages]
 
     @settings(max_examples=40, deadline=None)
-    @given(op=st.sampled_from(sorted(BIN_OPS)), path=_paths, payload=st.binary(max_size=4096),
-           seq=_seqs)
+    @given(op=st.sampled_from(sorted(n for n, op in BIN_OPS.items() if not op.request)),  # payload ops
+           path=_paths, payload=st.binary(max_size=4096), seq=_seqs)
     def test_binary_request_round_trips(self, op, path, payload, seq):
         msg = Message.request(op, path=path)
         msg.payload = payload
@@ -130,6 +131,19 @@ class TestProtocolRoundTrip:
         assert got.header["path"] == path
         assert got.payload == payload
         assert got.seq == seq
+
+    @settings(max_examples=60, deadline=None)
+    @given(reason=st.text() | st.tuples(st.integers(0xFFFF - 12, 0xFFFF), st.text(min_size=1, max_size=8))
+           .map(lambda t: "x" * t[0] + t[1]))
+    @example(reason="no such file: " + "é" * 40000)
+    def test_every_error_reason_frame_decodes(self, reason):
+        """A reason longer than the key field is cut on a character
+        boundary: the frame decodes, to the longest prefix that fits."""
+        frame = encode_binary_response_header(OP_READ, Message.error_response(reason, code="ENOENT"))
+        got, end = parse_frame(frame)
+        cut = got.header["reason"]
+        assert end == len(frame) and got.header["code"] == "ENOENT" and reason.startswith(cut)
+        assert cut == reason or 0xFFFF - 4 < len(cut.encode("utf-8")) <= 0xFFFF
 
 
 def _not_an_object(raw: bytes) -> bool:
@@ -140,7 +154,7 @@ def _not_an_object(raw: bytes) -> bool:
 
 
 def _fields_head(payload_len: int) -> bytes:
-    head = bytearray(encode_binary_request(Message.request(OP_STAT, k=1))[:22])
+    head = bytearray(encode_binary_request(Message.request(OP_OBS, spans_limit=1, events_limit=1))[:22])
     head[18:22] = payload_len.to_bytes(4, "big")
     return bytes(head)
 

@@ -25,9 +25,9 @@ class TestProtocol:
     def test_round_trip_with_payload(self):
         a, b = _pair()
         try:
-            send_binary_request(a, Message.request("READ", path="/x", extra=1))
+            send_binary_request(a, Message.request("OBS", path="/x", spans_limit=1, events_limit=2))
             msg = recv_message(b)
-            assert msg.op == "READ" and msg.header["path"] == "/x" and msg.header["extra"] == 1
+            assert msg.op == "OBS" and msg.header["path"] == "/x" and msg.header["events_limit"] == 2
             reply = Message.ok_response(payload=b"\x00\x01data", source="cache")
             b.sendall(encode_binary_response_header("READ", reply) + reply.payload)
             resp = recv_message(a)
@@ -90,7 +90,7 @@ class TestProtocol:
     def test_oversized_header_rejected(self):
         a, b = _pair()
         try:
-            head = bytearray(encode_binary_request(Message.request("STAT", k=1))[:22])
+            head = bytearray(encode_binary_request(Message.request("OBS", spans_limit=1, events_limit=1))[:22])
             head[18:22] = (2**21).to_bytes(4, "big")  # a 2 MiB fields payload
             a.sendall(bytes(head))
             with pytest.raises(ProtocolError, match="payload length"):
