@@ -73,6 +73,7 @@ __all__ = [
     "ProtocolError",
     "BIN_OPS",
     "Op",
+    "op_table",
     "BIN_MAGIC",
     "BIN_VERSION",
     "OP_READ",
@@ -153,8 +154,26 @@ class Op:
         self.ok_fixed = frozenset({"status", aux, flag and flag[0]} - {None})
 
 
+def op_table(*rows: Op) -> dict:
+    """The table of ``rows``, name → row, refused with :class:`ValueError`
+    unless each row has its own name and its own code in the 8-bit op field."""
+    table, by_code = {}, {}
+    for op in rows:
+        if type(op.code) is not int:
+            raise ValueError(f"{op.name}: non-integer wire code {op.code!r}")
+        if not 0 < op.code < 256:
+            raise ValueError(f"{op.name}: wire code {op.code} does not fit the 8-bit op field")
+        if op.code in by_code:
+            raise ValueError(f"{op.name} and {by_code[op.code].name} share wire code {op.code}: "
+                             "the decoder cannot tell the two ops apart")
+        if op.name in table:
+            raise ValueError(f"op {op.name} has two rows")
+        table[op.name] = by_code[op.code] = op
+    return table
+
+
 #: the op table, name → row: encode, decode and the server's dispatch read it
-BIN_OPS = {op.name: op for op in (
+BIN_OPS = op_table(
     Op(OP_READ, 1, "_read", flag=("source", 0x01, "pfs", "cache"), inline=True),
     Op(OP_PUT, 2, "_put", aux="stored"),
     Op(OP_TRANSFER, 3, "_transfer", flag=("accepted", 0x02, True, False), aux="queue_len"),
@@ -163,7 +182,7 @@ BIN_OPS = {op.name: op for op in (
     Op(OP_OBS, 6, "_obs", request=("spans_limit", "events_limit")),
     Op(OP_JOIN_PLAN, 7, "_join_plan", request=("planned_keys", "planned_bytes", "epoch"),
        reply=("node_id", "accepted_keys")),
-)}
+)
 _BY_CODE = {op.code: op for op in BIN_OPS.values()}
 
 #: what a request's and an error reply's fixed header packs, whatever the op

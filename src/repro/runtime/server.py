@@ -777,6 +777,11 @@ class FTCacheServer:
         return Message.ok_response(stored=len(data))
 
 
-#: op name → the method that answers it, one per op-table row: a row that
-#: names no method fails here, when the module is imported
-_HANDLERS = {op.name: getattr(FTCacheServer, op.handler) for op in BIN_OPS.values()}
+def handlers_for(table: dict) -> dict:
+    """Op name → the :class:`FTCacheServer` method that answers it, one per
+    row of ``table``; a row that names no method raises :class:`AttributeError`."""
+    return {op.name: getattr(FTCacheServer, op.handler) for op in table.values()}
+
+
+#: the live table's handlers: a row that names no method fails when the module is imported
+_HANDLERS = handlers_for(BIN_OPS)

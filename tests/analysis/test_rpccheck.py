@@ -1,275 +1,101 @@
-"""RPC000–RPC004 fixtures: drifted client/server pairs for every rule,
-plus the gating that keeps single-sided lint runs quiet.
-
-The acceptance case for RPC004 is the one the rule exists for: remove a
-field from *one* server reply path and the finding names the op, the
-field, the consumption site, and the deficient reply location."""
+"""The RPC contract rules, held by the op table: a table whose codes the
+8-bit op field cannot tell apart is refused when it is built, a row needs
+a server method to answer it and a client method that sends it, and an
+op outside the table is refused by the encoder and the decoder."""
 
 from __future__ import annotations
 
-import textwrap
+import pytest
 
-from repro.analysis.engine import run_lint
-
-SERVER = "src/repro/runtime/server_snippet.py"
-CLIENT = "src/repro/runtime/client_snippet.py"
-HVAC = "src/repro/hvac/snippet.py"
-
-
-def lint_project(modules: dict):
-    return run_lint([(p, textwrap.dedent(s)) for p, s in modules.items()]).findings
-
-
-def only(findings, rule: str):
-    hits = [f for f in findings if f.rule == rule]
-    assert len(hits) == 1, [f.format_human() for f in findings]
-    return hits[0]
+from repro.runtime import LocalCluster, Message
+from repro.runtime.protocol import (
+    BIN_OPS,
+    OP_PING,
+    Op,
+    ProtocolError,
+    encode_binary_request,
+    op_table,
+    parse_frame,
+)
+from repro.runtime.server import handlers_for
 
 
-def rules_of(findings) -> list:
-    return [f.rule for f in findings]
+@pytest.fixture(scope="module")
+def sent(tmp_path_factory) -> dict:
+    """Op → whether each reply was OK, for one call of every client method
+    against a one-server cluster."""
+    with LocalCluster(n_servers=1, workdir=tmp_path_factory.mktemp("sweep")) as cluster:
+        path, fresh = cluster.populate(n_files=2, file_bytes=256)
+        server = cluster.servers[0]
+        replies: dict = {}
+        dispatch = server._dispatch
+
+        def _record(msg, span, installs):
+            reply = dispatch(msg, span, installs)
+            replies.setdefault(msg.op, []).append(reply.ok)
+            return reply
+
+        server._dispatch = _record
+        client = cluster.client()
+        client.read(path)
+        client.write(fresh, b"new bytes")
+        client.transfer(0, "/moved.bin", b"moved")
+        client.ping(0)
+        client.server_stat(0)
+        client.obs_snapshot(0, spans_limit=1, events_limit=1)
+        client.join_plan(0, planned_keys=2, planned_bytes=512, epoch=1)
+    return {op: all(oks) for op, oks in replies.items()}
 
 
-#: a conforming pair — the baseline every drift below is one edit away from
-SERVER_OK = """
-    OP_READ = "READ"
-    OP_STAT = "STAT"
-
-    class Server:
-        def dispatch(self, msg):
-            if msg.op == OP_READ:
-                path = msg.header.get("path", "")
-                if not path:
-                    return Message.error_response(reason="empty path")
-                return Message.ok_response(source="cache", checksum="abc")
-            if msg.op == OP_STAT:
-                return Message.ok_response(entries=12)
-            return Message.error_response(reason="unknown op")
-"""
-
-CLIENT_OK = """
-    OP_READ = "READ"
-    OP_STAT = "STAT"
-
-    class Client:
-        def read(self, path):
-            resp = self._rpc(Message.request(OP_READ, path=path))
-            return resp.header["checksum"]
-
-        def stat(self):
-            resp = self._rpc(Message.request(OP_STAT))
-            return resp.header.get("entries", 0)
-"""
+def _with(*extra: Op) -> tuple:
+    return (*BIN_OPS.values(), *extra)
 
 
 class TestConformingPairIsClean:
-    def test_baseline_pair_clean(self):
-        assert lint_project({SERVER: SERVER_OK, CLIENT: CLIENT_OK}) == []
+    def test_baseline_pair_clean(self, sent):
+        # every row is sent by a client method and answered OK by its handler
+        assert sent == dict.fromkeys(BIN_OPS, True)
 
 
 class TestRPC001SentNeverHandled:
     def test_client_only_op_flagged(self):
-        client = CLIENT_OK + """
-    OP_PURGE = "PURGE"
-
-    class Admin:
-        def purge(self):
-            return self._rpc(Message.request(OP_PURGE))
-"""
-        f = only(lint_project({SERVER: SERVER_OK, CLIENT: client}), "RPC001")
-        assert "OP_PURGE" in f.message and f.path == CLIENT
-
-    def test_lone_client_module_not_flagged(self):
-        # without any handler in the linted set there is no server side
-        # to conform to — gating keeps partial lint runs quiet
-        assert lint_project({CLIENT: CLIENT_OK}) == []
+        with pytest.raises(ProtocolError, match="not in the op table"):
+            encode_binary_request(Message.request("PURGE"))
+        frame = bytearray(encode_binary_request(Message.request(OP_PING)))
+        frame[4] = max(op.code for op in BIN_OPS.values()) + 1  # the op byte
+        with pytest.raises(ProtocolError, match="unknown op code"):
+            parse_frame(frame, requests_only=True)
 
 
 class TestRPC002HandledNeverSent:
-    def test_server_only_branch_flagged(self):
-        client = """
-    OP_READ = "READ"
-
-    class Client:
-        def read(self, path):
-            resp = self._rpc(Message.request(OP_READ, path=path))
-            return resp.header["checksum"]
-"""
-        findings = lint_project({SERVER: SERVER_OK, CLIENT: client})
-        f = only(findings, "RPC002")
-        assert "OP_STAT" in f.message and f.path == SERVER
-
-
-class TestRPC003RequestFieldNotSupplied:
-    def test_read_field_no_sender_supplies_flagged(self):
-        client = CLIENT_OK.replace(
-            "Message.request(OP_READ, path=path)", "Message.request(OP_READ)"
-        )
-        f = only(lint_project({SERVER: SERVER_OK, CLIENT: client}), "RPC003")
-        assert "'path'" in f.message and f.path == SERVER
-        assert CLIENT in f.message  # the senders are named
-
-    def test_wildcard_sender_satisfies(self):
-        client = CLIENT_OK.replace(
-            "Message.request(OP_READ, path=path)",
-            "Message.request(OP_READ, **fields)",
-        )
-        assert lint_project({SERVER: SERVER_OK, CLIENT: client}) == []
-
-
-class TestRPC004ResponseFieldDrift:
-    def test_removing_field_from_one_reply_path_caught(self):
-        # the acceptance drift: 'checksum' disappears from the cache-hit
-        # reply only; the client's strict read still demands it everywhere
-        server = SERVER_OK.replace(
-            'return Message.ok_response(source="cache", checksum="abc")',
-            'return Message.ok_response(source="cache")',
-        )
-        findings = lint_project({SERVER: server, CLIENT: CLIENT_OK})
-        f = only(findings, "RPC004")
-        assert "'checksum'" in f.message and "'READ'" in f.message
-        assert f.path == CLIENT  # anchored at the consumption site
-        assert SERVER in f.message  # ...and names the deficient reply path
-
-    def test_soft_read_tolerates_partial_reply_paths(self):
-        # .get() consumption only requires *some* reply path to set it —
-        # here a second ok path without 'checksum' stays acceptable
-        server = SERVER_OK.replace(
-            'return Message.error_response(reason="empty path")',
-            'return Message.ok_response(source="none")',
-        )
-        client = CLIENT_OK.replace(
-            'resp.header["checksum"]', 'resp.header.get("checksum")'
-        )
-        assert lint_project({SERVER: server, CLIENT: client}) == []
-
-    def test_field_set_nowhere_flagged_even_for_soft_read(self):
-        client = CLIENT_OK.replace(
-            'resp.header["checksum"]', 'resp.header.get("sha256")'
-        )
-        f = only(lint_project({SERVER: SERVER_OK, CLIENT: client}), "RPC004")
-        assert "'sha256'" in f.message and "no server reply path" in f.message
-
-    def test_dict_header_wildcard_consumption_asserts_nothing(self):
-        client = CLIENT_OK.replace(
-            'resp.header["checksum"]', "dict(resp.header)"
-        )
-        server = SERVER_OK.replace(', checksum="abc"', "")
-        assert lint_project({SERVER: server, CLIENT: client}) == []
-
-
-class TestRPC000OpLiteralDrift:
-    def test_string_literal_op_flagged_with_constant_hint(self):
-        client = CLIENT_OK.replace(
-            "Message.request(OP_READ, path=path)",
-            'Message.request("READ", path=path)',
-        )
-        f = only(lint_project({SERVER: SERVER_OK, CLIENT: client}), "RPC000")
-        assert "OP_READ" in f.message  # hints at the existing constant
-
-    def test_unknown_op_constant_flagged(self):
-        client = CLIENT_OK + """
-    class Admin:
-        def purge(self):
-            return self._rpc(Message.request(OP_PURGE))
-"""
-        findings = lint_project({SERVER: SERVER_OK, CLIENT: client})
-        assert "RPC000" in rules_of(findings)
-        f = only(findings, "RPC000")
-        assert "OP_PURGE" in f.message
-
-
-PROTO = "src/repro/runtime/protocol_snippet.py"
-
-#: a well-formed binary op table matching the conforming pair above
-PROTO_OK = """
-    OP_READ = "READ"
-    OP_STAT = "STAT"
-
-    BIN_OPS = {
-        OP_READ: 1,
-        OP_STAT: 2,
-    }
-"""
+    def test_server_only_branch_flagged(self, sent):
+        # a row the server can answer (it names an existing method) but no
+        # client method sends is what the sweep leaves over
+        table = op_table(*_with(Op("PURGE", 8, "_ping")))
+        assert set(handlers_for(table)) == set(table)
+        assert set(table) - set(sent) == {"PURGE"}
 
 
 class TestBinaryOpTable:
     def test_clean_table_baseline(self):
-        assert lint_project({PROTO: PROTO_OK, SERVER: SERVER_OK, CLIENT: CLIENT_OK}) == []
+        assert op_table(*BIN_OPS.values()) == BIN_OPS
+        assert set(handlers_for(BIN_OPS)) == set(BIN_OPS)
 
-    def test_table_entry_without_handler_or_sender(self):
-        # a table entry is a wire capability: decodable but unservable is
-        # RPC001, decodable but never produced is RPC002 — both anchored
-        # at the table entry, not at some unrelated dispatch line
-        proto = PROTO_OK.replace(
-            "OP_STAT: 2,", "OP_STAT: 2,\n        OP_PURGE: 3,"
-        ).replace('OP_STAT = "STAT"', 'OP_STAT = "STAT"\n    OP_PURGE = "PURGE"')
-        findings = lint_project({PROTO: proto, SERVER: SERVER_OK, CLIENT: CLIENT_OK})
-        f1 = only(findings, "RPC001")
-        f2 = only(findings, "RPC002")
-        assert "'PURGE'" in f1.message and f1.path == PROTO
-        assert "'PURGE'" in f2.message and f2.path == PROTO
+    def test_table_entry_without_handler_or_sender(self, sent):
+        table = op_table(*_with(Op("PURGE", 8, "_purge")))  # its code is legal
+        with pytest.raises(AttributeError, match="_purge"):
+            handlers_for(table)
+        assert "PURGE" not in sent
 
     def test_duplicate_wire_code_flagged(self):
-        proto = PROTO_OK.replace("OP_STAT: 2,", "OP_STAT: 1,")
-        f = only(
-            lint_project({PROTO: proto, SERVER: SERVER_OK, CLIENT: CLIENT_OK}), "RPC000"
-        )
-        assert "cannot tell the two ops apart" in f.message and f.path == PROTO
+        with pytest.raises(ValueError, match="cannot tell the two ops apart"):
+            op_table(*_with(Op("PURGE", BIN_OPS[OP_PING].code, "_ping")))
 
     def test_non_integer_wire_code_flagged(self):
-        proto = PROTO_OK.replace("OP_STAT: 2,", 'OP_STAT: "2",')
-        f = only(
-            lint_project({PROTO: proto, SERVER: SERVER_OK, CLIENT: CLIENT_OK}), "RPC000"
-        )
-        assert "non-integer wire code" in f.message
+        with pytest.raises(ValueError, match="non-integer wire code"):
+            op_table(*_with(Op("PURGE", "8", "_ping")))
 
     def test_out_of_range_wire_code_flagged(self):
-        proto = PROTO_OK.replace("OP_STAT: 2,", "OP_STAT: 300,")
-        f = only(
-            lint_project({PROTO: proto, SERVER: SERVER_OK, CLIENT: CLIENT_OK}), "RPC000"
-        )
-        assert "8-bit op field" in f.message
-
-    def test_string_literal_table_key_flagged(self):
-        proto = PROTO_OK.replace("OP_READ: 1,", '"READ": 1,')
-        findings = lint_project({PROTO: proto, SERVER: SERVER_OK, CLIENT: CLIENT_OK})
-        f = only(findings, "RPC000")
-        assert "OP_READ" in f.message  # hints at the existing constant
-
-
-class TestHvacDataclassConformance:
-    CLEAN = """
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class ReadRequest:
-            files: tuple
-
-        @dataclass(frozen=True)
-        class ReadResponse:
-            served_bytes: int
-            hit_files: int
-
-        def fetch(rpc, files):
-            request = ReadRequest(files=tuple(files))
-            result = rpc.call(request)
-            served = result.value
-            return served.served_bytes + served.hit_files
-    """
-
-    def test_clean_pair(self):
-        assert lint_project({HVAC: self.CLEAN}) == []
-
-    def test_reading_missing_response_field_flagged(self):
-        code = self.CLEAN.replace("served.hit_files", "served.miss_files")
-        f = only(lint_project({HVAC: code}), "RPC004")
-        assert "miss_files" in f.message and "ReadResponse" in f.message
-
-    def test_constructing_request_with_unknown_field_flagged(self):
-        code = self.CLEAN.replace(
-            "ReadRequest(files=tuple(files))",
-            "ReadRequest(files=tuple(files), shard=3)",
-        )
-        f = only(lint_project({HVAC: code}), "RPC003")
-        assert "'shard'" in f.message and "ReadRequest" in f.message
+        for code in (0, 256, 300):
+            with pytest.raises(ValueError, match="8-bit op field"):
+                op_table(*_with(Op("PURGE", code, "_ping")))
