@@ -8,8 +8,8 @@ dead, thread-per-miss recaching, the contains→read eviction race):
   (:func:`lint_paths`, ``python -m repro.analysis``) with rules that
   catch those hazard *patterns* at review time: lock-held-while-blocking
   (RT001), untracked thread spawns (RT002), determinism violations in
-  the simulator/experiment stack (SIM001), silently swallowed exceptions
-  in thread targets (EXC001), and counter-registry drift (CNT001).
+  the simulator/experiment stack (SIM001), and silently swallowed
+  exceptions in thread targets (EXC001).
 * :mod:`repro.analysis.lockwitness` — lightweight runtime
   instrumentation for named locks that records the per-thread
   lock-acquisition graph while the test suite runs and fails on cycles

@@ -76,14 +76,12 @@ def _default_project_rules() -> tuple:
     # late imports: the project rules import the callgraph/rules modules
     from .interproc import TransitiveBlockingRule
     from .lockgraph import LockOrderRule
-    from .registry import CounterRegistryProjectRule
     from .resources import ResourceLeakRule
 
     return (
         TransitiveBlockingRule,
         ResourceLeakRule,
         LockOrderRule,
-        CounterRegistryProjectRule,
     )
 
 

@@ -12,7 +12,6 @@ SIM001      wall-clock or unseeded randomness inside the determinism-contracted
 EXC001      a thread target that swallows broad exceptions silently (a worker
             dying with ``except Exception: pass`` is invisible until the queue
             it served backs up)
-CNT001      counter-registry drift (see :mod:`repro.analysis.registry`)
 SUP001      ftlint suppression without a ``-- justification``
 SUP002      ftlint suppression whose rule never fires on that line
 ==========  =====================================================================
@@ -32,7 +31,6 @@ import ast
 import re
 from typing import Optional
 
-from .registry import CounterRegistryRule
 from .visitor import RuleVisitor, dotted_name
 
 __all__ = [
@@ -277,5 +275,4 @@ ALL_RULES = (
     UntrackedThreadRule,
     DeterminismRule,
     SwallowedThreadExceptionRule,
-    CounterRegistryRule,
 )

@@ -2,9 +2,8 @@
 
 Every rule is a :class:`Rule` subclass with a unique ``rule_id``.  AST
 rules subclass :class:`RuleVisitor` (an :class:`ast.NodeVisitor` that
-walks one module and calls :meth:`RuleVisitor.report`); whole-module
-rules (cross-checking constants against class definitions, like CNT001)
-override :meth:`Rule.check` directly.
+walks one module and calls :meth:`RuleVisitor.report`); a rule that
+needs no walk overrides :meth:`Rule.check` directly.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ Three pillars, one subsystem (see DESIGN.md "Observability contract"):
   every server-side path (cache hit, race fallthrough, PFS fallback,
   data-mover recache, join warmup transfers), with per-stage spans
   recorded into bounded per-process ring buffers;
-* a **unified telemetry registry** (:mod:`~repro.obs.registry`) — one
-  counters + gauges + histograms API that adopts the existing
-  ``ServerStats`` / client counter registries and adds server-side
-  per-op latency histograms, exported over ``OP_OBS``;
+* **one counter primitive and a telemetry registry**
+  (:mod:`~repro.obs.registry`) — :class:`Counters`, the fixed-key store
+  behind the server's and the client's counters, and :class:`Telemetry`,
+  which adopts a ``Counters`` beside gauges and server-side per-op
+  latency histograms, exported over ``OP_OBS``;
 * a **structured event log** (:mod:`~repro.obs.events`) — JSONL lifecycle
   events (death declarations, recaches, join transitions, ring-epoch
   bumps, evictions, chaos injections) with wall *and* monotonic
@@ -26,7 +27,7 @@ from .analysis import TraceNode, build_traces, load_span_files, stage_breakdown
 from .context import TraceContext, current_trace_id, extract, inject, new_span_id, new_trace_id
 from .events import EventLog, get_event_log, reset_event_log
 from .logsetup import configure_logging, node_logger
-from .registry import Telemetry
+from .registry import Counters, Telemetry
 from .spans import NULL_SPAN, Span, SpanBuffer, Tracer
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "NULL_SPAN",
     "SpanBuffer",
     "Tracer",
+    "Counters",
     "Telemetry",
     "EventLog",
     "get_event_log",

@@ -1,26 +1,26 @@
-"""Unified telemetry registry: counters + gauges + histograms, one API.
+"""One counter primitive and the telemetry registry that exports it.
 
-The runtime already has two battle-tested counter registries
-(``STAT_COUNTER_KEYS`` on the server, ``CLIENT_COUNTER_KEYS`` on the
-client) whose integrity is enforced by the CNT001 lint.  :class:`Telemetry`
-does not replace them — it *adopts* them: a counter group is a callable
-returning a point-in-time dict, so the existing lock-protected stores stay
-the single source of truth and every exporter (OP_OBS, bench JSON,
-dashboards) reads one merged snapshot instead of knowing three layouts.
+:class:`Counters` is every monotone counter store in the runtime — the
+server's (``STAT_COUNTER_KEYS``) and the client's
+(``CLIENT_COUNTER_KEYS``): a key tuple fixed at construction, one leaf
+lock, ``bump`` and ``snapshot``.  A bump of a key outside the tuple
+raises :class:`KeyError` at the bump site, so a counter cannot be
+misspelled, invented at a call site or left out of a snapshot.
 
-What the registry adds on top:
+:class:`Telemetry` gives every exporter (OP_OBS, dashboards) one
+snapshot of:
 
+* **counter groups** — adopted :class:`Counters`, read at snapshot time,
+  so the store that the runtime bumps stays the one source of truth;
 * **gauges** — named callables sampled at snapshot time (claimed
   installs, cached bytes, ring epoch), never stored;
 * **histograms** — named :class:`~repro.metrics.LatencyHistogram` s with a
   lock around ``record`` (the histogram itself is single-writer by
   design; server dispatch is not), giving the server per-op latency
-  distributions it never had — until now only the client timed anything;
-* **own counters** — ``inc()`` for obs-internal accounting, reported
-  under the same namespace.
+  distributions.
 
-Snapshots are JSON-safe dicts; a failing gauge or counter group reports
-an ``"error:..."`` string instead of taking the exporter down with it.
+Snapshots are JSON-safe dicts; a failing gauge reports an
+``"error:..."`` string instead of taking the exporter down with it.
 """
 
 from __future__ import annotations
@@ -30,35 +30,51 @@ from typing import Callable, Optional
 from ..analysis import lockwitness
 from ..metrics import LatencyHistogram
 
-__all__ = ["Telemetry"]
+__all__ = ["Counters", "Telemetry"]
+
+
+class Counters:
+    """A fixed set of monotone counters behind one leaf lock.
+
+    ``keys`` is fixed at construction and refused with :class:`ValueError`
+    if it repeats a key.  Nothing else is acquired while the lock is held.
+    """
+
+    def __init__(self, keys: tuple):
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"duplicate counter keys: {sorted({k for k in keys if keys.count(k) > 1})}")
+        self._values = dict.fromkeys(keys, 0)
+        self._lock = lockwitness.named_lock("counters")
+
+    def bump(self, **deltas: int) -> None:
+        """Add each delta to its counter, all under one lock acquisition;
+        a key outside the tuple raises :class:`KeyError`."""
+        with self._lock:
+            values = self._values
+            for key, delta in deltas.items():
+                values[key] += delta
+
+    def snapshot(self) -> dict:
+        """Point-in-time copy of every counter, one lock acquisition."""
+        with self._lock:
+            return dict(self._values)
 
 
 class Telemetry:
-    """One component's unified counters + gauges + histograms registry."""
+    """One component's counter groups + gauges + histograms registry."""
 
     def __init__(self, node=None):
         self.node = node
         self._lock = lockwitness.named_lock("obs-telemetry")
-        self._counters: dict[str, int] = {}
-        self._groups: dict[str, Callable[[], dict]] = {}
+        self._groups: dict[str, Counters] = {}
         self._gauges: dict[str, Callable[[], float]] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
 
     # -- counters ----------------------------------------------------------------
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Bump an obs-owned counter (monotone)."""
+    def adopt_counters(self, group: str, counters: Counters) -> None:
+        """Report ``counters`` under ``group``, read at snapshot time."""
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-
-    def adopt_counters(self, group: str, fn: Callable[[], dict]) -> None:
-        """Register an existing counter store (e.g. ``ServerStats.counters``).
-
-        ``fn`` is called at snapshot time and must return a flat dict; the
-        group name prefixes nothing — the registries already guarantee
-        unique keys — it only labels the snapshot section.
-        """
-        with self._lock:
-            self._groups[group] = fn
+            self._groups[group] = counters
 
     # -- gauges ------------------------------------------------------------------
     def gauge(self, name: str, fn: Callable[[], float]) -> None:
@@ -84,27 +100,18 @@ class Telemetry:
     def snapshot(self) -> dict:
         """JSON-safe point-in-time view of everything registered."""
         with self._lock:
-            own = dict(self._counters)
             groups = dict(self._groups)
             gauges = dict(self._gauges)
             hists = {name: LatencyHistogram.merged([h]) for name, h in self._histograms.items()}
-        counters: dict = dict(own)
-        group_out: dict = {}
-        for group, fn in groups.items():
-            try:
-                group_out[group] = dict(fn())
-            except Exception as exc:  # a broken provider must not sink the exporter
-                group_out[group] = {"error": f"{type(exc).__name__}: {exc}"}
         gauge_out: dict = {}
         for name, fn in gauges.items():
             try:
                 gauge_out[name] = fn()
-            except Exception as exc:
+            except Exception as exc:  # a broken gauge must not sink the exporter
                 gauge_out[name] = f"error: {type(exc).__name__}: {exc}"
         return {
             "node": self.node,
-            "counters": counters,
-            "counter_groups": group_out,
+            "counter_groups": {group: counters.snapshot() for group, counters in groups.items()},
             "gauges": gauge_out,
             "histograms": {name: h.to_dict() for name, h in hists.items() if h.count},
         }

@@ -10,7 +10,7 @@ from .client import FTCacheClient, ReadError
 from .cluster import LocalCluster
 from .dataloader import CachedDataLoader
 from .protocol import Message, ProtocolError, recv_message, send_binary_request
-from .server import FTCacheServer, ServerStats
+from .server import FTCacheServer
 from .storage import NVMeDir, PFSDir
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "recv_message",
     "send_binary_request",
     "FTCacheServer",
-    "ServerStats",
     "NVMeDir",
     "PFSDir",
 ]

@@ -24,7 +24,9 @@ Detector evidence rules (what counts toward declaration):
 * a failed ``read_many`` batch (scatter–gather: every owner's READs are
   sent before any reply is read) is never evidence by itself: that
   owner's socket is retired, its keys are re-read one by one, and *those*
-  attempts feed the detector by the rules above.
+  attempts feed the detector by the rules above;
+* a request the codec refuses (a key over 64 KiB) is never evidence: it
+  raises :class:`ReadError` before anything is sent.
 
 Thread safety: a client may be shared by loader workers; the connection
 pool is per-thread, and policy/detector mutations take a lock.  Pool
@@ -46,7 +48,7 @@ from ..analysis import lockwitness
 from ..core.failure_detector import TimeoutFailureDetector
 from ..core.fault_policy import FaultPolicy
 from ..core.replication import ReplicatedRecache
-from ..obs import Tracer, get_event_log, inject, node_logger
+from ..obs import Counters, Tracer, get_event_log, inject, node_logger
 from .protocol import (
     OP_JOIN_PLAN,
     OP_OBS,
@@ -61,6 +63,7 @@ from .protocol import (
     encode_binary_request,
     recv_message,
     send_binary_request,
+    send_vectored,
     set_nodelay,
 )
 from .storage import PFSDir
@@ -69,9 +72,7 @@ __all__ = ["FTCacheClient", "ReadError", "CLIENT_COUNTER_KEYS"]
 
 NodeId = Hashable
 
-#: every monotone client-side counter, in one place so ``stats`` snapshots,
-#: bench JSON, and the CNT001 registry-drift lint can never diverge from
-#: the counters the client actually maintains
+#: every monotone client-side counter: the keys of ``FTCacheClient.stats``
 CLIENT_COUNTER_KEYS = (
     "server_cache_reads",
     "server_pfs_reads",
@@ -164,14 +165,12 @@ class FTCacheClient:
         #: declaration so every thread's pool drops stale sockets lazily
         self._node_epoch: dict[NodeId, int] = {}
         self._epoch_lock = lockwitness.named_lock("client-epoch")
-        self._counts = {k: 0 for k in CLIENT_COUNTER_KEYS}
-        self._stats_lock = lockwitness.named_lock("client-stats")
+        self._counters = Counters(CLIENT_COUNTER_KEYS)
 
     @property
     def stats(self) -> dict:
         """Counter snapshot: every key of :data:`CLIENT_COUNTER_KEYS`."""
-        with self._stats_lock:
-            return dict(self._counts)
+        return self._counters.snapshot()
 
     # -- public API --------------------------------------------------------------
     def read(self, path: str) -> bytes:
@@ -202,11 +201,11 @@ class FTCacheClient:
             with self.tracer.start_span("client.route", self._op_ctx.span):
                 candidates = self._candidates(path)
             if candidates is None:  # policy says PFS
-                self._bump(pfs_direct_reads=1)
+                self._counters.bump(pfs_direct_reads=1)
                 return self.pfs.read(path), "pfs_direct"
             for i, node in enumerate(candidates):
                 if i > 0:
-                    self._bump(failovers=1)
+                    self._counters.bump(failovers=1)
                 outcome = self._rpc_read(node, path)
                 if outcome is not None:
                     data, source = outcome
@@ -214,9 +213,9 @@ class FTCacheClient:
                         self._push_replicas(path, data, served_by=node)
                     return data, source
                 # timeout / refused: feed the detector and maybe declare.
-                self._bump(timeouts=1)
+                self._counters.bump(timeouts=1)
                 if self.detector.record_timeout(node):
-                    self._bump(declared=1)
+                    self._counters.bump(declared=1)
                     self._declare_failed(node)
         raise ReadError(f"could not read {path!r} after {self.max_reroute_rounds} attempts")
 
@@ -236,7 +235,7 @@ class FTCacheClient:
         try:
             with self.tracer.start_span("client.pfs_write", span, path=path):
                 self.pfs.write(path, data)
-            self._bump(writes=1)
+            self._counters.bump(writes=1)
             self._install_in_cache(path, data)
         except Exception:
             octx.span = None
@@ -255,14 +254,14 @@ class FTCacheClient:
         msg.payload = data
         resp = self._rpc(node, msg)
         if resp is None:
-            self._bump(timeouts=1)
+            self._counters.bump(timeouts=1)
             if self.detector.record_timeout(node):
-                self._bump(declared=1)
+                self._counters.bump(declared=1)
                 self._declare_failed(node)
             return
         if resp.ok:
             self.detector.record_success(node)
-            self._bump(cache_installs=1)
+            self._counters.bump(cache_installs=1)
 
     def _candidates(self, path: str) -> Optional[list]:
         """Ordered server targets for this read, or None for direct PFS."""
@@ -298,7 +297,7 @@ class FTCacheClient:
                         send_binary_request(sock, msg)
                         resp = recv_message(sock)
                         if resp.ok:
-                            self._bump(replica_pushes=1)
+                            self._counters.bump(replica_pushes=1)
                 except OSError:
                     continue
 
@@ -337,7 +336,9 @@ class FTCacheClient:
         sources = {"cache": 0, "pfs": 0}
         error: Optional[ReadError] = None
         with self.tracer.start_trace("client.read_many", owners=len(groups), batch=len(paths)) as span:
-            sent = [(node, batch, self._send_batch(node, batch, span)) for node, batch in groups.items()]
+            # every frame is encoded before any is sent: a key the codec refuses raises here
+            frames = {node: self._encode_batch(batch, span) for node, batch in groups.items()}
+            sent = [(node, batch, self._send_batch(node, frames[node])) for node, batch in groups.items()]
             drained = [(node, batch, conn and self._drain_batch(node, conn, len(batch)))
                        for node, batch, conn in sent]
             for node, batch, replies in drained:
@@ -352,27 +353,31 @@ class FTCacheClient:
                             error = error or exc
                         else:
                             sources[source] += 1
-            self._bump(server_cache_reads=sources["cache"], server_pfs_reads=sources["pfs"],
-                       pipelined_reads=len(results))
+            self._counters.bump(server_cache_reads=sources["cache"], server_pfs_reads=sources["pfs"],
+                                pipelined_reads=len(results))
             if error is not None:
                 raise error
         # the rest (PFS routes, retired owners, unmatched seqs): sequential path
         return [results[i] if i in results else self.read(p) for i, p in enumerate(paths)]
 
-    def _send_batch(self, node: NodeId, batch: list[tuple[int, str]], span) -> Optional[_PooledConn]:
-        """Scatter half: one owner's READs (seq 1…n) in one send; None — socket retired — if it fails."""
+    def _encode_batch(self, batch: list[tuple[int, str]], span) -> bytes:
+        """One owner's READs, seq 1…n, as one buffer."""
+        msg = Message.request(OP_READ)
+        if span.ctx is not None:
+            inject(msg.header, span.ctx)
+        frames = []
+        for seq, (_, path) in enumerate(batch, start=1):
+            msg.header["path"] = path
+            frames.append(self._encode(msg, seq))
+        return b"".join(frames)
+
+    def _send_batch(self, node: NodeId, frames: bytes) -> Optional[_PooledConn]:
+        """Scatter half: one owner's encoded READs in one send; None — socket retired — if it fails."""
         try:
             conn, _ = self._checkout(node)
-            msg = Message.request(OP_READ)
-            if span.ctx is not None:
-                inject(msg.header, span.ctx)
-            frames = []
-            for seq, (_, path) in enumerate(batch, start=1):
-                msg.header["path"] = path
-                frames.append(encode_binary_request(msg, seq))
-            conn.sock.sendall(b"".join(frames))
+            conn.sock.sendall(frames)
             return conn
-        except (OSError, ProtocolError, ReadError):  # the last two the sequential path re-raises
+        except (OSError, ReadError):  # an unknown node's ReadError the sequential path re-raises
             self._drop_conn(node)
             return None
 
@@ -441,7 +446,7 @@ class FTCacheClient:
         resp = self._rpc(node, msg)
         if resp is None or not resp.ok:
             return None
-        self._bump(transfers_sent=1)
+        self._counters.bump(transfers_sent=1)
         return {"accepted": resp.header["accepted"], "queue_len": resp.header["queue_len"]}
 
     def join_plan(
@@ -460,7 +465,7 @@ class FTCacheClient:
         )
         if resp is None or not resp.ok:
             return False
-        self._bump(join_plans_sent=1)
+        self._counters.bump(join_plans_sent=1)
         return True
 
     @contextmanager
@@ -525,9 +530,9 @@ class FTCacheClient:
         """
         resp = self._rpc(node, Message.request(OP_PING))
         if resp is None:
-            self._bump(timeouts=1)
+            self._counters.bump(timeouts=1)
             if self.detector.record_timeout(node):
-                self._bump(declared=1)
+                self._counters.bump(declared=1)
                 self._declare_failed(node)
             return False
         if not resp.ok:
@@ -536,11 +541,6 @@ class FTCacheClient:
         return resp.header["node_id"] == node
 
     # -- internals -----------------------------------------------------------------
-    def _bump(self, **deltas: int) -> None:
-        with self._stats_lock:
-            for k, d in deltas.items():
-                self._counts[k] += d
-
     def _addr(self, node: NodeId) -> tuple[str, int]:
         try:
             return self.servers[node]
@@ -615,11 +615,16 @@ class FTCacheClient:
         )
         if span.ctx is not None:
             inject(msg.header, span.ctx)
+        try:
+            frame = self._encode(msg)
+        except ReadError:
+            span.end(status="error")
+            raise
         for _ in range(2):
             fresh = True
             try:
                 conn, fresh = self._checkout(node)
-                send_binary_request(conn.sock, msg)
+                send_vectored(conn.sock, frame, msg.payload)
                 resp = conn.reader.recv()
                 octx.node_id = node
                 span.end()
@@ -636,7 +641,7 @@ class FTCacheClient:
                     # Nothing listening / reset on a brand-new socket.
                     span.end(status="conn_error")
                     return None
-                self._bump(reconnects=1)  # stale pooled socket: retry once
+                self._counters.bump(reconnects=1)  # stale pooled socket: retry once
         span.end(status="error")
         return None  # pragma: no cover - loop always returns
 
@@ -648,10 +653,20 @@ class FTCacheClient:
         data, source = self._verdict(path, resp)
         self.detector.record_success(node)
         if source == "pfs":
-            self._bump(server_pfs_reads=1)
+            self._counters.bump(server_pfs_reads=1)
         else:
-            self._bump(server_cache_reads=1)
+            self._counters.bump(server_cache_reads=1)
         return data, source
+
+    @staticmethod
+    def _encode(msg: Message, seq: int = 0) -> bytes:
+        """``msg``'s request frame.  A request the codec refuses (a key over
+        64 KiB) is the caller's mistake, raised as :class:`ReadError`: it
+        is no detector evidence and retires no socket."""
+        try:
+            return encode_binary_request(msg, seq)
+        except ProtocolError as exc:
+            raise ReadError(f"cannot send {msg.op}: {exc}") from None
 
     @staticmethod
     def _verdict(path: str, resp: Message) -> tuple[bytes, str]:

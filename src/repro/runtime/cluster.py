@@ -30,7 +30,7 @@ from ..core.membership import MembershipView
 from ..core.replication import ReplicatedRecache
 from ..core.hash_ring import HashRing
 from ..core.static_hash import StaticHash
-from ..obs import SpanBuffer, Tracer, get_event_log
+from ..obs import Counters, SpanBuffer, Tracer, get_event_log
 from ..rebalance import JoinCoordinator, JoinReport, RingDiff, RingEpoch
 from .client import FTCacheClient
 from .server import STAT_COUNTER_KEYS, FTCacheServer
@@ -97,7 +97,7 @@ class LocalCluster:
         self.join_reports: list[JoinReport] = []
         #: counters of server instances retired by restart_server, so
         #: cluster-wide totals stay monotone across repairs
-        self._retired_stats = {k: 0 for k in (*STAT_COUNTER_KEYS, "evictions")}
+        self._retired_stats = Counters((*STAT_COUNTER_KEYS, "evictions"))
 
     def _spawn_server(self, node_id: int, nvme: NVMeDir, host: str = "127.0.0.1", port: int = 0) -> FTCacheServer:
         return FTCacheServer(node_id, nvme, self.pfs, host=host, port=port).start()
@@ -184,9 +184,7 @@ class LocalCluster:
         old = self.servers[node_id]
         host, port = old.address
         old.close()
-        for k, v in old.stats.counters().items():
-            self._retired_stats[k] += v
-        self._retired_stats["evictions"] += old.nvme.evictions
+        self._retired_stats.bump(**old.counters())
         nvme = NVMeDir(old.nvme.root, capacity_bytes=old.nvme.capacity_bytes)  # rescans surviving entries
         if same_address:
             fresh = self._spawn_server(node_id, nvme, host=host, port=port)
@@ -308,11 +306,10 @@ class LocalCluster:
         return [i for i, s in self.servers.items() if s.alive]
 
     def total_stats(self) -> dict:
-        out = dict(self._retired_stats)
+        out = self._retired_stats.snapshot()
         for s in self.servers.values():
-            for k, v in s.stats.counters().items():
+            for k, v in s.counters().items():
                 out[k] += v
-            out["evictions"] += s.nvme.evictions
         return out
 
     def server_snapshots(self) -> dict[int, dict]:
@@ -324,9 +321,8 @@ class LocalCluster:
                 "cached_entries": s.nvme.entry_count(),
                 "cached_bytes": s.nvme.used_bytes,
                 "capacity_bytes": s.nvme.capacity_bytes,
-                "evictions": s.nvme.evictions,
                 "mover_queue_len": s.mover_queue_len,
-                **s.stats.counters(),
+                **s.counters(),
             }
         return out
 

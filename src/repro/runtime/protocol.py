@@ -66,6 +66,7 @@ __all__ = [
     "recv_message",
     "FrameReader",
     "send_binary_request",
+    "send_vectored",
     "encode_binary_request",
     "encode_binary_response_header",
     "parse_frame",
@@ -252,7 +253,7 @@ def set_nodelay(sock: socket.socket) -> None:
 
 
 # -- low-level send/recv ------------------------------------------------------------
-def _send_vectored(sock: socket.socket, *parts) -> None:
+def send_vectored(sock: socket.socket, *parts) -> None:
     """Send buffers scatter-gather, copy-free: each part is its own iovec,
     so the payload buffer goes to the kernel as-is."""
     bufs = [memoryview(p) for p in parts if len(p)]
@@ -355,7 +356,7 @@ def encode_binary_request(message: Message, seq: int = 0) -> bytes:
 
 
 def send_binary_request(sock: socket.socket, message: Message, seq: int = 0) -> None:
-    _send_vectored(sock, encode_binary_request(message, seq), message.payload)
+    send_vectored(sock, encode_binary_request(message, seq), message.payload)
 
 
 def encode_binary_response_header(

@@ -52,13 +52,10 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Optional
 
-from functools import partial
-
 from ..analysis import lockwitness
-from ..obs import Telemetry, Tracer, extract, get_event_log, node_logger
+from ..obs import Counters, Telemetry, Tracer, extract, get_event_log, node_logger
 from ..obs.context import TraceContext
 from .protocol import (
     BIN_OPS,
@@ -71,7 +68,7 @@ from .protocol import (
 )
 from .storage import NVMeDir, PFSDir
 
-__all__ = ["FTCacheServer", "ServerStats"]
+__all__ = ["FTCacheServer"]
 
 #: max dispatch jobs + reply tasks in flight per connection before it stops
 #: decoding frames and pauses reading (pipelining backpressure, not an error)
@@ -82,63 +79,31 @@ _HIT_REPLY = Message.ok_response(source="cache")
 #: ops whose cached keys are answered within the loop turn (the table's ``inline`` rows)
 _INLINE_OPS = frozenset(op.name for op in BIN_OPS.values() if op.inline)
 
-#: every monotone per-server counter, in one place so cluster aggregation,
-#: STAT responses, and snapshot dictionaries can never drift apart
+#: every monotone per-server counter: the keys of ``FTCacheServer.stats``,
+#: reported by STAT, OBS and every cluster aggregate
 STAT_COUNTER_KEYS = (
     "hits",
     "misses",
     "pfs_reads",
     "recached",
     "errors",
+    #: reads that saw ``contains()`` true but lost the race to an eviction
+    #: and fell through to the PFS
     "race_fallthroughs",
+    #: recache accounting (see FTCacheServer._claim): installs claimed,
+    #: duplicates of a claimed key, installs the device refused
     "mover_enqueued",
     "mover_coalesced",
     "mover_dropped",
+    #: elastic-join warmup accounting (repro.rebalance): plans announced
+    #: to this node, transfer requests it accepted, and their bytes
     "join_plans",
     "transfers_in",
     "transfer_bytes",
+    #: requests decoded, and cache hits served kernel-side via sendfile
     "binary_reqs",
     "sendfile_serves",
 )
-
-
-@dataclass
-class ServerStats:
-    hits: int = 0
-    misses: int = 0
-    pfs_reads: int = 0
-    recached: int = 0
-    errors: int = 0
-    #: reads that saw ``contains()`` true but lost the race to an eviction
-    #: and fell through to the PFS (previously indistinguishable from a miss)
-    race_fallthroughs: int = 0
-    #: recache accounting (see FTCacheServer._claim): installs claimed,
-    #: duplicates of a claimed key, installs the device refused
-    mover_enqueued: int = 0
-    mover_coalesced: int = 0
-    mover_dropped: int = 0
-    #: elastic-join warmup accounting (repro.rebalance): plans announced
-    #: to this node, transfer requests it accepted, and their bytes
-    join_plans: int = 0
-    transfers_in: int = 0
-    transfer_bytes: int = 0
-    #: requests decoded, and cache hits served kernel-side via the
-    #: zero-copy sendfile fast path
-    binary_reqs: int = 0
-    sendfile_serves: int = 0
-    _lock: threading.Lock = field(
-        default_factory=partial(lockwitness.named_lock, "server-stats"), repr=False
-    )
-
-    def bump(self, **deltas: int) -> None:
-        with self._lock:
-            for name, d in deltas.items():
-                setattr(self, name, getattr(self, name) + d)
-
-    def counters(self) -> dict:
-        """Point-in-time copy of every counter (one lock acquisition)."""
-        with self._lock:
-            return {k: getattr(self, k) for k in STAT_COUNTER_KEYS}
 
 
 class _WriteLock:
@@ -445,7 +410,7 @@ class FTCacheServer:
         self.node_id = node_id
         self.nvme = nvme
         self.pfs = pfs
-        self.stats = ServerStats()
+        self.stats = Counters(STAT_COUNTER_KEYS)
         #: server-side spans are always created *from* an incoming trace
         #: context — no context, no span — so an always-enabled tracer
         #: costs nothing until a client opts into tracing
@@ -453,7 +418,7 @@ class FTCacheServer:
         self.events = get_event_log()
         self.log = node_logger(__name__, node_id)
         self.telemetry = Telemetry(node=node_id)
-        self.telemetry.adopt_counters("server", self.stats.counters)
+        self.telemetry.adopt_counters("server", self.stats)
         self.telemetry.gauge("mover_queue_len", lambda: self.mover_queue_len)
         self.telemetry.gauge("cached_bytes", lambda: self.nvme.used_bytes)
         self.telemetry.gauge("cached_entries", lambda: self.nvme.entry_count())
@@ -502,6 +467,11 @@ class FTCacheServer:
         """Installs claimed and not yet written: 0 when idle, at most one
         per dispatch thread."""
         return len(self._installing)
+
+    def counters(self) -> dict:
+        """Every counter of this node: :attr:`stats` plus the device's
+        ``evictions`` — what STAT reports and every cluster total sums."""
+        return {**self.stats.snapshot(), "evictions": self.nvme.evictions}
 
     @property
     def alive(self) -> bool:
@@ -657,9 +627,8 @@ class FTCacheServer:
             cached_entries=self.nvme.entry_count(),
             cached_bytes=self.nvme.used_bytes,
             capacity_bytes=self.nvme.capacity_bytes,
-            evictions=self.nvme.evictions,
             mover_queue_len=self.mover_queue_len,
-            **self.stats.counters(),
+            **self.counters(),
         )
 
     def _read(self, msg: Message, span, installs: list) -> Message:

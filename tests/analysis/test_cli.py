@@ -63,7 +63,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("RT001", "RT002", "SIM001", "EXC001", "CNT001"):
+        for rule in ("RT001", "RT002", "SIM001", "EXC001"):
             assert rule in out
 
 

@@ -410,97 +410,6 @@ class TestEXC001:
         assert findings == []
 
 
-# -- CNT001: counter-registry drift -------------------------------------------------
-
-
-class TestCNT001:
-    def test_field_missing_from_registry_flagged(self):
-        findings = lint(
-            """
-            STAT_COUNTER_KEYS = ("hits", "misses")
-            class ServerStats:
-                hits: int = 0
-                misses: int = 0
-                evictions: int = 0
-                def counters(self):
-                    return {k: getattr(self, k) for k in STAT_COUNTER_KEYS}
-            """
-        )
-        assert rules_of(findings) == ["CNT001"]
-        assert "evictions" in findings[0].message
-
-    def test_registry_key_without_field_flagged(self):
-        findings = lint(
-            """
-            STAT_COUNTER_KEYS = ("hits", "ghost")
-            class ServerStats:
-                hits: int = 0
-                def counters(self):
-                    return {k: getattr(self, k) for k in STAT_COUNTER_KEYS}
-            """
-        )
-        assert rules_of(findings) == ["CNT001"]
-        assert "ghost" in findings[0].message
-
-    def test_bump_of_unregistered_counter_flagged(self):
-        findings = lint(
-            """
-            CLIENT_COUNTER_KEYS = ("reads",)
-            class C:
-                def _bump(self, **kw):
-                    pass
-                def op(self):
-                    self._bump(reads=1)
-                    self._bump(writes=1)
-            """
-        )
-        assert rules_of(findings) == ["CNT001"]
-        assert "writes" in findings[0].message
-
-    def test_never_bumped_registry_key_flagged(self):
-        findings = lint(
-            """
-            CLIENT_COUNTER_KEYS = ("reads", "zombie")
-            class C:
-                def _bump(self, **kw):
-                    pass
-                def op(self):
-                    self._bump(reads=1)
-            """
-        )
-        assert rules_of(findings) == ["CNT001"]
-        assert "zombie" in findings[0].message
-
-    def test_consistent_registry_clean(self):
-        findings = lint(
-            """
-            STAT_COUNTER_KEYS = ("hits", "misses")
-            class ServerStats:
-                hits: int = 0
-                misses: int = 0
-                def bump(self, **kw):
-                    pass
-            class Srv:
-                def op(self):
-                    self.stats.bump(hits=1)
-                    self.stats.bump(misses=1)
-            """
-        )
-        assert findings == []
-
-    def test_module_without_registry_skipped(self):
-        findings = lint(
-            """
-            class C:
-                def _bump(self, **kw):
-                    pass
-                def op(self):
-                    self._bump(anything=1)
-            """
-        )
-        assert findings == []
-
-
 # -- the real tree ------------------------------------------------------------------
 
 

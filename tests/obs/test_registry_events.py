@@ -5,22 +5,16 @@ import threading
 
 import pytest
 
-from repro.obs import EventLog, Telemetry, get_event_log, reset_event_log
+from repro.obs import Counters, EventLog, Telemetry, get_event_log, reset_event_log
 
 
 class TestTelemetry:
-    def test_own_counters(self):
-        t = Telemetry(node=1)
-        t.inc("exported")
-        t.inc("exported", 2)
-        assert t.snapshot()["counters"] == {"exported": 3}
-
     def test_adopted_group_reads_live_store(self):
         t = Telemetry(node=1)
-        store = {"hits": 1}
-        t.adopt_counters("server", lambda: store)
-        assert t.snapshot()["counter_groups"]["server"] == {"hits": 1}
-        store["hits"] = 5
+        store = Counters(("hits",))
+        t.adopt_counters("server", store)
+        assert t.snapshot()["counter_groups"]["server"] == {"hits": 0}
+        store.bump(hits=5)
         assert t.snapshot()["counter_groups"]["server"] == {"hits": 5}
 
     def test_gauges_sampled_at_snapshot_time(self):
@@ -34,10 +28,10 @@ class TestTelemetry:
     def test_broken_provider_reports_error_not_raise(self):
         t = Telemetry()
         t.gauge("bad", lambda: 1 / 0)
-        t.adopt_counters("bad_group", lambda: (_ for _ in ()).throw(OSError("disk")))
+        t.gauge("good", lambda: 2)
         snap = t.snapshot()
         assert snap["gauges"]["bad"].startswith("error:")
-        assert "error" in snap["counter_groups"]["bad_group"]
+        assert snap["gauges"]["good"] == 2
 
     def test_histograms(self):
         t = Telemetry()
@@ -51,7 +45,7 @@ class TestTelemetry:
 
     def test_snapshot_is_json_safe(self):
         t = Telemetry(node=0)
-        t.inc("c")
+        t.adopt_counters("c", Counters(("n",)))
         t.observe("h", 0.01)
         t.gauge("g", lambda: 2.5)
         json.dumps(t.snapshot())

@@ -57,6 +57,7 @@ class TestJoinE2E:
         stat = client.server_stat(node)
         assert stat["hits"] == len(moved)
         assert stat["transfers_in"] == report.warmed_keys
+        assert stat["transfer_bytes"] == report.warmed_bytes
         assert stat["join_plans"] == 1
         assert client.stats["timeouts"] == 0 and client.stats["declared"] == 0
 

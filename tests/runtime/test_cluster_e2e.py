@@ -111,7 +111,7 @@ class TestHappyPath:
         client = cluster.client()
         for p in cluster.paths:
             client.read(p)
-        served = [s.stats.hits + s.stats.misses for s in cluster.servers.values()]
+        served = [c["hits"] + c["misses"] for c in (s.stats.snapshot() for s in cluster.servers.values())]
         assert sum(1 for x in served if x > 0) >= 3  # ring spreads load
 
 

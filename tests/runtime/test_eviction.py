@@ -438,8 +438,9 @@ class TestEvictionRaceRegression:
         assert resp.ok
         assert resp.payload == b"ground truth"
         assert resp.header["source"] == "pfs"
-        assert server.stats.errors == 0
-        assert server.stats.misses == 1 and server.stats.pfs_reads == 1
+        counters = server.stats.snapshot()
+        assert counters["errors"] == 0
+        assert counters["misses"] == 1 and counters["pfs_reads"] == 1
 
     def test_concurrent_eviction_pressure_no_client_errors(self):
         """End-to-end: tiny caches churn entries while readers hammer them."""

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.runtime import LocalCluster, Message, recv_message
+from repro.runtime import LocalCluster, Message, ReadError, recv_message
 from repro.runtime.protocol import OP_READ
 from repro.runtime.server import FTCacheServer
 from repro.runtime.storage import NVMeDir, PFSDir
@@ -180,6 +180,35 @@ class TestStaleSocketRegression:
             assert "cache_reads" not in stats  # the pre-split alias is gone
 
 
+class TestRefusedRequestIsNotEvidence:
+    @pytest.mark.parametrize("batched", [False, True], ids=["read", "read_many"])
+    def test_over_long_key_is_a_read_error_not_a_dead_node(self, tmp_path, batched):
+        """A key the codec refuses (over 64 KiB) is the caller's mistake: a
+        ReadError each time, with no detector evidence and no pooled socket
+        retired — three of them used to declare all three nodes dead."""
+        with LocalCluster(
+            n_servers=3, workdir=tmp_path, policy="nvme", ttl=0.5, timeout_threshold=2
+        ) as c:
+            paths = c.populate(n_files=6, file_bytes=256, seed=10)
+            client = c.client()
+            expected = {p: c.pfs.resolve(p).read_bytes() for p in paths}
+            client.read_many(paths)  # pool a socket to every owner
+            pooled = dict(client._pool.conns)
+            long_key = "/" + "k" * 70000
+            for _ in range(3):
+                with pytest.raises(ReadError):
+                    if batched:
+                        client.read_many([*paths, long_key])
+                    else:
+                        client.read(long_key)
+            stats = client.stats
+            assert (stats["timeouts"], stats["declared"], stats["reconnects"]) == (0, 0, 0)
+            assert not client.policy.failed_nodes
+            assert client._pool.conns == pooled
+            assert client.read(paths[0]) == expected[paths[0]]
+            assert client.read_many(paths) == [expected[p] for p in paths]
+
+
 class TestDataMoverPool:
     """The install path: claimed before the reply, written after it on the
     dispatch thread that served the miss — no thread or queue of its own."""
@@ -203,7 +232,7 @@ class TestDataMoverPool:
                     assert not _threads("data-mover-")
         finally:
             server.close()  # returns once every claimed install is written
-        final = server.stats.counters()
+        final = server.stats.snapshot()
         assert final["mover_dropped"] == final["mover_coalesced"] == 0
         assert final["recached"] == final["mover_enqueued"] == 500
         assert nvme.entry_count() == 500
@@ -222,7 +251,7 @@ class TestDataMoverPool:
             nvme.release.set()
             server.close()
         assert nvme.writes == ["/same/key.bin"]
-        c = server.stats.counters()
+        c = server.stats.snapshot()
         assert (c["misses"], c["mover_enqueued"], c["mover_coalesced"], c["recached"]) == (2, 1, 1, 1)
 
     def test_serve_then_cache(self, tmp_path):
@@ -276,7 +305,18 @@ class TestDataMoverPool:
             server.close()
         assert not closer.is_alive()
         assert nvme.written_at_close == 1
-        assert server.stats.counters()["recached"] == 1 and server.mover_queue_len == 0
+        assert server.stats.snapshot()["recached"] == 1 and server.mover_queue_len == 0
+
+    def test_install_larger_than_the_device_is_dropped_and_counted(self, tmp_path):
+        """An entry bigger than the whole device is served, then its claimed
+        install is refused: booked in mover_dropped, not in recached."""
+        with LocalCluster(n_servers=1, workdir=tmp_path, nvme_capacity_bytes=64) as c:
+            (path,) = c.populate(n_files=1, file_bytes=128, seed=11)
+            assert c.client().read(path) == c.pfs.read(path)
+            server = c.servers[0]
+            server.close()  # returns once the claimed install has run
+            counters = server.stats.snapshot()
+            assert (counters["mover_enqueued"], counters["mover_dropped"], counters["recached"]) == (1, 1, 0)
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -319,7 +359,7 @@ class TestRaceFallthroughCounter:
             nvme.read = racing_read
             resp = server.dispatch(Message.request(OP_READ, path=key), [])
             assert resp.ok and resp.header["source"] == "pfs"
-            counters = server.stats.counters()
+            counters = server.stats.snapshot()
             assert counters["race_fallthroughs"] == 1
             assert counters["misses"] == 1  # still a miss, now with a trace
         finally:

@@ -49,6 +49,9 @@ class TestOpTable:
             assert set(client.obs_snapshot(0, spans_limit=1, events_limit=1)) >= {"spans", "events"}
             assert client.join_plan(0, planned_keys=2, planned_bytes=512, epoch=1) is True
             assert server.join_plan == {"planned_keys": 2, "planned_bytes": 512, "epoch": 1}
+            sent = client.stats
+            assert (sent["transfers_sent"], sent["join_plans_sent"]) == (1, 1)
+            assert server.stats.snapshot()["transfer_bytes"] == len(b"moved")
         assert sorted(seen) == sorted(BIN_OPS)
 
     @pytest.mark.parametrize("msg", [

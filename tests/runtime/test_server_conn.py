@@ -146,7 +146,7 @@ class TestSegmentation:
 
     def test_32_pipelined_reads_in_one_segment(self, node):
         stream = b"".join(_read_req(k, seq) for seq, k in enumerate(HITS, start=1))
-        before = node.stats.counters()
+        before = node.stats.snapshot()
         with _connect(node) as sock:
             sock.sendall(stream)
             replies = [recv_message(sock) for _ in HITS]
@@ -155,7 +155,7 @@ class TestSegmentation:
         for r, key in zip(replies, HITS):
             assert r.ok and r.header["source"] == "cache"
             assert r.payload == node.pfs.read(key)
-        after = node.stats.counters()
+        after = node.stats.snapshot()
         assert after["hits"] - before["hits"] == 32
         assert after["sendfile_serves"] - before["sendfile_serves"] == 32
         assert after["binary_reqs"] - before["binary_reqs"] == 32
@@ -164,15 +164,15 @@ class TestSegmentation:
         """The client holding a reply must already be counted (ROADMAP 1a)."""
         with _connect(node) as sock:
             for i, key in enumerate(HITS, start=1):
-                before = node.stats.counters()["hits"]
+                before = node.stats.snapshot()["hits"]
                 sock.sendall(_read_req(key, i))
                 assert recv_message(sock).ok
-                assert node.stats.counters()["hits"] == before + 1
+                assert node.stats.snapshot()["hits"] == before + 1
             for i, key in enumerate(MISSES, start=100):
-                before = node.stats.counters()["misses"]
+                before = node.stats.snapshot()["misses"]
                 sock.sendall(_read_req(key, i))
                 assert recv_message(sock).header["source"] == "pfs"
-                assert node.stats.counters()["misses"] == before + 1
+                assert node.stats.snapshot()["misses"] == before + 1
 
 
 class TestRemainderPath:
@@ -190,8 +190,8 @@ class TestRemainderPath:
             conn = _only_conn(node)
             # the miss has been dispatched and is parked on the write lock
             # behind the hit's tail before a single byte is read
-            _wait(lambda: node.stats.counters()["misses"] == 1 and len(conn.wlock._waiters) == 1)
-            assert node.stats.counters()["hits"] == 1
+            _wait(lambda: node.stats.snapshot()["misses"] == 1 and len(conn.wlock._waiters) == 1)
+            assert node.stats.snapshot()["hits"] == 1
             first = recv_message(sock)
             second = recv_message(sock)
         assert first.seq == 1 and first.header["source"] == "cache"
@@ -210,7 +210,7 @@ class TestRemainderPath:
             sock.sendall(_read_req(big, 1) + _read_req(HITS[0], 2))
             conn = _only_conn(node)
             # both are on the books, the second parked on the lock, nothing read yet
-            _wait(lambda: node.stats.counters()["hits"] == 2 and len(conn.wlock._waiters) == 1)
+            _wait(lambda: node.stats.snapshot()["hits"] == 2 and len(conn.wlock._waiters) == 1)
             first, second = recv_message(sock), recv_message(sock)
         assert (first.seq, second.seq) == (1, 2)
         assert first.payload == blob and second.payload == node.pfs.read(HITS[0])
@@ -260,22 +260,22 @@ class TestHostileHeaders:
     def test_rejected_on_header_arrival(self, node, mutate):
         header = bytearray(_read_req("/k", 1)[:22])
         mutate(header)
-        before = node.stats.counters()["errors"]
+        before = node.stats.snapshot()["errors"]
         with _connect(node) as sock:
             sock.sendall(bytes(header))  # header only: no key, no body
             _assert_severed(sock)
-        assert node.stats.counters()["errors"] == before + 1
+        assert node.stats.snapshot()["errors"] == before + 1
 
     def test_non_magic_bytes_rejected_on_arrival(self, node):
         """Anything that does not open with the magic — a wrong first byte,
         a wrong second, a whole length-prefixed JSON frame — is refused at
         once, not after a header's worth of it has trickled in."""
         for first_bytes in (b"\x00", b"\xf7\x00", b'\x00\x00\x00\x0d{"op":"PING"}'):
-            before = node.stats.counters()["errors"]
+            before = node.stats.snapshot()["errors"]
             with _connect(node) as sock:
                 sock.sendall(first_bytes)
                 _assert_severed(sock)
-            assert node.stats.counters()["errors"] == before + 1
+            assert node.stats.snapshot()["errors"] == before + 1
 
     def test_path_escape_is_answered_not_dropped(self, node):
         """A READ outside the PFS root gets an error *reply* — silence would
@@ -336,7 +336,7 @@ class TestCompletionCallback:
             _wait(lambda: conn.drain is not None)
             sock.sendall(_read_req(MISSES[0], 2))
             # dispatched, completed, and parked on the paused write side
-            _wait(lambda: node.stats.counters()["misses"] == 1 and not conn.jobs and len(conn.tasks) == 1)
+            _wait(lambda: node.stats.snapshot()["misses"] == 1 and not conn.jobs and len(conn.tasks) == 1)
             sock.settimeout(0.2)
             with pytest.raises((socket.timeout, TimeoutError)):
                 sock.recv(1)
@@ -350,7 +350,7 @@ class TestCompletionCallback:
         gate = threading.Event()
         real_read = node.pfs.read
         node.pfs.read = lambda key: gate.wait(10) and real_read(key)
-        before = node.stats.counters()["errors"]
+        before = node.stats.snapshot()["errors"]
         with _connect(node) as sock:
             sock.sendall(_read_req(MISSES[0], 1))
             conn = _only_conn(node)
@@ -360,8 +360,8 @@ class TestCompletionCallback:
             assert conn.jobs == 1  # the job is still inside the PFS read
             gate.set()
             _wait(lambda: conn.jobs == 0)  # its completion ran, on a dead connection
-        assert node.stats.counters()["misses"] == 1
-        assert node.stats.counters()["errors"] == before
+        assert node.stats.snapshot()["misses"] == 1
+        assert node.stats.snapshot()["errors"] == before
         assert log_records == []
 
     def test_dispatch_exception_counts_once_and_severs(self, node, log_records):
@@ -369,11 +369,11 @@ class TestCompletionCallback:
             raise RuntimeError("dispatch bug")
 
         node._dispatch = broken
-        before = node.stats.counters()["errors"]
+        before = node.stats.snapshot()["errors"]
         with _connect(node) as sock:
             sock.sendall(_stat_req(1))
             _assert_severed(sock)
-        assert node.stats.counters()["errors"] == before + 1
+        assert node.stats.snapshot()["errors"] == before + 1
         assert [r.getMessage() for r in log_records] == ["unhandled error serving STAT"]
 
 
@@ -410,7 +410,7 @@ class TestFailureInjectionAndShutdown:
             sock.settimeout(0.3)
             with pytest.raises((socket.timeout, TimeoutError)):
                 sock.recv(1)
-            assert node.stats.counters()["hits"] == 1  # swallowed, not served
+            assert node.stats.snapshot()["hits"] == 1  # swallowed, not served
             node.close()  # shutdown severs the hung connection
             sock.settimeout(5)
             _assert_severed(sock)
