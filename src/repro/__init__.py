@@ -40,23 +40,27 @@ Quickstart
 True
 """
 
-from .core import (
-    ElasticRecache,
-    FaultPolicy,
-    HashRing,
-    MembershipView,
-    NoFT,
-    PFSRedirect,
-    PlacementPolicy,
-    RangePartition,
-    RendezvousHash,
-    StaticHash,
-    Target,
-    TimeoutFailureDetector,
-    TreeHashRing,
-    UnrecoverableNodeFailure,
-    make_policy,
-)
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "ElasticRecache",
+        "FaultPolicy",
+        "HashRing",
+        "MembershipView",
+        "NoFT",
+        "PFSRedirect",
+        "PlacementPolicy",
+        "RangePartition",
+        "RendezvousHash",
+        "StaticHash",
+        "Target",
+        "TimeoutFailureDetector",
+        "TreeHashRing",
+        "UnrecoverableNodeFailure",
+        "make_policy",
+    ),
+})
 
 __version__ = "1.0.0"
 

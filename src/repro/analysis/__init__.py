@@ -14,12 +14,19 @@ dead, thread-per-miss recaching, the contains→read eviction race):
   instrumentation for named locks that records the per-thread
   lock-acquisition graph while the test suite runs and fails on cycles
   (potential deadlocks) or over-budget hold times.
+
+The lint names below resolve on first use: the runtime imports
+``lockwitness`` without loading the linter.
 """
 
 from __future__ import annotations
 
-from .engine import lint_paths
-from .findings import Finding
-from .rules import ALL_RULES
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("lint_paths",),
+    ".findings": ("Finding",),
+    ".rules": ("ALL_RULES",),
+})
 
 __all__ = ["lint_paths", "Finding", "ALL_RULES"]

@@ -1,11 +1,19 @@
-"""Metrics: counters, run timelines, and summary statistics."""
+"""Metrics: counters, run timelines, and summary statistics.
 
-from .collector import MetricsCollector
-from .histogram import LatencyHistogram
-from .stats import Summary, percent_change, speedup, summarize
-from .timeline import EpochRecord, FailureRecord, Timeline
-from .run_report import render_run_report
-from .trace import Span, TraceAnalysis, Tracer
+Names resolve on first use: ``repro.metrics.histogram`` (pure Python) is
+importable without the numpy-backed modules beside it.
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".collector": ("MetricsCollector",),
+    ".histogram": ("LatencyHistogram",),
+    ".stats": ("Summary", "percent_change", "speedup", "summarize"),
+    ".timeline": ("EpochRecord", "FailureRecord", "Timeline"),
+    ".run_report": ("render_run_report",),
+    ".trace": ("Span", "TraceAnalysis", "Tracer"),
+})
 
 __all__ = [
     "MetricsCollector",

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..analysis import lockwitness
-from ..metrics import LatencyHistogram
+from ..metrics.histogram import LatencyHistogram
 
 __all__ = ["Counters", "Telemetry"]
 

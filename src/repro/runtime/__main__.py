@@ -24,14 +24,15 @@ import argparse
 import socket
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from ..core.hash_ring import HashRing
-from ..core.fault_policy import make_policy
 from ..obs import configure_logging
-from .client import FTCacheClient
 from .protocol import OP_STAT, Message, ProtocolError, recv_message, send_binary_request, set_nodelay
 from .server import FTCacheServer
 from .storage import NVMeDir, PFSDir
+
+if TYPE_CHECKING:
+    from .client import FTCacheClient
 
 __all__ = ["main"]
 
@@ -46,9 +47,12 @@ def _parse_servers(spec: str) -> dict[int, tuple[str, int]]:
         try:
             node_s, addr = part.split("=", 1)
             host, port_s = addr.rsplit(":", 1)
-            out[int(node_s)] = (host, int(port_s))
+            node, port = int(node_s), int(port_s)
         except ValueError:
             raise SystemExit(f"bad server spec {part!r}; expected node=host:port") from None
+        if node in out:
+            raise SystemExit(f"bad server spec {part!r}: node {node} is named twice")
+        out[node] = (host, port)
     if not out:
         raise SystemExit("--servers must name at least one server")
     return out
@@ -75,6 +79,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _client(args: argparse.Namespace) -> FTCacheClient:
+    # the client side (ring, policy, numpy) is imported here, not by a server
+    from ..core.fault_policy import make_policy
+    from ..core.hash_ring import HashRing
+    from .client import FTCacheClient
+
     servers = _parse_servers(args.servers)
     ring = HashRing(nodes=sorted(servers), vnodes_per_node=args.vnodes)
     policy = make_policy(args.policy, ring)
@@ -88,11 +97,19 @@ def _client(args: argparse.Namespace) -> FTCacheClient:
 
 
 def cmd_get(args: argparse.Namespace) -> int:
+    from ..core.fault_policy import UnrecoverableNodeFailure
+    from ..core.hash_ring import EmptyRingError
+    from .client import ReadError
+
     client = _client(args)
     try:
         t0 = time.perf_counter()
         data = client.read(args.path)
         elapsed = (time.perf_counter() - t0) * 1e3
+    except (ReadError, EmptyRingError, UnrecoverableNodeFailure, OSError) as exc:
+        # no node left, no such file, a node lost under NoFT: a verdict, not a traceback
+        print(f"error: {exc}")
+        return 1
     finally:
         client.close()
     sys.stdout.write(f"{len(data)} bytes in {elapsed:.1f} ms "

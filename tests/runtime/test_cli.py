@@ -22,6 +22,8 @@ class TestParseServers:
             _parse_servers("garbage")
         with pytest.raises(SystemExit):
             _parse_servers("")
+        with pytest.raises(SystemExit, match="node 0 is named twice"):
+            _parse_servers("0=127.0.0.1:7000,0=127.0.0.1:7001")
 
 
 @pytest.fixture
@@ -79,6 +81,20 @@ class TestCommands:
         )
         assert rc == 0
         assert out.stat().st_size == 512
+
+    def test_get_missing_file_is_a_verdict(self, live_cluster, capsys):
+        tmp_path, servers = live_cluster
+        spec = ",".join(f"{i}={s.address[0]}:{s.address[1]}" for i, s in enumerate(servers))
+        rc = main(["get", "/dataset/train/nope.bin", "--servers", spec, "--pfs", str(tmp_path / "pfs")])
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("error: no such file")
+
+    def test_get_with_every_node_declared_is_a_verdict(self, tmp_path, capsys):
+        """The only node refuses, is declared and leaves the ring: one line, exit 1."""
+        rc = main(["get", "/dataset/train/sample_000000.bin", "--servers", "0=127.0.0.1:1",
+                   "--pfs", str(tmp_path / "pfs"), "--ttl", "0.2", "--threshold", "1"])
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("error: ")
 
     def test_stat_live_server(self, live_cluster, capsys):
         _, servers = live_cluster
