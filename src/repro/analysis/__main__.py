@@ -1,14 +1,10 @@
 """CLI: ``python -m repro.analysis [paths...]``.
 
 Exit status 0 when the tree is clean, 1 when any finding survives
-suppression — so CI can gate on it directly.  ``--format json`` (plus
-``--out``) emits a machine-readable findings artifact; ``--lock-graph``
-additionally writes the static lock-acquisition-order graph that the
-test suite cross-checks against the runtime lock witness.
-
-Results are cached per file (mtime+hash) in ``.ftlint-cache.json`` by
-default; ``--no-cache`` bypasses it and ``--cache-file`` relocates it.
-Cache-hit statistics appear under ``"cache"`` in the JSON payload.
+suppression — so CI can gate on it directly; 2 on a usage error,
+including a path that does not exist.  ``--format json`` (plus
+``--out``) emits a machine-readable findings artifact.  The linter
+writes no other file.
 """
 
 from __future__ import annotations
@@ -17,9 +13,9 @@ import argparse
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
-from .cache import DEFAULT_CACHE_FILE, AnalysisCache
-from .engine import ALL_PROJECT_RULES, run_lint_paths
+from .engine import ALL_PROJECT_RULES, lint_paths
 from .rules import ALL_RULES
 
 __all__ = ["main"]
@@ -27,7 +23,7 @@ __all__ = ["main"]
 
 def _rule_catalogue() -> dict:
     rules = {cls.rule_id: cls.description for cls in ALL_RULES}
-    for cls in ALL_PROJECT_RULES():
+    for cls in ALL_PROJECT_RULES:
         for rule_id, description in cls.rules:
             rules[rule_id] = description
     rules["SUP001"] = "suppression without a justification"
@@ -35,19 +31,16 @@ def _rule_catalogue() -> dict:
     return rules
 
 
-def _findings_json(paths: list[str], result) -> dict:
-    findings = result.findings
-    payload = {
+def _findings_json(paths: list[str], findings) -> dict:
+    return {
         "tool": "repro.analysis",
-        "schema_version": 2,
+        "schema_version": 3,
         "paths": paths,
         "rules": _rule_catalogue(),
         "total": len(findings),
         "counts": dict(sorted(Counter(f.rule for f in findings).items())),
         "findings": [f.to_dict() for f in findings],
-        "cache": result.cache_stats or {"enabled": False},
     }
-    return payload
 
 
 def main(argv=None) -> int:
@@ -60,13 +53,6 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("human", "json"), default="human")
     parser.add_argument("--out", metavar="FILE",
                         help="also write the JSON findings artifact to FILE")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update the result cache")
-    parser.add_argument("--cache-file", metavar="FILE", default=DEFAULT_CACHE_FILE,
-                        help=f"result cache location (default: {DEFAULT_CACHE_FILE})")
-    parser.add_argument("--lock-graph", metavar="FILE",
-                        help="write the static lock-acquisition-order graph "
-                             "(JSON: edges, cycles, roles) to FILE")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -76,18 +62,12 @@ def main(argv=None) -> int:
             print(f"{rule_id}  {description}")
         return 0
 
-    cache = None if args.no_cache else AnalysisCache(args.cache_file)
-    result = run_lint_paths(
-        args.paths, cache=cache, want_lock_graph=bool(args.lock_graph)
-    )
-    findings = result.findings
+    missing = [p for p in args.paths if not Path(p).exists()]
+    if missing:
+        parser.error(f"no such path: {', '.join(missing)}")
 
-    if args.lock_graph:
-        with open(args.lock_graph, "w") as fh:
-            json.dump(result.lock_graph, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    payload = _findings_json(list(args.paths), result)
+    findings = lint_paths(args.paths)
+    payload = _findings_json(list(args.paths), findings)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

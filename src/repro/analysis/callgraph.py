@@ -1,10 +1,9 @@
 """Project-wide call graph for the interprocedural rules.
 
-The graph is built once per lint run from every parsed module and shared
-by RT003 (transitive lock-held-blocking), the RPC conformance rules, and
-the static lock-order graph.  Resolution is deliberately conservative —
-an unresolvable call simply produces no edge — and covers the call
-shapes the runtime actually uses:
+The graph is built once per lint run from every parsed module and feeds
+RT003 (transitive lock-held-blocking).  Resolution is deliberately
+conservative — an unresolvable call simply produces no edge — and covers
+the call shapes the runtime actually uses:
 
 * ``f(...)`` — a module-level function of the same module, or a
   ``from mod import f`` import resolved to its defining module;

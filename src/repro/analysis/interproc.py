@@ -5,8 +5,10 @@ RT001 only sees a blocking primitive written *textually* inside a
 project function gets a *blocking summary* — the set of blocking
 primitives it can reach through project-local calls, each carrying the
 shortest witnessing call chain — computed bottom-up over the call graph
-with :func:`repro.analysis.dataflow.solve_summaries`.  A call made while
-a lock is held whose callee has a non-empty summary is flagged, and the
+with :func:`solve_summaries`.  Acquiring a lock counts as a blocking
+primitive ("acquires lock 'X'"): every lock is a leaf, so a helper that
+takes a lock must not be called under another.  A call made while a
+lock is held whose callee has a non-empty summary is flagged, and the
 finding prints the chain down to the primitive, e.g.::
 
     RT003 call 'self._helper()' while holding lock 'self._lock' can
@@ -30,13 +32,80 @@ Precision notes (documented so suppressions can argue with them):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Tuple, TypeVar
 
 from .callgraph import CallGraph, CallSite, FunctionInfo
-from .dataflow import ChainFact, solve_summaries
 from .findings import Finding
-from .rules import LOCK_NAME_RE, blocking_reason
-from .visitor import ProjectRule, dotted_name
+from .rules import blocking_reason, lock_name
+from .visitor import ProjectRule
+
+F = TypeVar("F", bound=Hashable)  # a function identifier
+
+#: One interprocedural fact with its witness chain: a tuple of
+#: ``(display_name, path, line)`` steps, outermost call first, ending at
+#: the primitive that grounds the fact.
+ChainFact = Tuple[Tuple[str, str, int], ...]
+
+
+def join_chain_facts(
+    acc: Dict[str, ChainFact], new: Dict[str, ChainFact]
+) -> Tuple[Dict[str, ChainFact], bool]:
+    """Union fact keys, keeping the shortest witness chain per key.
+
+    Returns the merged dict and whether anything changed.  Preferring the
+    shortest chain makes the fixpoint monotone (chains only ever shrink)
+    and the reported chains readable.
+    """
+    changed = False
+    out = dict(acc)
+    for key, chain in new.items():
+        old = out.get(key)
+        if old is None or len(chain) < len(old):
+            out[key] = chain
+            changed = old is None or chain != old
+    return out, changed
+
+
+def solve_summaries(
+    functions: Iterable[F],
+    callers_of: Callable[[F], Iterable[Tuple[F, Tuple[str, str, int]]]],
+    direct: Callable[[F], Dict[str, ChainFact]],
+    max_chain: int = 12,
+) -> Dict[F, Dict[str, ChainFact]]:
+    """Bottom-up chain-fact summaries over the call graph.
+
+    ``direct(f)`` yields the facts ``f`` establishes itself (chain of
+    length 1).  ``callers_of(g)`` yields ``(f, step)`` pairs: ``f`` calls
+    ``g`` and ``step = (display, path, line)`` describes that call site.
+    Whenever ``g``'s summary grows, every caller re-joins ``g``'s facts
+    prefixed with the call-site step; chains are capped at ``max_chain``
+    steps to bound pathological recursion output (the fact itself still
+    propagates — only the printed chain is truncated).  Recursion is
+    handled by iterating to fixpoint rather than by topological order;
+    the lattice is finite and chains only shrink, so it terminates.
+    """
+    funcs = list(functions)
+    summary: Dict[F, Dict[str, ChainFact]] = {f: dict(direct(f)) for f in funcs}
+    work = [f for f in funcs if summary[f]]
+    in_work = set(work)
+    while work:
+        g = work.pop()
+        in_work.discard(g)
+        g_facts = summary[g]
+        for f, step in callers_of(g):
+            if f not in summary:
+                continue
+            lifted = {
+                key: ((step, *chain) if len(chain) < max_chain else (step, *chain[: max_chain - 1]))
+                for key, chain in g_facts.items()
+            }
+            merged, changed = join_chain_facts(summary[f], lifted)
+            if changed:
+                summary[f] = merged
+                if f not in in_work:
+                    work.append(f)
+                    in_work.add(f)
+    return summary
 
 
 def _short(path: str) -> str:
@@ -46,13 +115,6 @@ def _short(path: str) -> str:
 def format_chain(chain: ChainFact) -> str:
     """``step (file:line) -> ... -> primitive (file:line)`` for a finding."""
     return " -> ".join(f"{display} ({_short(path)}:{line})" for display, path, line in chain)
-
-
-def _lock_name(item: ast.withitem) -> Optional[str]:
-    name = dotted_name(item.context_expr)
-    if name and LOCK_NAME_RE.search(name.rsplit(".", 1)[-1]):
-        return name
-    return None
 
 
 def _walk_with_locks(func_node: ast.AST):
@@ -72,7 +134,7 @@ def _walk_with_locks(func_node: ast.AST):
                 # item i's context expression evaluates with items < i held
                 for sub in ast.iter_child_nodes(item):
                     yield from visit(sub, inner)
-                ln = _lock_name(item)
+                ln = lock_name(item.context_expr)
                 if ln:
                     inner = inner + ((ln, node.lineno),)
             for stmt in node.body:
@@ -86,14 +148,20 @@ def _walk_with_locks(func_node: ast.AST):
 
 
 def direct_blocking_facts(fi: FunctionInfo) -> Dict[str, ChainFact]:
-    """The blocking primitives ``fi`` itself performs, keyed by reason."""
+    """The blocking primitives ``fi`` itself performs — calls that block
+    and locks it acquires — keyed by reason."""
     facts: Dict[str, ChainFact] = {}
     for node, held in _walk_with_locks(fi.node):
-        if not isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
+            reasons = [blocking_reason(node, tuple(name for name, _ in held))]
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            names = (lock_name(item.context_expr) for item in node.items)
+            reasons = [f"acquires lock '{name}'" for name in names if name]
+        else:
             continue
-        reason = blocking_reason(node, tuple(name for name, _ in held))
-        if reason and reason not in facts:
-            facts[reason] = ((reason, fi.path, node.lineno),)
+        for reason in reasons:
+            if reason and reason not in facts:
+                facts[reason] = ((reason, fi.path, node.lineno),)
     return facts
 
 

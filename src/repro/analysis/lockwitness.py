@@ -1,33 +1,27 @@
-"""Runtime lock-order witness: deadlock and hold-budget detection.
+"""Runtime lock witness: every named lock is a leaf.
 
-The runtime's locks are created through the :func:`named_lock` /
-:func:`named_condition` factories.  When the witness is disabled (the
-default outside the test suite) they return plain ``threading`` objects
-— zero overhead.  When enabled (the conftest fixture turns it on for
-every pytest run) each lock is wrapped so that, per thread, the witness
-records:
+The runtime's locks are created through :func:`named_lock`.  When the
+witness is disabled (the default outside the test suite) it returns a
+plain ``threading.Lock`` — zero overhead.  When enabled (the conftest
+fixture turns it on for every pytest run) each lock is wrapped so that,
+per thread, the witness records:
 
-* the **lock-order graph**: an edge ``A → B`` whenever a thread acquires
-  lock-role ``B`` while holding lock-role ``A``.  A cycle in this graph
-  is a potential deadlock even if the schedule that triggers it never
-  occurred during the run — exactly the class of bug that is hopeless to
-  reproduce and cheap to prove.
+* **nestings**: the runtime's one lock invariant is that a named lock is
+  never acquired while another is held.  An attempt to acquire lock-role
+  ``B`` while holding ``A`` is recorded as ``(held roles, B, site)`` —
+  kept once per distinct triple, with a count — at the *attempt*, before
+  potentially blocking.  A lock that never nests cannot take part in a
+  deadlock, so no ordering graph is needed: the first nesting is the
+  violation, whether or not a schedule that deadlocks ever fired.  Two
+  instances of one role nested are a nesting too, and re-acquiring the
+  *same* instance is flagged as a guaranteed self-deadlock.
 * **hold budgets**: a lock held longer than ``hold_budget`` seconds is
-  reported with its acquisition site.  Long holds are the latency
-  amplifier behind lock-convoy cliffs (and the dynamic twin of the
-  RT001 lint rule).
-* **re-entry**: re-acquiring the *same* non-reentrant lock instance on
-  one thread — a guaranteed self-deadlock.
+  reported with its release site.  Long holds are the latency amplifier
+  behind lock-convoy cliffs (and the dynamic twin of the RT001 lint
+  rule).
 
-Edges are keyed by lock *name* (role), not instance: "the stats lock"
-and "the mover condition" are roles shared by every server.  Two
-instances of the same role are never ordered against each other (a
-documented blind spot — ordering instances would need a global instance
-ranking, which the runtime does not promise).
-
-Condition ``wait()`` is modelled faithfully: the lock is released for
-the duration of the wait, so wait time never counts against the hold
-budget and edges are not recorded from a lock the thread gave up.
+The static twin of the nesting check is RT001 (a ``with <lock>:`` inside
+a held lock) plus RT003 (a call under a lock whose callee takes a lock).
 """
 
 from __future__ import annotations
@@ -41,12 +35,10 @@ __all__ = [
     "LockWitness",
     "LockOrderViolation",
     "named_lock",
-    "named_condition",
     "enable",
     "disable",
     "is_enabled",
     "report",
-    "find_cycles",
     "reset",
     "assert_clean",
 ]
@@ -72,25 +64,20 @@ def _call_site() -> str:
 
 
 class LockWitness:
-    """One independent witness: a lock-order graph plus hold accounting."""
+    """One independent witness: nesting records plus hold accounting."""
 
     def __init__(self, hold_budget: float = 2.0):
         if hold_budget <= 0:
             raise ValueError("hold_budget must be positive")
         self.hold_budget = hold_budget
         self._mu = threading.Lock()  # guards the shared records below
-        #: (held_role, acquired_role) -> {"thread", "site", "count"}
-        self._edges: dict[tuple[str, str], dict] = {}
+        #: (held roles, role, site) -> {"thread", "count", "self_deadlock"}
+        self._nestings: dict[tuple[tuple[str, ...], str, str], dict] = {}
         self._hold_violations: list[dict] = []
-        self._reentries: list[dict] = []
         self._tls = threading.local()
 
-    # -- factories ---------------------------------------------------------------
     def named_lock(self, name: str) -> "_WitnessLock":
         return _WitnessLock(self, name)
-
-    def named_condition(self, name: str) -> "_WitnessCondition":
-        return _WitnessCondition(self, name)
 
     # -- per-thread bookkeeping ----------------------------------------------------
     def _held(self) -> list:
@@ -99,38 +86,23 @@ class LockWitness:
             held = self._tls.held = []
         return held
 
-    def _before_acquire(self, lock: "_WitnessLock | _WitnessCondition") -> None:
-        """Record edges/re-entry at the *attempt*, before potentially blocking
-        — that is the moment the deadlock potential exists."""
+    def _before_acquire(self, lock: "_WitnessLock") -> None:
         held = self._held()
         if not held:
             return
-        site = None
-        for role, obj_id, _t in held:
-            if role == lock._name:
-                if obj_id == id(lock):
-                    site = site or _call_site()
-                    with self._mu:
-                        if len(self._reentries) < _MAX_RECORDS:
-                            self._reentries.append({
-                                "lock": role,
-                                "thread": threading.current_thread().name,
-                                "site": site,
-                            })
-                continue  # same role, different instance: unordered (see module doc)
-            key = (role, lock._name)
-            with self._mu:
-                info = self._edges.get(key)
-                if info is not None:
-                    info["count"] += 1
-                    continue
-            site = site or _call_site()
-            with self._mu:
-                self._edges.setdefault(key, {
+        key = (tuple(role for role, _id, _t in held), lock._name, _call_site())
+        reentry = any(obj_id == id(lock) for _r, obj_id, _t in held)
+        with self._mu:
+            info = self._nestings.get(key)
+            if info is not None:
+                info["count"] += 1
+                info["self_deadlock"] |= reentry
+            elif len(self._nestings) < _MAX_RECORDS:
+                self._nestings[key] = {
                     "thread": threading.current_thread().name,
-                    "site": site,
-                    "count": 0,
-                })["count"] += 1
+                    "count": 1,
+                    "self_deadlock": reentry,
+                }
 
     def _after_acquire(self, lock) -> None:
         self._held().append((lock._name, id(lock), time.monotonic()))
@@ -155,103 +127,42 @@ class LockWitness:
                 return
 
     # -- analysis ----------------------------------------------------------------
-    def find_cycles(self) -> list[list[str]]:
-        """Strongly-connected components of the order graph with >1 role —
-        each is a potential deadlock (Tarjan, iterative)."""
-        with self._mu:
-            adj: dict[str, set[str]] = {}
-            for a, b in self._edges:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set())
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = [0]
-        cycles: list[list[str]] = []
-
-        for root in sorted(adj):
-            if root in index:
-                continue
-            work = [(root, iter(sorted(adj[root])))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter[0]
-                        counter[0] += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(sorted(adj[nxt]))))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    scc = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    if len(scc) > 1:
-                        cycles.append(sorted(scc))
-        return cycles
-
     def report(self) -> dict:
         with self._mu:
-            edges = [
-                {"from": a, "to": b, **info} for (a, b), info in sorted(self._edges.items())
+            nestings = [
+                {"held": list(held), "lock": role, "site": site, **info}
+                for (held, role, site), info in sorted(self._nestings.items())
             ]
             holds = list(self._hold_violations)
-            reentries = list(self._reentries)
-        return {
-            "edges": edges,
-            "cycles": self.find_cycles(),
-            "hold_violations": holds,
-            "reentries": reentries,
-        }
+        return {"nestings": nestings, "hold_violations": holds}
 
     def assert_clean(self) -> None:
         rep = self.report()
         problems = []
-        for cyc in rep["cycles"]:
-            involved = [e for e in rep["edges"] if e["from"] in cyc and e["to"] in cyc]
-            detail = "; ".join(
-                f"{e['from']}→{e['to']} ({e['thread']} at {e['site']}, ×{e['count']})"
-                for e in involved
-            )
-            problems.append(f"lock-order cycle {' ↔ '.join(cyc)}: {detail}")
+        for n in rep["nestings"]:
+            if n["self_deadlock"]:
+                problems.append(
+                    f"non-reentrant lock '{n['lock']}' re-acquired on {n['thread']} "
+                    f"at {n['site']} (guaranteed self-deadlock, ×{n['count']})"
+                )
+            else:
+                problems.append(
+                    f"lock '{n['lock']}' acquired while holding "
+                    f"{', '.join(repr(r) for r in n['held'])} on {n['thread']} "
+                    f"at {n['site']} (×{n['count']}); a named lock must be a leaf"
+                )
         for v in rep["hold_violations"]:
             problems.append(
                 f"lock '{v['lock']}' held {v['held_s']}s > budget {v['budget_s']}s "
                 f"by {v['thread']} (released at {v['site']})"
-            )
-        for r in rep["reentries"]:
-            problems.append(
-                f"non-reentrant lock '{r['lock']}' re-acquired on {r['thread']} "
-                f"at {r['site']} (guaranteed self-deadlock)"
             )
         if problems:
             raise LockOrderViolation("\n".join(problems))
 
     def reset(self) -> None:
         with self._mu:
-            self._edges.clear()
+            self._nestings.clear()
             self._hold_violations.clear()
-            self._reentries.clear()
 
 
 class _WitnessLock:
@@ -286,68 +197,7 @@ class _WitnessLock:
         return f"<WitnessLock {self._name!r} {self._lock!r}>"
 
 
-class _WitnessCondition:
-    """A named, witnessed ``threading.Condition`` drop-in.
-
-    ``wait()`` releases the underlying lock, so the witness marks the
-    role released for the duration (wait time must not count as hold
-    time, and edges must not originate from a lock the thread gave up).
-    """
-
-    def __init__(self, witness: LockWitness, name: str):
-        self._witness = witness
-        self._name = name
-        self._cond = threading.Condition()
-
-    # -- lock protocol -----------------------------------------------------------
-    def acquire(self, *args) -> bool:
-        self._witness._before_acquire(self)
-        ok = self._cond.acquire(*args)
-        if ok:
-            self._witness._after_acquire(self)
-        return ok
-
-    def release(self) -> None:
-        self._witness._on_release(self)
-        self._cond.release()
-
-    def __enter__(self) -> "_WitnessCondition":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    # -- condition protocol --------------------------------------------------------
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        self._witness._on_release(self)  # wait() releases the lock...
-        try:
-            return self._cond.wait(timeout)
-        finally:
-            self._witness._after_acquire(self)  # ...and re-acquires before returning
-
-    def wait_for(self, predicate, timeout: Optional[float] = None):
-        end = None if timeout is None else time.monotonic() + timeout
-        result = predicate()
-        while not result:
-            remaining = None if end is None else end - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                break
-            self.wait(remaining)
-            result = predicate()
-        return result
-
-    def notify(self, n: int = 1) -> None:
-        self._cond.notify(n)
-
-    def notify_all(self) -> None:
-        self._cond.notify_all()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<WitnessCondition {self._name!r}>"
-
-
-# -- module-level default witness (what the runtime factories use) -------------------
+# -- module-level default witness (what the runtime factory uses) --------------------
 _default = LockWitness()
 _enabled = False
 
@@ -369,24 +219,14 @@ def is_enabled() -> bool:
     return _enabled
 
 
-def named_lock(name: str, witness: Optional[bool] = None):
-    """A lock for role ``name``: witnessed iff enabled (or forced via
-    ``witness=True/False``); otherwise a plain ``threading.Lock``."""
-    use = _enabled if witness is None else witness
-    return _default.named_lock(name) if use else threading.Lock()
-
-
-def named_condition(name: str, witness: Optional[bool] = None):
-    use = _enabled if witness is None else witness
-    return _default.named_condition(name) if use else threading.Condition()
+def named_lock(name: str):
+    """A lock for role ``name``: witnessed iff enabled, otherwise a plain
+    ``threading.Lock``."""
+    return _default.named_lock(name) if _enabled else threading.Lock()
 
 
 def report() -> dict:
     return _default.report()
-
-
-def find_cycles() -> list[list[str]]:
-    return _default.find_cycles()
 
 
 def reset() -> None:

@@ -1,9 +1,10 @@
 """Project-specific lint rules.
 
 ==========  =====================================================================
-RT001       blocking call (socket/file I/O, sleep, join, queue get/put) inside
-            a ``with <lock>:`` body — the stall amplifier behind most of the
-            runtime's past latency cliffs
+RT001       blocking call (socket/file I/O, sleep, join, queue get/put) or a
+            nested lock acquisition inside a ``with <lock>:`` body — the
+            stall amplifier behind most of the runtime's past latency
+            cliffs, and (for nesting) the precondition of every deadlock
 RT002       ``threading.Thread(...)`` without ``name=`` and ``daemon=`` — the
             static counterpart of the conftest leaked-thread gate, which can
             only blame threads it can identify
@@ -19,6 +20,9 @@ SUP002      ftlint suppression whose rule never fires on that line
 RT001 heuristics (documented so suppressions can argue against them):
 a *lock expression* is any ``with X:`` where the dotted name of ``X``
 ends in something matching ``lock|cond|mutex`` (case-insensitive).
+Acquiring a lock is itself a blocking call: every lock is a leaf, so a
+``with <lock>:`` inside a held lock (including the later items of one
+``with a, b:``) is flagged.
 ``cond.wait()`` on the very condition being held is the correct
 release-and-wait idiom and is never flagged.  Nested ``def``/``lambda``
 bodies inside the ``with`` are skipped — defining a function under a
@@ -40,11 +44,10 @@ __all__ = [
     "SwallowedThreadExceptionRule",
     "ALL_RULES",
     "blocking_reason",
-    "LOCK_NAME_RE",
+    "lock_name",
 ]
 
-LOCK_NAME_RE = re.compile(r"(lock|cond|mutex)$", re.IGNORECASE)
-_LOCK_NAME_RE = LOCK_NAME_RE
+_LOCK_NAME_RE = re.compile(r"(lock|cond|mutex)$", re.IGNORECASE)
 _THREADISH_RE = re.compile(r"(^t\d*$|^th$|thread|worker|proc|monkey)", re.IGNORECASE)
 _QUEUEISH_RE = re.compile(r"(^q\d*$|queue|_q$|jobs|work$)", re.IGNORECASE)
 
@@ -64,6 +67,12 @@ _BROAD_EXC = {"Exception", "BaseException"}
 
 def _terminal(name: Optional[str]) -> str:
     return name.rsplit(".", 1)[-1] if name else ""
+
+
+def lock_name(expr: ast.expr) -> Optional[str]:
+    """The dotted name of ``expr`` if it reads as a lock, else None."""
+    name = dotted_name(expr)
+    return name if name and _LOCK_NAME_RE.search(_terminal(name)) else None
 
 
 def blocking_reason(node: ast.Call, held_locks: tuple = ()) -> Optional[str]:
@@ -133,11 +142,23 @@ class LockHeldWhileBlockingRule(RuleVisitor):
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._visit_scope(node)
 
+    def _report_held(self, node: ast.AST, reason: str) -> None:
+        held_name, held_line = self._lock_stack[-1]
+        self.report(
+            node,
+            f"{reason} while holding lock '{held_name}' "
+            f"(acquired at line {held_line}); move the blocking call "
+            f"out of the critical section",
+            anchors=(held_line,),
+        )
+
     def visit_With(self, node: ast.With) -> None:
         pushed = 0
         for item in node.items:
-            name = dotted_name(item.context_expr)
-            if name and _LOCK_NAME_RE.search(_terminal(name)):
+            name = lock_name(item.context_expr)
+            if name:
+                if self._lock_stack:
+                    self._report_held(item.context_expr, f"acquires lock '{name}'")
                 self._lock_stack.append((name, node.lineno))
                 pushed += 1
         self.generic_visit(node)
@@ -149,14 +170,7 @@ class LockHeldWhileBlockingRule(RuleVisitor):
             held = tuple(name for name, _ in self._lock_stack)
             reason = blocking_reason(node, held)
             if reason:
-                lock_name, lock_line = self._lock_stack[-1]
-                self.report(
-                    node,
-                    f"{reason} while holding lock '{lock_name}' "
-                    f"(acquired at line {lock_line}); move the blocking call "
-                    f"out of the critical section",
-                    anchors=(lock_line,),
-                )
+                self._report_held(node, reason)
         self.generic_visit(node)
 
 

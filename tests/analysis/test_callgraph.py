@@ -1,14 +1,12 @@
-"""Call-graph construction and CFG shape tests — the substrate every
-interprocedural rule stands on, tested directly so a rule regression can
-be bisected to either extraction or analysis."""
+"""Call-graph construction tests — the substrate the interprocedural
+rule stands on, tested directly so a rule regression can be bisected to
+either extraction or analysis."""
 
 from __future__ import annotations
 
-import ast
 import textwrap
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.cfg import EXIT, RAISE, build_cfg
 from repro.analysis.visitor import ModuleContext
 
 
@@ -136,84 +134,3 @@ class TestCallGraph:
             }
         )
         assert fn(g, ":helper").qualname not in callee_names(g, ":f")
-
-
-def cfg_of(code: str):
-    tree = ast.parse(textwrap.dedent(code))
-    return build_cfg(tree.body[0])
-
-
-def node_at(cfg, line: int, role: str = "stmt") -> int:
-    hits = [
-        nid for nid, n in cfg.nodes.items() if n.line == line and n.role == role
-    ]
-    assert len(hits) == 1, f"line {line} role {role!r} matched {hits}"
-    return hits[0]
-
-
-def reachable_from(cfg, start: int) -> set:
-    seen, todo = set(), [start]
-    while todo:
-        nid = todo.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        todo.extend(cfg.successors(nid))
-    return seen
-
-
-class TestCFG:
-    def test_call_statement_has_exception_edge_to_raise(self):
-        cfg = cfg_of(
-            """
-            def f():
-                g()
-            """
-        )
-        nid = node_at(cfg, 3)
-        assert RAISE in cfg.exc_succ.get(nid, set())
-        assert EXIT in reachable_from(cfg, nid)
-
-    def test_pass_has_no_exception_edge(self):
-        cfg = cfg_of(
-            """
-            def f():
-                pass
-            """
-        )
-        nid = node_at(cfg, 3)
-        assert not cfg.exc_succ.get(nid)
-
-    def test_try_except_routes_exception_to_handler_not_raise(self):
-        cfg = cfg_of(
-            """
-            def f():
-                try:
-                    risky()
-                except ValueError:
-                    fallback()
-            """
-        )
-        nid = node_at(cfg, 4)
-        exc = cfg.exc_succ.get(nid, set())
-        assert RAISE not in exc
-        handler = node_at(cfg, 6)
-        assert any(handler in reachable_from(cfg, t) for t in exc)
-
-    def test_try_finally_runs_finally_on_both_exits(self):
-        cfg = cfg_of(
-            """
-            def f():
-                try:
-                    risky()
-                finally:
-                    cleanup()
-            """
-        )
-        risky, cleanup = node_at(cfg, 4), node_at(cfg, 6)
-        exc = cfg.exc_succ.get(risky, set())
-        # the exceptional path flows through the finally body...
-        assert any(cleanup in reachable_from(cfg, t) for t in exc)
-        # ...which then exits both normally and exceptionally
-        after_cleanup = reachable_from(cfg, cleanup)
-        assert EXIT in after_cleanup and RAISE in after_cleanup

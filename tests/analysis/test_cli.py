@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import textwrap
 
+import pytest
+
 from repro.analysis.__main__ import main
 from repro.analysis.engine import collect_files
 
@@ -59,6 +61,21 @@ class TestCLI:
         _write(tmp_path, "broken.py", "def f(:\n")
         assert main([str(tmp_path)]) == 1
         assert "PARSE" in capsys.readouterr().out
+
+    def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        # A typo'd path must not lint nothing and pass.
+        _write(tmp_path, "pkg/mod.py", CLEAN)
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path / "pkg"), str(tmp_path / "nosuchdir")])
+        assert exc.value.code == 2
+        assert "nosuchdir" in capsys.readouterr().err
+
+    def test_writes_nothing_but_the_artifact(self, tmp_path, monkeypatch):
+        _write(tmp_path, "pkg/mod.py", DIRTY)
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.rglob("*"))
+        assert main(["pkg", "--out", "findings.json"]) == 1
+        assert set(tmp_path.rglob("*")) - before == {tmp_path / "findings.json"}
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0

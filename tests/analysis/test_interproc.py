@@ -15,7 +15,7 @@ def lint(code: str, path: str = PATH):
 
 
 def lint_project(modules: dict):
-    return run_lint([(p, textwrap.dedent(s)) for p, s in modules.items()]).findings
+    return run_lint([(p, textwrap.dedent(s)) for p, s in modules.items()])
 
 
 def rules_of(findings) -> list:
@@ -88,6 +88,30 @@ class TestRT003TruePositives:
         assert rules_of(findings) == ["RT003"]
         msg = findings[0].message
         assert "middle" in msg and "slow" in msg  # the full offending chain
+
+    def test_helper_that_takes_a_lock_flagged_as_nesting(self):
+        findings = lint(
+            """
+            import threading
+
+            class Client:
+                def __init__(self):
+                    self._policy_lock = threading.Lock()
+                    self._epoch_lock = threading.Lock()
+
+                def declare(self):
+                    with self._policy_lock:
+                        self._bump()
+
+                def _bump(self):
+                    with self._epoch_lock:
+                        pass
+            """
+        )
+        assert rules_of(findings) == ["RT003"]
+        msg = findings[0].message
+        assert "'self._policy_lock'" in msg and "acquires lock 'self._epoch_lock'" in msg
+        assert "snippet.py:14" in msg  # the callee's with statement
 
     def test_finding_anchored_at_with_line_for_suppression(self):
         findings = lint(

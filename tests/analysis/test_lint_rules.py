@@ -139,6 +139,38 @@ class TestRT001:
         )
         assert findings == []
 
+    def test_nested_lock_flagged(self):
+        findings = lint(
+            """
+            import threading
+            a_lock, b_lock = threading.Lock(), threading.Lock()
+            def f():
+                with a_lock:
+                    with b_lock:
+                        pass
+            def g():
+                with a_lock, b_lock:
+                    pass
+            """
+        )
+        assert rules_of(findings) == ["RT001", "RT001"]
+        assert [f.line for f in findings] == [6, 9]
+        assert "acquires lock 'b_lock' while holding lock 'a_lock'" in findings[0].message
+
+    def test_sequential_locks_clean(self):
+        findings = lint(
+            """
+            import threading
+            a_lock, b_lock = threading.Lock(), threading.Lock()
+            def f():
+                with a_lock:
+                    pass
+                with b_lock:
+                    pass
+            """
+        )
+        assert findings == []
+
     def test_blocking_outside_lock_clean(self):
         findings = lint(
             """

@@ -1,4 +1,4 @@
-"""Tests for the runtime lock-order witness.
+"""Tests for the runtime lock witness: every named lock is a leaf.
 
 Hazard-seeding tests build their own :class:`LockWitness` instances so the
 session-wide default witness (enabled by conftest, asserted clean at session
@@ -26,94 +26,105 @@ def _run_sequential(*targets):
         assert not t.is_alive(), f"seed thread {i} wedged"
 
 
+def _nest(outer, inner):
+    def nested():
+        with outer:
+            with inner:
+                pass
+
+    return nested
+
+
 def _seed_ab_ba(lock_a, lock_b):
-    def first():
-        with lock_a:
-            with lock_b:
-                pass
-
-    def second():
-        with lock_b:
-            with lock_a:
-                pass
-
-    _run_sequential(first, second)
+    _run_sequential(_nest(lock_a, lock_b), _nest(lock_b, lock_a))
 
 
 class TestCycleDetection:
+    """A lock cycle needs a nesting, so the first nesting already fails:
+    no ordering graph is kept, and no deadlocking schedule has to run."""
+
     def test_seeded_ab_ba_cycle_detected_when_enabled(self):
         w = LockWitness()
         _seed_ab_ba(w.named_lock("A"), w.named_lock("B"))
 
-        assert w.find_cycles() == [["A", "B"]]
+        rep = w.report()
+        assert [(n["held"], n["lock"]) for n in rep["nestings"]] == [(["A"], "B"), (["B"], "A")]
         with pytest.raises(LockOrderViolation) as exc:
             w.assert_clean()
         msg = str(exc.value)
-        assert "A→B" in msg and "B→A" in msg
-        # Evidence includes the acquisition site of each edge.
-        assert __file__ in msg
+        assert "lock 'B' acquired while holding 'A'" in msg
+        assert "lock 'A' acquired while holding 'B'" in msg
+        assert __file__ in msg  # evidence includes the acquisition site
 
     def test_seeded_cycle_invisible_when_detection_disabled(self):
         # The detector is load-bearing: the exact same AB/BA schedule through
-        # un-witnessed (plain threading) locks records nothing, so the cycle
-        # assertion above would fail if detection were turned off.
-        _seed_ab_ba(
-            lockwitness.named_lock("seed-A", witness=False),
-            lockwitness.named_lock("seed-B", witness=False),
-        )
-        seen = {role for cyc in lockwitness.find_cycles() for role in cyc}
+        # the factory's plain locks (witness disabled) records nothing.
+        was_enabled = lockwitness.is_enabled()
+        lockwitness.disable()
+        try:
+            _seed_ab_ba(lockwitness.named_lock("seed-A"), lockwitness.named_lock("seed-B"))
+        finally:
+            (lockwitness.enable if was_enabled else lockwitness.disable)()
+        seen = {n["lock"] for n in lockwitness.report()["nestings"]}
         assert "seed-A" not in seen and "seed-B" not in seen
-
-    def test_consistent_order_is_clean(self):
-        w = LockWitness()
-        a, b = w.named_lock("A"), w.named_lock("B")
-
-        def nested():
-            with a:
-                with b:
-                    pass
-
-        _run_sequential(nested, nested)
-        rep = w.report()
-        assert [(e["from"], e["to"]) for e in rep["edges"]] == [("A", "B")]
-        assert rep["edges"][0]["count"] == 2
-        assert rep["cycles"] == []
-        w.assert_clean()
 
     def test_three_role_cycle_detected(self):
         w = LockWitness()
         a, b, c = (w.named_lock(n) for n in "ABC")
+        _run_sequential(_nest(a, b), _nest(b, c), _nest(c, a))
+        assert len(w.report()["nestings"]) == 3
+        with pytest.raises(LockOrderViolation):
+            w.assert_clean()
 
-        def ab():
-            with a, b:
-                pass
 
-        def bc():
-            with b, c:
-                pass
+class TestNesting:
+    def test_lock_inside_another_fails_with_its_site(self):
+        w = LockWitness()
+        _run_sequential(_nest(w.named_lock("B"), w.named_lock("A")))
 
-        def ca():
-            with c, a:
-                pass
+        [n] = w.report()["nestings"]
+        assert n["held"] == ["B"] and n["lock"] == "A" and not n["self_deadlock"]
+        assert n["site"].startswith(__file__)
+        with pytest.raises(LockOrderViolation, match="must be a leaf") as exc:
+            w.assert_clean()
+        assert n["site"] in str(exc.value)
 
-        _run_sequential(ab, bc, ca)
-        assert w.find_cycles() == [["A", "B", "C"]]
-
-    def test_same_role_different_instances_unordered(self):
-        # Two servers' stats locks share a role; nesting them is deliberately
-        # not treated as an ordering fact (documented blind spot), so no
-        # self-edge / bogus cycle appears.
+    def test_second_instance_of_one_role_is_a_nesting(self):
         w = LockWitness()
         s1, s2 = w.named_lock("server-stats"), w.named_lock("server-stats")
+        _run_sequential(_nest(s1, s2))
 
-        def nested():
-            with s1:
-                with s2:
-                    pass
+        [n] = w.report()["nestings"]
+        assert n["held"] == ["server-stats"] and n["lock"] == "server-stats"
+        assert not n["self_deadlock"]
+        with pytest.raises(LockOrderViolation):
+            w.assert_clean()
 
-        _run_sequential(nested)
-        rep = w.report()
-        assert rep["edges"] == [] and rep["cycles"] == [] and rep["reentries"] == []
+    def test_repeated_nesting_is_one_record_with_a_count(self):
+        w = LockWitness()
+        nested = _nest(w.named_lock("A"), w.named_lock("B"))
+        _run_sequential(*[nested] * 4)
+
+        [n] = w.report()["nestings"]
+        assert n["count"] == 4
+        with pytest.raises(LockOrderViolation, match="×4"):
+            w.assert_clean()
+
+    def test_sequential_acquisitions_clean(self):
+        w = LockWitness()
+        a, b = w.named_lock("A"), w.named_lock("B")
+
+        def sequential():
+            with a:
+                pass
+            with b:
+                pass
+            with a:
+                pass
+
+        _run_sequential(sequential, sequential)
+        assert w.report()["nestings"] == []
+        w.assert_clean()
 
 
 class TestHoldBudget:
@@ -144,19 +155,6 @@ class TestHoldBudget:
         _run_sequential(holder)
         assert w.report()["hold_violations"] == []
 
-    def test_condition_wait_not_counted_as_hold(self):
-        # wait() releases the lock; a 0.1s wait under a 0.03s budget must not
-        # trip the budget because the thread is not *holding* during the wait.
-        w = LockWitness(hold_budget=0.03)
-        cond = w.named_condition("cond")
-
-        def waiter():
-            with cond:
-                cond.wait(timeout=0.1)
-
-        _run_sequential(waiter)
-        assert w.report()["hold_violations"] == []
-
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             LockWitness(hold_budget=0)
@@ -177,64 +175,45 @@ class TestReentry:
                 lock.release()
 
         _run_sequential(reenter)
-        rep = w.report()
-        assert len(rep["reentries"]) == 1
-        assert rep["reentries"][0]["lock"] == "mutex"
-        with pytest.raises(LockOrderViolation, match="re-acquired"):
+        [n] = w.report()["nestings"]
+        assert n["held"] == ["mutex"] and n["lock"] == "mutex" and n["self_deadlock"]
+        with pytest.raises(LockOrderViolation, match="re-acquired.*self-deadlock"):
             w.assert_clean()
-
-
-class TestConditionSemantics:
-    def test_wait_notify_round_trip(self):
-        w = LockWitness()
-        cond = w.named_condition("cond")
-        box = []
-
-        def consumer():
-            with cond:
-                ok = cond.wait_for(lambda: bool(box), timeout=5)
-                assert ok and box == ["item"]
-
-        t = threading.Thread(target=consumer, name="lw-consumer", daemon=True)
-        t.start()
-        time.sleep(0.05)
-        with cond:
-            box.append("item")
-            cond.notify_all()
-        t.join(timeout=5)
-        assert not t.is_alive()
-        w.assert_clean()
-
-    def test_wait_for_timeout(self):
-        w = LockWitness()
-        cond = w.named_condition("cond")
-        with cond:
-            assert cond.wait_for(lambda: False, timeout=0.05) is False
 
 
 class TestFactories:
     def test_forced_off_returns_plain_primitives(self):
-        lock = lockwitness.named_lock("x", witness=False)
-        cond = lockwitness.named_condition("x", witness=False)
-        assert isinstance(lock, type(threading.Lock()))
-        assert isinstance(cond, threading.Condition)
+        was_enabled = lockwitness.is_enabled()
+        lockwitness.disable()
+        try:
+            assert isinstance(lockwitness.named_lock("x"), type(threading.Lock()))
+        finally:
+            (lockwitness.enable if was_enabled else lockwitness.disable)()
 
     def test_forced_on_returns_witnessed_wrappers(self):
-        lock = lockwitness.named_lock("x", witness=True)
-        cond = lockwitness.named_condition("x", witness=True)
+        was_enabled = lockwitness.is_enabled()
+        lockwitness.enable()
+        try:
+            lock = lockwitness.named_lock("x")
+        finally:
+            (lockwitness.enable if was_enabled else lockwitness.disable)()
         assert type(lock).__name__ == "_WitnessLock"
-        assert type(cond).__name__ == "_WitnessCondition"
-        # Both still satisfy the lock protocol.
-        with lock:
+        with lock:  # still satisfies the lock protocol
             assert lock.locked()
-        with cond:
-            pass
+        assert not lock.locked()
 
     def test_reset_clears_records(self):
-        w = LockWitness()
-        _seed_ab_ba(w.named_lock("A"), w.named_lock("B"))
-        assert w.find_cycles()
-        w.reset()
+        w = LockWitness(hold_budget=0.01)
+        lock = w.named_lock("A")
+
+        def nested_and_slow():
+            with lock:
+                time.sleep(0.03)  # ftlint: disable=RT001 -- deliberate over-budget hold: seeds a record for reset() to clear
+            _nest(w.named_lock("A"), w.named_lock("B"))()
+
+        _run_sequential(nested_and_slow)
         rep = w.report()
-        assert rep["edges"] == [] and rep["cycles"] == []
+        assert rep["nestings"] and rep["hold_violations"]
+        w.reset()
+        assert w.report() == {"nestings": [], "hold_violations": []}
         w.assert_clean()
