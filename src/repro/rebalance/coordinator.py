@@ -9,16 +9,17 @@ irreversible-only-forward phases:
     anywhere knows the node.  Every client still routes every key to its
     old owner.
 ``WARMING``
-    Moved keys are backfilled into the joining node: each key is read
-    from its *current* owner (whose cache most likely holds it; a miss
-    there falls through to the PFS server-side), with a direct PFS read
-    as the coordinator's last resort, then pushed via ``OP_TRANSFER``,
-    which the node installs on the dispatch thread that received it.  Each
-    reply reports the node's claimed-but-unwritten installs; at or above
-    the high watermark the coordinator *pauses* (counted, observable) —
-    warmup yields to the serving hot path instead of competing with it.
-    The node's dispatch threads bound those installs below the default
-    watermark, so the pause is a guard, not the rate limit.
+    Moved keys are backfilled into the joining node per source, in
+    batches of :data:`WARM_BATCH` in plan order: one pipelined READ batch
+    to the keys' *current* owner (a miss there falls through to the PFS
+    server-side; a key it does not serve is read from the PFS directly),
+    then one send of pipelined TRANSFERs, installed on the node's
+    dispatch threads.  A source whose READ batch fails is not asked
+    again: one TTL per join.  At or above the high watermark on a batch's
+    largest reported install backlog the coordinator *pauses* (counted,
+    observable) — warmup yields to the serving hot path.  The dispatch
+    threads bound those installs below the default watermark, so the
+    pause is a guard, not the rate limit.
 ``SERVING``
     The cutover callback flips membership + every client placement under
     a new ring epoch.  Only now can any lookup route to the node — and
@@ -35,7 +36,6 @@ it is never held across socket I/O, PFS reads, or throttle sleeps.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import time
 from typing import Callable, Optional
@@ -49,6 +49,10 @@ __all__ = ["JoinCoordinator", "JoinState", "JoinAborted"]
 
 #: claimed-install backlog (fraction of ``queue_depth``) above which warmup pauses
 DEFAULT_THROTTLE_FRACTION = 0.75
+
+#: keys per warmup batch, both its READ batch and its TRANSFER send: the
+#: server's ``_PIPELINE_DEPTH``, so a node decodes a whole batch unpaused
+WARM_BATCH = 64
 
 
 class JoinState(enum.Enum):
@@ -81,7 +85,8 @@ class JoinCoordinator:
     control:
         An :class:`~repro.runtime.client.FTCacheClient` whose address book
         knows the joining node and every source owner.  Only explicit-node
-        RPCs are used (``read_from``/``transfer``/``join_plan``); the
+        RPCs are used (``read_from``/``transfer``/``join_plan``, one
+        ``trace_op`` per batch); the
         client's placement policy is never consulted, so the joining node
         being absent from it is exactly right.
     pfs:
@@ -172,57 +177,54 @@ class JoinCoordinator:
             self._abort("joining node did not acknowledge the move plan")
             raise JoinAborted(self.report.abort_reason)
 
-    def _fetch(self, path: str, source) -> Optional[bytes]:
-        """Bytes for one moved key: owner first, PFS as last resort."""
-        from ..runtime.client import ReadError
-
-        try:
-            outcome = self.control.read_from(source, path)
-        except ReadError:
-            outcome = None
-        if outcome is not None:
-            data, src = outcome
-            if src == "pfs":
-                self.report.source_pfs_reads += 1
-            else:
-                self.report.source_cache_reads += 1
-            return data
-        try:
-            data = self.pfs.read(path)
-        except FileNotFoundError:
-            return None  # key vanished between plan and warmup: skip
-        self.report.pfs_fallback_reads += 1
-        return data
-
-    def _trace_key(self, path: str, source) -> contextlib.AbstractContextManager:
-        """Per-key warmup trace via the control client's tracer; a control
-        object without ``trace_op`` (unit-test stubs) runs untraced."""
-        trace_op = getattr(self.control, "trace_op", None)
-        if trace_op is None:
-            return contextlib.nullcontext()
-        return trace_op("join.warm_key", path=path, source=source)
-
     def _warm(self) -> None:
+        by_source: dict = {}
         for path, source in self.plan.moves:
-            # One trace per moved key: the read_from + transfer pair (and
-            # their server-side stages on both the source and the joining
-            # node) stitch into a single cross-node warmup trace.
-            with self._trace_key(path, source):
-                data = self._fetch(path, source)
-                if data is None:
-                    self.report.extras["missing_keys"] = (
-                        self.report.extras.get("missing_keys", 0) + 1
-                    )
+            by_source.setdefault(source, []).append(path)
+        for source, paths in by_source.items():
+            reachable = True
+            for lo in range(0, len(paths), WARM_BATCH):
+                batch = paths[lo:lo + WARM_BATCH]
+                # One trace per batch: the READ and the TRANSFER batch, and their
+                # stages on the source and the joining node, stitch into one trace.
+                with self.control.trace_op("join.warm_batch", source=source, keys=len(batch)):
+                    outcomes = self.control.read_from(source, batch) if reachable else None
+                    if reachable and outcomes is None:
+                        reachable = False  # asked once: one TTL per failed source
+                        self.report.source_failures += 1
+                    items = self._gather(batch, outcomes or [None] * len(batch))
+                    replies = self.control.transfer(self.plan.node, items) if items else []
+                if replies is None:
+                    raise RuntimeError(f"joining node unreachable during warmup (batch from {source!r})")
+                for (_, data), resp in zip(items, replies):
+                    if resp is None or not resp["accepted"]:
+                        self.report.transfers_rejected += 1
+                        continue
+                    self.report.warmed_keys += 1
+                    self.report.warmed_bytes += len(data)
+                self._throttle(max((int(r["queue_len"]) for r in replies if r is not None), default=0))
+
+    def _gather(self, paths: list, outcomes: list) -> list[tuple[str, bytes]]:
+        """One batch's ``(path, bytes)``: the owner's where it served the
+        key, else the PFS's, key by key; a key gone from the PFS too
+        (deleted between plan and warmup) is skipped."""
+        items = []
+        for path, outcome in zip(paths, outcomes):
+            if outcome is not None:
+                data, src = outcome
+                if src == "pfs":
+                    self.report.source_pfs_reads += 1
+                else:
+                    self.report.source_cache_reads += 1
+            else:
+                try:
+                    data = self.pfs.read(path)
+                except FileNotFoundError:
+                    self.report.extras["missing_keys"] = self.report.extras.get("missing_keys", 0) + 1
                     continue
-                resp = self.control.transfer(self.plan.node, path, data)
-            if resp is None:
-                raise RuntimeError(f"joining node unreachable during warmup ({path!r})")
-            if not resp.get("accepted", False):
-                self.report.transfers_rejected += 1
-                continue
-            self.report.warmed_keys += 1
-            self.report.warmed_bytes += len(data)
-            self._throttle(int(resp.get("queue_len", 0)))
+                self.report.pfs_fallback_reads += 1
+            items.append((path, data))
+        return items
 
     def _throttle(self, queue_len: int) -> None:
         """Pause while the joining node's install backlog is above watermark."""

@@ -30,6 +30,8 @@ class JoinReport:
     source_cache_reads: int = 0
     source_pfs_reads: int = 0
     pfs_fallback_reads: int = 0
+    #: sources whose READ batch failed: asked once, their other keys read from the PFS
+    source_failures: int = 0
     #: transfers the joining node refused — should be 0
     transfers_rejected: int = 0
     #: times the coordinator paused because the install backlog was at its

@@ -337,7 +337,8 @@ class FTCacheClient:
         error: Optional[ReadError] = None
         with self.tracer.start_trace("client.read_many", owners=len(groups), batch=len(paths)) as span:
             # every frame is encoded before any is sent: a key the codec refuses raises here
-            frames = {node: self._encode_batch(batch, span) for node, batch in groups.items()}
+            frames = {node: self._encode_batch(OP_READ, [(p, b"") for _, p in batch], span)
+                      for node, batch in groups.items()}
             sent = [(node, batch, self._send_batch(node, frames[node])) for node, batch in groups.items()]
             drained = [(node, batch, conn and self._drain_batch(node, conn, len(batch)))
                        for node, batch, conn in sent]
@@ -360,22 +361,28 @@ class FTCacheClient:
         # the rest (PFS routes, retired owners, unmatched seqs): sequential path
         return [results[i] if i in results else self.read(p) for i, p in enumerate(paths)]
 
-    def _encode_batch(self, batch: list[tuple[int, str]], span) -> bytes:
-        """One owner's READs, seq 1…n, as one buffer."""
-        msg = Message.request(OP_READ)
+    def _encode_batch(self, op: str, items: list[tuple[str, bytes]], span) -> list:
+        """``op`` requests for ``(path, payload)`` items, seq 1…n, as one
+        send's parts: each payload its own part, never concatenated, and
+        the frames between payloads joined into one."""
+        msg = Message.request(op)
         if span.ctx is not None:
             inject(msg.header, span.ctx)
-        frames = []
-        for seq, (_, path) in enumerate(batch, start=1):
+        frames, parts = [], []
+        for seq, (path, payload) in enumerate(items, start=1):
             msg.header["path"] = path
+            msg.payload = payload
             frames.append(self._encode(msg, seq))
-        return b"".join(frames)
+            if payload:
+                parts += (b"".join(frames), payload)
+                frames.clear()
+        return [*parts, b"".join(frames)]
 
-    def _send_batch(self, node: NodeId, frames: bytes) -> Optional[_PooledConn]:
-        """Scatter half: one owner's encoded READs in one send; None — socket retired — if it fails."""
+    def _send_batch(self, node: NodeId, parts: list) -> Optional[_PooledConn]:
+        """Scatter half: one node's encoded requests in one send; None — socket retired — if it fails."""
         try:
             conn, _ = self._checkout(node)
-            conn.sock.sendall(frames)
+            send_vectored(conn.sock, *parts)
             return conn
         except (OSError, ReadError):  # an unknown node's ReadError the sequential path re-raises
             self._drop_conn(node)
@@ -422,32 +429,42 @@ class FTCacheClient:
         """
         self.servers[node] = tuple(addr)
 
-    def read_from(self, node: NodeId, path: str) -> Optional[tuple[bytes, str]]:
-        """One explicit-node READ: ``(data, source)``, or None on
-        timeout/refusal (raises :class:`ReadError` for a missing file).
+    def read_from(self, node: NodeId, paths: list[str]) -> Optional[list]:
+        """Explicit-node READs, pipelined on one socket: per path
+        ``(data, source)``, or None where the node answered with an error
+        (a missing file); None for the whole batch on timeout/refusal.
 
         Bypasses placement entirely — the rebalance coordinator uses this
         to pull moved keys from their *current* owner regardless of what
         any policy would route.  Outcomes deliberately do not feed the
         failure detector: warmup traffic must not declare nodes.
         """
-        return self._rpc_read(node, path)
-
-    def transfer(self, node: NodeId, path: str, data: bytes) -> Optional[dict]:
-        """Push one moved key into ``node``'s cache.
-
-        Returns ``{"accepted": bool, "queue_len": int}`` from the node's
-        reply, or None on timeout/refusal.  A live node accepts every key
-        (a duplicate of one it is installing is coalesced); ``queue_len``
-        is its claimed-but-unwritten installs, for the caller's throttle.
-        """
-        msg = Message.request(OP_TRANSFER, path=path)
-        msg.payload = data
-        resp = self._rpc(node, msg)
-        if resp is None or not resp.ok:
+        replies = self._pipeline(node, OP_READ, [(p, b"") for p in paths])
+        if replies is None:
             return None
-        self._counters.bump(transfers_sent=1)
-        return {"accepted": resp.header["accepted"], "queue_len": resp.header["queue_len"]}
+        outcomes = [(r.payload, r.header["source"]) if r is not None and r.ok else None for r in replies]
+        sources = [o[1] for o in outcomes if o is not None]
+        self._counters.bump(server_cache_reads=sources.count("cache"), server_pfs_reads=sources.count("pfs"))
+        return outcomes
+
+    def transfer(self, node: NodeId, items: list[tuple[str, bytes]]) -> Optional[list]:
+        """Push moved keys into ``node``'s cache: ``(path, data)`` items as
+        pipelined TRANSFERs in one send, each payload its own iovec.
+
+        Per item ``{"accepted": bool, "queue_len": int}`` from the node's
+        reply, or None where it answered with an error; None for the whole
+        batch on timeout/refusal.  A live node accepts every key (a
+        duplicate of one it is installing is coalesced); ``queue_len`` is
+        its claimed-but-unwritten installs, for the caller's throttle.
+        Like :meth:`read_from`, never detector evidence.
+        """
+        replies = self._pipeline(node, OP_TRANSFER, items)
+        if replies is None:
+            return None
+        out = [{"accepted": r.header["accepted"], "queue_len": r.header["queue_len"]}
+               if r is not None and r.ok else None for r in replies]
+        self._counters.bump(transfers_sent=len(out) - out.count(None))
+        return out
 
     def join_plan(
         self, node: NodeId, planned_keys: int, planned_bytes: int, epoch: int
@@ -472,7 +489,7 @@ class FTCacheClient:
     def trace_op(self, name: str, **attrs):
         """Root a trace around a block of explicit-node RPCs.
 
-        The join coordinator wraps each warmup key in one of these so the
+        The join coordinator wraps each warmup batch in one of these so the
         ``read_from`` + ``transfer`` pair (and their server-side stages)
         stitch into a single cross-node trace.  Nesting restores the
         previous active span on exit.
@@ -657,6 +674,23 @@ class FTCacheClient:
         else:
             self._counters.bump(server_cache_reads=1)
         return data, source
+
+    def _pipeline(self, node: NodeId, op: str, items: list[tuple[str, bytes]]) -> Optional[list]:
+        """``op`` requests for ``(path, payload)`` items, seq 1…n in one
+        send, drained by seq under one child span of the active op: the
+        replies in item order (None for a seq never answered), or None when
+        the socket failed and was retired.  Never detector evidence."""
+        span = self.tracer.start_span(f"client.rpc_{op.lower()}", self._op_ctx.span,
+                                      node_id=node, batch=len(items))
+        try:
+            parts = self._encode_batch(op, items, span)
+        except ReadError:
+            span.end(status="error")
+            raise
+        conn = self._send_batch(node, parts)
+        replies = conn and self._drain_batch(node, conn, len(items))
+        span.end(status="error" if replies is None else None)
+        return None if replies is None else [replies.get(seq) for seq in range(1, len(items) + 1)]
 
     @staticmethod
     def _encode(msg: Message, seq: int = 0) -> bytes:

@@ -39,7 +39,7 @@ def sent(tmp_path_factory) -> dict:
         client = cluster.client()
         client.read(path)
         client.write(fresh, b"new bytes")
-        client.transfer(0, "/moved.bin", b"moved")
+        client.transfer(0, [("/moved.bin", b"moved")])
         client.ping(0)
         client.server_stat(0)
         client.obs_snapshot(0, spans_limit=1, events_limit=1)

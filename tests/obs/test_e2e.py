@@ -7,8 +7,8 @@ These are the trace-propagation invariants the tentpole promises:
 * span balance holds for every component tracer after quiescence;
 * a kill→restart failover keeps the trace intact — the timed-out RPC
   span and the successful re-route live under the same root;
-* a live ``join_server`` warmup roots one trace per moved key that spans
-  the control client, the source owner, and the joining node;
+* a live ``join_server`` warmup roots one trace per batch of moved keys
+  that spans the control client, the source owner, and the joining node;
 * ``OP_OBS`` exports the unified snapshot without disturbing RPC
   conformance; tracing disabled injects no headers and records nothing;
 * ``dump_obs`` → ``python -m repro.obs`` accounts for where READ latency
@@ -16,6 +16,7 @@ These are the trace-propagation invariants the tentpole promises:
 """
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,6 +24,7 @@ import pytest
 
 from repro.obs import build_traces, get_event_log
 from repro.obs.__main__ import analyse, main as obs_main
+from repro.rebalance.coordinator import WARM_BATCH
 from repro.runtime import LocalCluster
 
 
@@ -126,6 +128,7 @@ class TestFailoverTracing:
 
 class TestJoinWarmupTracing:
     def test_warm_key_traces_span_three_processes(self, traced_cluster):
+        """One ``join.warm_batch`` trace per batch, each crossing processes."""
         client = traced_cluster.client()
         for p in traced_cluster.paths:
             client.read(p)
@@ -134,9 +137,11 @@ class TestJoinWarmupTracing:
         assert report.warmed_keys > 0
         traces = build_traces(_all_spans(traced_cluster))
         warm_roots = [
-            r for roots in traces.values() for r in roots if r.name == "join.warm_key"
+            r for roots in traces.values() for r in roots if r.name == "join.warm_batch"
         ]
         assert warm_roots, "no warmup traces recorded"
+        batches = sum(math.ceil(n / WARM_BATCH) for n in report.plan.keys_by_source.values())
+        assert len(warm_roots) == batches
         crossed = 0
         for root in warm_roots:
             nodes = set()

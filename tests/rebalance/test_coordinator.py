@@ -2,14 +2,18 @@
 
 Pins the transition discipline (PLANNED → WARMING → SERVING, abort from
 anywhere pre-cutover), the warmup data paths (owner cache → owner PFS →
-coordinator PFS fallback), the throttle loop, and the rollback contract.
+coordinator PFS fallback), the per-source batches, the throttle loop, and
+the rollback contract.
 """
+
+import contextlib
+import math
 
 import pytest
 
 from repro.rebalance import JoinAborted, JoinCoordinator, JoinState, RingDiff
+from repro.rebalance.coordinator import WARM_BATCH
 from repro.rebalance.ringdiff import MovePlan
-from repro.runtime.client import ReadError
 
 
 def make_plan(moves, node=9):
@@ -26,7 +30,8 @@ def make_plan(moves, node=9):
 
 
 class FakeControl:
-    """Scriptable stand-in for FTCacheClient's explicit-node RPC surface."""
+    """Scriptable stand-in for FTCacheClient's explicit-node RPC surface:
+    list-shaped ``read_from``/``transfer``, one call per batch."""
 
     def __init__(
         self,
@@ -35,31 +40,45 @@ class FakeControl:
         transfer_ok=True,
         queue_lens=None,
         stat_queue_lens=None,
+        failing_sources=(),
     ):
         self.ack_plan = ack_plan
-        self.reads = reads or {}  # path -> (data, source) | None | ReadError
+        self.reads = reads or {}  # path -> (data, source) | None
         self.transfer_ok = transfer_ok
         self.queue_lens = list(queue_lens or [])
         self.stat_queue_lens = list(stat_queue_lens or [])
+        self.failing_sources = set(failing_sources)  # read_from → None for the whole batch
         self.transfers = []
+        self.read_batches = []  # (node, paths) per read_from call
+        self.transfer_batches = []  # paths per transfer call
+        self.traces = []  # (name, attrs) per trace_op block
         self.plan_calls = []
 
     def join_plan(self, node, planned_keys, planned_bytes, epoch):
         self.plan_calls.append((node, planned_keys, planned_bytes, epoch))
         return self.ack_plan
 
-    def read_from(self, node, path):
-        outcome = self.reads.get(path, (b"x" * 8, "cache"))
-        if outcome is ReadError:
-            raise ReadError(path)
-        return outcome
+    @contextlib.contextmanager
+    def trace_op(self, name, **attrs):
+        self.traces.append((name, attrs))
+        yield
 
-    def transfer(self, node, path, data):
+    def read_from(self, node, paths):
+        self.read_batches.append((node, list(paths)))
+        if node in self.failing_sources:
+            return None
+        return [self.reads.get(p, (b"x" * 8, "cache")) for p in paths]
+
+    def transfer(self, node, items):
         if self.transfer_ok is None:
             return None  # unreachable
-        self.transfers.append((node, path, data))
-        q = self.queue_lens.pop(0) if self.queue_lens else 0
-        return {"accepted": bool(self.transfer_ok), "queue_len": q}
+        self.transfer_batches.append([p for p, _ in items])
+        replies = []
+        for path, data in items:
+            self.transfers.append((node, path, data))
+            q = self.queue_lens.pop(0) if self.queue_lens else 0
+            replies.append({"accepted": bool(self.transfer_ok), "queue_len": q})
+        return replies
 
     def server_stat(self, node):
         if not self.stat_queue_lens:
@@ -157,7 +176,7 @@ class TestWarmupDataPaths:
 
     def test_vanished_key_is_skipped_not_fatal(self):
         plan = make_plan([("/gone", 0), ("/ok", 1)])
-        control = FakeControl(reads={"/gone": ReadError, "/ok": (b"k", "cache")})
+        control = FakeControl(reads={"/gone": None, "/ok": (b"k", "cache")})
         coord, _ = make_coord(plan, control, pfs=FakePFS())
         report = coord.run()
         assert report.warmed_keys == 1
@@ -172,7 +191,89 @@ class TestWarmupDataPaths:
         assert report.transfers_rejected == 1 and report.warmed_keys == 0
 
 
+class TestBatches:
+    def test_batch_is_the_server_pipeline_depth(self):
+        from repro.runtime.server import _PIPELINE_DEPTH
+
+        assert WARM_BATCH == _PIPELINE_DEPTH == 64
+
+    def test_source_with_65_keys_gives_batches_of_64_and_1_in_plan_order(self):
+        moves = [(f"/k{i}", 1 if i % 3 == 2 else 0) for i in range(97)]
+        plan = make_plan(moves)
+        control = FakeControl()
+        coord, _ = make_coord(plan, control)
+        report = coord.run()
+        from_0 = [p for p, s in moves if s == 0]
+        from_1 = [p for p, s in moves if s == 1]
+        assert len(from_0) == 65
+        assert control.read_batches == [(0, from_0[:64]), (0, from_0[64:]), (1, from_1)]
+        assert control.transfer_batches == [from_0[:64], from_0[64:], from_1]
+        assert [attrs for name, attrs in control.traces] == [
+            {"source": 0, "keys": 64}, {"source": 0, "keys": 1}, {"source": 1, "keys": 32}
+        ]
+        assert {name for name, _ in control.traces} == {"join.warm_batch"}
+        assert report.warmed_keys == report.source_cache_reads == 97
+
+    def test_key_missing_at_its_owner_alone_falls_back_to_the_pfs(self):
+        plan = make_plan([("/a", 0), ("/b", 0), ("/c", 0)])
+        control = FakeControl(reads={"/b": None})
+        pfs = FakePFS(files={"/b": b"pfs-b"})
+        coord, _ = make_coord(plan, control, pfs=pfs)
+        report = coord.run()
+        assert pfs.reads == ["/b"]
+        assert report.source_cache_reads == 2 and report.pfs_fallback_reads == 1
+        assert report.source_failures == 0
+        assert [(p, d) for _, p, d in control.transfers] == [
+            ("/a", b"x" * 8), ("/b", b"pfs-b"), ("/c", b"x" * 8)
+        ]
+
+    def test_whole_batch_none_sends_that_batch_to_the_pfs(self):
+        plan = make_plan([("/a", 0), ("/b", 1), ("/c", 0)])
+        control = FakeControl(failing_sources={0})
+        pfs = FakePFS(files={"/a": b"a", "/c": b"c"})
+        coord, _ = make_coord(plan, control, pfs=pfs)
+        report = coord.run()
+        assert pfs.reads == ["/a", "/c"]
+        assert report.pfs_fallback_reads == 2 and report.source_cache_reads == 1
+        assert report.source_failures == 1
+        assert report.warmed_keys == 3 and coord.state is JoinState.SERVING
+
+    def test_failing_source_is_asked_once_per_join(self):
+        """A hung source costs one TTL per join, not one per key or batch."""
+        paths = [f"/k{i}" for i in range(130)]
+        plan = make_plan([(p, 0) for p in paths])
+        control = FakeControl(failing_sources={0})
+        pfs = FakePFS(files=dict.fromkeys(paths, b"p"))
+        coord, _ = make_coord(plan, control, pfs=pfs)
+        report = coord.run()
+        assert control.read_batches == [(0, paths[:64])]
+        assert report.pfs_fallback_reads == 130
+        assert report.source_failures == 1
+        assert report.warmed_keys == 130
+        assert control.transfer_batches == [paths[:64], paths[64:128], paths[128:]]
+
+    def test_none_transfer_batch_aborts_and_rolls_back(self):
+        plan = make_plan([("/a", 0), ("/b", 0), ("/c", 1)])
+        control = FakeControl(transfer_ok=None)
+        coord, events = make_coord(plan, control)
+        with pytest.raises(JoinAborted):
+            coord.run()
+        assert coord.state is JoinState.ABORTED
+        assert events == ["rollback"]
+        assert coord.report.warmed_keys == 0
+        assert len(control.read_batches) == 1  # aborted on the first batch
+
+
 class TestThrottle:
+    def test_fires_on_the_batch_largest_queue_len(self):
+        plan = make_plan([("/a", 0), ("/b", 0), ("/c", 0)])
+        # the last reply is below the watermark (6); the middle one is not
+        control = FakeControl(queue_lens=[1, 8, 2], stat_queue_lens=[0])
+        coord, _ = make_coord(plan, control, throttle_sleep=0.001)
+        report = coord.run()
+        assert report.throttle_pauses == 1
+
+
     def test_pauses_until_queue_drains(self):
         plan = make_plan([("/a", 0)])
         # transfer reply reports a full queue; two stats polls later it drains
@@ -212,9 +313,12 @@ class TestValidation:
         from repro.core import HashRing
 
         ring = HashRing(nodes=range(3), vnodes_per_node=50)
-        keys = [f"/k{i}" for i in range(200)]
+        keys = [f"/k{i}" for i in range(1000)]
         plan = RingDiff(ring).plan_join(3, keys)
         control = FakeControl()
         coord, _ = make_coord(plan, control)
         report = coord.run()
         assert report.warmed_keys == plan.moved_keys == len(control.transfers)
+        batches = sum(math.ceil(n / WARM_BATCH) for n in plan.keys_by_source.values())
+        assert len(control.read_batches) == len(control.transfer_batches) == batches
+        assert batches > len(plan.keys_by_source)  # some source needed more than one batch

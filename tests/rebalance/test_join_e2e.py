@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.rebalance import JoinState
+from repro.rebalance.coordinator import WARM_BATCH
 from repro.runtime.cluster import LocalCluster
 
 
@@ -151,3 +152,31 @@ class TestJoinE2E:
         assert report.state == JoinState.SERVING.value
         assert report.source_pfs_reads == report.plan.moved_keys
         assert report.source_cache_reads == 0
+
+    def test_hung_source_is_asked_once_and_its_keys_come_from_the_pfs(self, tmp_path):
+        """A source that hangs before the join costs one TTL, not one per
+        moved key: its first READ batch times out, the rest of its keys are
+        read from the PFS, and no foreground client sees a timeout."""
+        with LocalCluster(
+            n_servers=3, workdir=tmp_path, policy="nvme", ttl=0.5, timeout_threshold=2
+        ) as c:
+            c.populate(n_files=640, file_bytes=256)
+            client = c.client()
+            for p in c.paths:
+                client.read(p)
+            hung = 0
+            c.servers[hung].kill(mode="hang")
+            report = c.join_server(weight=3.0)
+            plan = report.plan
+            assert plan.keys_by_source[hung] > WARM_BATCH  # at least two batches
+            assert report.state == JoinState.SERVING.value
+            assert report.source_failures == 1
+            assert report.pfs_fallback_reads == plan.keys_by_source[hung]
+            assert report.warmed_keys == plan.moved_keys
+            assert report.warmup_seconds < 10 * c.ttl  # one TTL per moved key would be ~40 s
+            # the joiner serves every moved key from its cache, the hung source's included
+            _wait_mover_drained(c.servers[report.node])
+            for p, _ in plan.moves:
+                client.read(p)
+            assert client.server_stat(report.node)["hits"] == plan.moved_keys
+            assert client.stats["timeouts"] == 0 and client.stats["declared"] == 0

@@ -43,7 +43,7 @@ class TestOpTable:
             assert client.read(path) == cluster.pfs.read(path)  # a miss: READ reaches dispatch
             client.write(fresh, b"new bytes")  # PUT
             assert client.stats["cache_installs"] == 1
-            assert client.transfer(0, "/moved.bin", b"moved") == {"accepted": True, "queue_len": 1}
+            assert client.transfer(0, [("/moved.bin", b"moved")]) == [{"accepted": True, "queue_len": 1}]
             assert client.ping(0) is True
             assert client.server_stat(0)["node_id"] == 0
             assert set(client.obs_snapshot(0, spans_limit=1, events_limit=1)) >= {"spans", "events"}

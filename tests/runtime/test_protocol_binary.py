@@ -703,7 +703,7 @@ class TestPipelining:
         """Half a reply, then silence: the half-read connection is dropped,
         never reused — the retry gets a fresh socket and a whole frame."""
         body = b"x" * 100
-        reply = encode_binary_response_header(OP_READ, Message.ok_response(payload=body)) + body
+        reply = encode_binary_response_header(OP_READ, Message.ok_response(payload=body), seq=1) + body
         accepted = []
 
         def serve() -> None:
@@ -720,9 +720,9 @@ class TestPipelining:
                 client = c.client()
                 client.register_address(9, listener.getsockname())
                 try:
-                    assert client.read_from(9, "/a.bin") is None  # timed out mid-frame
+                    assert client.read_from(9, ["/a.bin"]) is None  # timed out mid-frame
                     assert 9 not in client._pool.conns
-                    assert client.read_from(9, "/a.bin") == (body, "cache")
+                    assert client.read_from(9, ["/a.bin"]) == [(body, "cache")]
                 finally:
                     client.close()
             server.join(timeout=5)
