@@ -176,6 +176,8 @@ class FTCacheClient:
     def read(self, path: str) -> bytes:
         """Read one file through the cache layer (blocking, thread-safe).
 
+        Returns bytes-like data: ``bytes``, or the ``bytearray`` a payload
+        larger than the reader's window (68 KiB) was received into.
         Under a :class:`~repro.core.replication.ReplicatedRecache` policy a
         timed-out primary fails over to the next surviving replica *within
         the same read* (the detector still counts the timeout toward
@@ -304,7 +306,7 @@ class FTCacheClient:
         threading.Thread(target=_push, name="replica-push", daemon=True).start()
 
     def read_many(self, paths: list[str]) -> list[bytes]:
-        """Read a batch of files; order of results matches ``paths``.
+        """Read a batch of files, bytes-like; order of results matches ``paths``.
 
         **Scatter–gather**: every owner's READs go out — pipelined on its
         pooled socket, a ``seq`` each — before the first reply is read, so
@@ -431,8 +433,8 @@ class FTCacheClient:
 
     def read_from(self, node: NodeId, paths: list[str]) -> Optional[list]:
         """Explicit-node READs, pipelined on one socket: per path
-        ``(data, source)``, or None where the node answered with an error
-        (a missing file); None for the whole batch on timeout/refusal.
+        ``(data, source)``, data bytes-like, or None where the node answered
+        with an error (a missing file); None for the whole batch on timeout/refusal.
 
         Bypasses placement entirely — the rebalance coordinator uses this
         to pull moved keys from their *current* owner regardless of what

@@ -44,8 +44,9 @@ fixed header — on the server's buffer and under both receivers here.
 :class:`FrameReader`, buffered (one ``recv_into`` yields every frame that
 arrived), serves sockets that live across requests: the client's pooled
 connections.  :func:`recv_message`, unbuffered (it never reads past its
-frame), serves the rest: the replica push, tests, the bench ladder.  The
-codec pays for what a frame carries — a key or ext is sliced only when
+frame), serves the rest: the replica push, tests, the bench ladder.  Both
+receive a payload once, into the object they hand back.  The codec pays
+for what a frame carries — a key or ext is sliced only when
 there is one, JSON only under ``_FLAG_FIELDS`` — so a READ request or
 OK reply decodes to one dict and one :class:`Message`, and a READ's OK
 reply header (every cache hit's) is one ``struct`` pack.
@@ -109,8 +110,6 @@ _MAX_HEADER = 1 << 20
 _MAX_PAYLOAD = 1 << 28
 #: bound on the extension blob (trace context today: 24 bytes)
 _MAX_EXT = 1 << 12
-#: :class:`FrameReader`'s window: four 16 KiB frames per ``recv``; at most 6 % of a 1 MiB one is copied
-_WINDOW = 1 << 16
 
 BIN_MAGIC = b"\xf7\xc5"
 BIN_VERSION = 1
@@ -118,6 +117,8 @@ BIN_VERSION = 1
 #: magic(2) version(1) kind(1) op(1) flags(1) key_len(2) ext_len(2)
 #: seq(4) aux(4) payload_len(4) — 22 bytes, all big-endian
 _BIN_HDR = struct.Struct(">2sBBBBHHIII")
+#: :class:`FrameReader`'s window: all of a frame before its payload fits
+_WINDOW = _BIN_HDR.size + 0xFFFF + _MAX_EXT
 
 _KIND_REQUEST = 0
 _KIND_OK = 1
@@ -205,7 +206,7 @@ class ProtocolError(RuntimeError):
 
 @dataclass
 class Message:
-    """One framed message: header + optional binary payload.
+    """One framed message: header + optional bytes-like payload.
 
     ``seq`` is the transport-level pipelining correlation id: echoed
     verbatim by the server, never part of the header vocabulary.
@@ -399,7 +400,8 @@ def encode_binary_response_header(
     )
 
 
-def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optional[Message], int]:
+def parse_frame(buf, pos: int = 0, requests_only: bool = False,
+                payload: Optional[bytearray] = None) -> tuple[Optional[Message], int]:
     """Decode the frame that starts at ``buf[pos]``, if all of it is there.
 
     Returns ``(message, end)``: ``end`` is the offset just past the frame.
@@ -409,6 +411,9 @@ def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optiona
     length bound and (``requests_only``: the server's side) the frame
     kind before any body byte is waited for — so a hostile header raises
     :class:`ProtocolError` on arrival.
+
+    ``payload``: the payload was received apart, into this buffer; ``buf``
+    need only hold the frame up to it, and it is attached uncopied.
     """
     body = pos + _BIN_HDR.size
     if len(buf) < body:
@@ -435,14 +440,15 @@ def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optiona
     if plen > bound:
         raise ProtocolError(f"payload length {plen} exceeds bound {bound}")
     end = body + key_len + ext_len + plen
-    if len(buf) < end:
-        return None, end
     at = end - plen  # the payload's offset: key and ext are sliced only when present
+    if len(buf) < (end if payload is None else at):
+        return None, end
     try:
         key = str(buf[body : body + key_len], "utf-8") if key_len else ""
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"bad key encoding: {exc}") from exc
-    payload = bytes(memoryview(buf)[at:end]) if plen else b""
+    if payload is None:
+        payload = bytes(memoryview(buf)[at:end]) if plen else b""
     header: dict = {}
     if flags & _FLAG_FIELDS:  # packed fields win over these: the header is what the peer routed on
         header, payload = _parse_fields(payload), b""
@@ -466,13 +472,18 @@ def parse_frame(buf, pos: int = 0, requests_only: bool = False) -> tuple[Optiona
     return Message(header, payload, seq), end
 
 
+def _payload_at(buf, pos: int, end: int) -> int:
+    """Where the payload of the frame at ``buf[pos]`` ending at ``end`` starts."""
+    return end - _BIN_HDR.unpack_from(buf, pos)[-1]
+
+
 def recv_message(sock: socket.socket) -> Message:
     """Receive one frame: the blocking driver of :func:`parse_frame`.
 
     The fixed header is read first (and judged after every ``recv``, so a
-    peer that is not speaking this protocol fails on its first bytes);
-    the parser then names the frame's length, the whole frame is
-    allocated once, and the rest is received straight into it.
+    peer that is not speaking this protocol fails on its first bytes),
+    then the key and ext behind it, then the payload into its own
+    ``bytearray``, which the message carries uncopied.
     """
     head = bytearray(_BIN_HDR.size)
     have = 0
@@ -484,19 +495,22 @@ def recv_message(sock: socket.socket) -> Message:
         msg, end = parse_frame(memoryview(head)[:have])
     if msg is not None:
         return msg
-    frame = bytearray(end)
-    frame[:have] = head
-    _recv_exact_into(sock, memoryview(frame)[have:])
-    return parse_frame(frame)[0]
+    at = _payload_at(head, 0, end)
+    head += bytes(at - have)
+    _recv_exact_into(sock, memoryview(head)[have:])
+    payload = bytearray(end - at)
+    _recv_exact_into(sock, memoryview(payload))
+    return parse_frame(head, payload=payload)[0]
 
 
 class FrameReader:
     """Buffered blocking driver of :func:`parse_frame` for one long-lived socket.
 
     One ``recv_into`` the window may bring in several frames (32 × 16 KiB
-    pipelined replies: a handful of ``recv`` calls, not 64).  An incomplete
-    frame moves to the window's front; one larger than the window is
-    received straight into its one allocation, as in :func:`recv_message`.
+    pipelined replies: a handful of ``recv`` calls, not 64), each copied
+    out once.  An incomplete frame moves to the window's front.  Only a
+    payload can outgrow the window; it is received into its own
+    ``bytearray`` (what the window holds of it copied in first), uncopied.
     After an exception the caller retires the socket: half a frame may be left.
     """
 
@@ -513,12 +527,12 @@ class FrameReader:
                 if msg is not None:
                     self._lo, self._hi = end, hi
                     return msg
-                if end - lo > _WINDOW:
-                    frame = bytearray(end - lo)
-                    frame[: hi - lo] = view[lo:hi]
+                if end - lo > _WINDOW and (at := _payload_at(view, lo, end)) <= hi:
+                    payload = bytearray(end - at)
+                    payload[: hi - at] = view[at:hi]
                     self._lo = self._hi = 0
-                    _recv_exact_into(self.sock, memoryview(frame)[hi - lo :])
-                    return parse_frame(frame)[0]
+                    _recv_exact_into(self.sock, memoryview(payload)[hi - at :])
+                    return parse_frame(view[:at], lo, payload=payload)[0]
                 view[: hi - lo] = view[lo:hi]
             lo, hi = 0, hi - lo
             n = self.sock.recv_into(view[hi:])

@@ -15,8 +15,8 @@ pipelined ``read_many`` batch costs one ``recv`` and one loop turn, and is
 booked once: the turn decodes the frames, opens each READ's cache entry
 (``NVMeDir.open_read``), books them all in one counter bump, and only then
 replies.  A hit is answered **in that same turn, with no task and no
-await**: a header of one ``struct`` pack, then one non-blocking
-``os.sendfile`` from the entry's NVMe slot to the socket.  A miss, decoded
+await**: a header of one ``struct`` pack, corked (``MSG_MORE``) onto one
+non-blocking ``os.sendfile`` from the entry's NVMe slot: one segment.  A miss, decoded
 and looked up once, goes to a job.  Whatever the socket did not take
 (large entries, slow readers) is finished by ``loop.sendfile`` from the
 offset reached, so payload
@@ -160,7 +160,7 @@ class _Conn(asyncio.Protocol):
     def __init__(self, server: "FTCacheServer"):
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
-        self.fd = -1
+        self.sock: Optional[socket.socket] = None  # the transport's, dup'd; closed with it
         self.buf = bytearray()
         self.need = 0  # buffered bytes below which the frame at buf[0] is incomplete
         self.wlock = _WriteLock()
@@ -175,10 +175,11 @@ class _Conn(asyncio.Protocol):
         self.transport = transport
         sock = transport.get_extra_info("socket")
         set_nodelay(sock)
-        self.fd = sock.fileno()
+        self.sock = sock.dup()
         self.server._conns.add(self)
 
     def connection_lost(self, exc) -> None:
+        self.sock.close()
         self.server._conns.discard(self)
         for task in self.tasks:
             task.cancel()  # no reply can be delivered: leave no task behind
@@ -285,11 +286,14 @@ class _Conn(asyncio.Protocol):
         sent = 0
         owned = not transport.get_write_buffer_size() and self.wlock.try_acquire()
         if owned:
-            transport.write(head)
-            head = b""
             try:
+                # corked onto the payload; an empty entry's header is not: nothing would flush it
+                head = head[self.sock.send(head, socket.MSG_MORE if size else 0) :]
+                if head:  # what the send did not take
+                    transport.write(head)
+                    head = b""
                 if not transport.get_write_buffer_size():  # the header is with the kernel
-                    sent = os.sendfile(self.fd, f.fileno(), f.offset, size)
+                    sent = os.sendfile(self.sock.fileno(), f.fileno(), f.offset, size)
             except (BlockingIOError, InterruptedError):
                 pass
             except OSError:

@@ -10,6 +10,7 @@ across owners before any reply is judged, per-owner fallback), and
 ``FrameReader`` — the buffered driver every pooled socket reads through.
 """
 
+import json
 import socket
 import threading
 import time
@@ -819,6 +820,72 @@ class TestFrameReader:
             reader.recv()
 
 
+#: the two blocking receivers, each as "the next message from ``sock``"
+_RECEIVERS = {
+    "FrameReader": lambda sock: FrameReader(sock).recv,
+    "recv_message": lambda sock: lambda: recv_message(sock),
+}
+
+
+@pytest.mark.parametrize("receiver", sorted(_RECEIVERS))
+class TestPayloadOutgrowsTheWindow:
+    """Both receivers under one rule: everything before a payload fits the
+    window, and a payload larger than it is received straight into its own
+    ``bytearray``, which the message carries uncopied."""
+
+    BIG = bytes(range(251)) * (2 * _WINDOW // 251)
+    PATH = "/dataset/big/" + "k" * 40 + ".bin"
+
+    def _put(self, seq: int, payload: bytes) -> bytes:
+        """A frame with all four parts: header, key, ext and payload."""
+        msg = Message.request(OP_PUT, path=self.PATH, **_TRACE)
+        msg.payload = payload
+        return encode_binary_request(msg, seq) + payload
+
+    def test_payload_comes_back_as_its_own_bytearray(self, receiver):
+        recv = _RECEIVERS[receiver](_Segments(_reply(1, self.BIG)))
+        msg = recv()
+        assert type(msg.payload) is bytearray and msg.payload == self.BIG
+        assert (msg.seq, msg.header) == (1, {"status": "OK", "source": "pfs"})
+
+    def test_split_inside_every_part_then_the_next_frame(self, receiver):
+        frame = self._put(4, self.BIG)
+        key_at, ext_at = 22, 22 + len(self.PATH)
+        at = ext_at + 24
+        assert frame[at:] == self.BIG
+        cuts = [0, 11, key_at + 20, ext_at + 12, at + 1000, at + _WINDOW + 7, len(frame)]
+        stream = frame + _reply(5, b"next")
+        recv = _RECEIVERS[receiver](_Segments(*(stream[a:b] for a, b in zip(cuts, cuts[1:])), stream[len(frame):]))
+        msg = recv()
+        assert type(msg.payload) is bytearray and msg.payload == self.BIG
+        assert msg.header == {"op": OP_PUT, "path": self.PATH, **_TRACE}
+        after = recv()
+        assert (after.seq, after.payload) == (5, b"next")
+
+    def test_frames_on_either_side_decode(self, receiver):
+        stream = _reply(1, b"before") + self._put(2, self.BIG) + _reply(3, b"after")
+        recv = _RECEIVERS[receiver](_Segments(stream[:30_000], stream[30_000:]))
+        assert [recv().payload for _ in range(3)] == [b"before", self.BIG, b"after"]
+
+    def test_longest_reason_then_a_frame(self, receiver):
+        """A ``0xFFFF``-byte error reason is all key: it fits the window."""
+        reason = "r" * 0xFFFF
+        err = encode_binary_response_header(OP_READ, Message.error_response(reason, code="ENOENT"), seq=8)
+        assert len(err) == 22 + 0xFFFF < _WINDOW
+        recv = _RECEIVERS[receiver](_Segments(err + _reply(9, b"fine")))
+        msg = recv()
+        assert (msg.seq, msg.header) == (8, {"status": "ERROR", "reason": reason, "code": "ENOENT"})
+        after = recv()
+        assert (after.seq, after.payload) == (9, b"fine")
+
+    def test_fields_payload_beyond_the_window_decodes_to_fields(self, receiver):
+        counters = {f"c{i:05d}": i for i in range(_WINDOW // 8)}
+        frame = encode_binary_response_header(OP_STAT, Message.ok_response(**counters), seq=6)
+        assert len(frame) > _WINDOW
+        msg = _RECEIVERS[receiver](_Segments(frame))()
+        assert msg.payload == b"" and msg.header == {"status": "OK", **counters}
+
+
 class TestBinaryWireEndToEnd:
     def test_kill_restart_over_binary_wire(self):
         with LocalCluster(n_servers=3, policy="nvme", ttl=0.3, timeout_threshold=2) as c:
@@ -834,6 +901,18 @@ class TestBinaryWireEndToEnd:
                 assert client.read(p) == c.pfs.read(p)
             stats = c.total_stats()
             assert stats["binary_reqs"] > 0
+
+    def test_obs_snapshot_beyond_the_window(self):
+        """An OBS reply larger than the pooled reader's window: its payload
+        arrives in a ``bytearray`` of its own, and ``obs_snapshot`` decodes it."""
+        with LocalCluster(n_servers=1, policy="nvme", ttl=2.0, trace_sample_rate=1.0) as c:
+            c.populate(n_files=8, file_bytes=64, seed=4)
+            client = c.client()
+            for _ in range(50):
+                client.read_many(c.paths)
+            snap = client.obs_snapshot(0, spans_limit=512, events_limit=0)
+        assert len(json.dumps(snap)) > _WINDOW
+        assert {s["name"] for s in snap["spans"]} >= {"server.read", "server.pfs_read"}
 
     def test_sendfile_payload_integrity_large_entry(self):
         with LocalCluster(n_servers=1, policy="nvme", ttl=2.0) as c:

@@ -160,6 +160,17 @@ class TestSegmentation:
         assert after["sendfile_serves"] - before["sendfile_serves"] == 32
         assert after["binary_reqs"] - before["binary_reqs"] == 32
 
+    def test_a_small_hit_reply_is_one_segment(self, node):
+        """The header is corked onto the ``sendfile``: the first blocking
+        ``recv`` after a 4 KiB hit holds the whole frame, every time."""
+        with _connect(node) as sock:
+            for seq in range(200):
+                key = HITS[seq % len(HITS)]
+                sock.sendall(_read_req(key, seq))
+                first = sock.recv(1 << 16)
+                assert len(first) == 22 + 4096, f"read {seq}: first recv held {len(first)} bytes"
+                assert first[22:] == node.pfs.read(key)
+
     def test_books_are_closed_before_the_reply(self, node):
         """The client holding a reply must already be counted (ROADMAP 1a)."""
         with _connect(node) as sock:
@@ -240,6 +251,32 @@ class TestRemainderPath:
             a, b = recv_message(sock), recv_message(sock)
         assert (a.seq, a.payload, a.header["source"]) == (3, b"", "cache")
         assert b.seq == 4 and b.payload == node.pfs.read(HITS[0])
+
+    def test_a_lone_zero_byte_hit_is_not_corked(self, node, monkeypatch):
+        """Nothing follows an empty entry's header to flush a cork, and the
+        kernel holds a corked segment for up to 200 ms: a zero-byte hit alone
+        on its connection goes out uncorked, a 4 KiB hit corked."""
+        node.pfs.write("/dataset/empty.bin", b"")
+        node.nvme.write("/dataset/empty.bin", b"")
+        sends: list = []
+        send = socket.socket.send
+        with _connect(node) as sock:
+            client = sock.getsockname()
+
+            def recording_send(self, data, flags=0):  # what the server sends this client, and how
+                if self.getpeername() == client:
+                    sends.append((len(data), flags & socket.MSG_MORE))
+                return send(self, data, flags)
+
+            monkeypatch.setattr(socket.socket, "send", recording_send)
+            sock.sendall(_read_req("/dataset/empty.bin", 3))
+            empty = recv_message(sock)
+            assert sends == [(22, 0)]
+            sock.sendall(_read_req(HITS[0], 4))
+            full = recv_message(sock)
+        assert sends == [(22, 0), (22, socket.MSG_MORE)]
+        assert (empty.seq, empty.payload, empty.header["source"]) == (3, b"", "cache")
+        assert full.seq == 4 and full.payload == node.pfs.read(HITS[0])
 
 
 class TestHostileHeaders:
