@@ -2,9 +2,8 @@
 
 Counters say *how often*; the event log says *when and in what order* —
 the difference between "3 nodes were declared dead" and "node 2 was
-declared dead 40 ms after the chaos kill, its keys re-homed, and the
-mover finished recaching them 1.8 s later".  Every record carries **both**
-clocks:
+declared dead 40 ms after the chaos kill and readmitted 1.8 s later".
+Every record carries **both** clocks:
 
 ``t_wall``
     ``time.time()`` — correlates events across processes and with
@@ -20,8 +19,8 @@ when a sink path is configured, are appended to a JSONL file — one
 ``O_APPEND`` so concurrent emitters interleave whole lines, not bytes.
 
 The process-global default log (:func:`get_event_log`) exists because
-emitters are deep in the stack (the LRU evictor, the ring epoch counter)
-where threading a handle through every constructor would be pure noise;
+emitters are deep in the stack (the ring epoch counter, the join state
+machine) where threading a handle through every constructor would be pure noise;
 components that want isolation (tests, multi-cluster processes) construct
 their own :class:`EventLog` and pass it down.
 """
@@ -42,17 +41,17 @@ __all__ = ["EventLog", "get_event_log", "reset_event_log"]
 DEFAULT_CAPACITY = 4096
 
 #: lifecycle event kinds the runtime emits (documentation, not an enum —
-#: new subsystems add kinds freely; the analysis side treats them as data)
+#: new subsystems add kinds freely; the analysis side treats them as data).
+#: Nothing per key: installs and evictions are counters (``recached``,
+#: ``mover_enqueued``, ``evictions``) and ``mover.nvme_write`` spans, so a
+#: miss storm cannot push a death declaration out of the ring.
 KNOWN_KINDS = (
     "death_declared",
     "node_admitted",
     "node_killed",
     "node_restarted",
-    "recache_begin",
-    "recache_end",
     "join_state",
     "ring_epoch",
-    "eviction",
     "chaos",
 )
 

@@ -16,13 +16,18 @@ booked once: the turn decodes the frames, opens each READ's cache entry
 (``NVMeDir.open_read``), books them all in one counter bump, and only then
 replies.  A hit is answered **in that same turn, with no task and no
 await**: a header of one ``struct`` pack, corked (``MSG_MORE``) onto one
-non-blocking ``os.sendfile`` from the entry's NVMe slot: one segment.  A miss, decoded
-and looked up once, goes to a job.  Whatever the socket did not take
+non-blocking ``os.sendfile`` from the entry's NVMe slot: one segment.  A
+miss, decoded once, goes to a job.  Whatever the socket did not take
 (large entries, slow readers) is finished by ``loop.sendfile`` from the
 offset reached, so payload
 bytes never enter Python at any entry size.  Anything that may block
 (a miss, PUT, TRANSFER, STAT/OBS/PING/JOIN_PLAN) becomes one job on the
-small bounded dispatch executor, its reply **one loop callback**.  Every
+small bounded dispatch executor, which **sends its own reply**: it
+claims the connection's write token and hands header and payload to
+the kernel in one ``sendmsg`` from the dispatch thread — or, for a READ
+whose entry was installed since decode, the hit's corked ``sendfile`` —
+and wakes the loop only for what the socket did not take, a reply that
+found the token taken, or a loop waiting on the pipeline.  Every
 request carries a ``seq`` correlation id and completes out of order,
 control ops included; ``_PIPELINE_DEPTH`` requests in flight pause reading.
 :class:`_Conn` states the two rules every reply path keeps: *write
@@ -30,7 +35,7 @@ ordering* and *books before reply*.
 
 The data mover is **the dispatch thread that served the miss**, not a
 pool of its own: a READ miss or a TRANSFER *claims* its install before
-its reply is posted (a key claimed and not yet written is coalesced) and
+its reply is sent (a key claimed and not yet written is coalesced) and
 *installs* it on the same thread right after — the paper's serve → cache
 order, with the claim on the books before the reply.  Installs in flight
 are bounded by the dispatch threads; no thread, queue or buffer is added
@@ -52,6 +57,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Optional
 
 from ..analysis import lockwitness
@@ -87,8 +93,9 @@ STAT_COUNTER_KEYS = (
     "pfs_reads",
     "recached",
     "errors",
-    #: reads that saw ``contains()`` true but lost the race to an eviction
-    #: and fell through to the PFS
+    #: always 0 — a READ pins its entry (``open_read``) rather than checking
+    #: and then reading it, so none can lose a race to an eviction; kept
+    #: because cluster totals and the benchmark sum it
     "race_fallthroughs",
     #: recache accounting (see FTCacheServer._claim): installs claimed,
     #: duplicates of a claimed key, installs the device refused
@@ -107,26 +114,40 @@ STAT_COUNTER_KEYS = (
 
 
 class _WriteLock:
-    """Loop-confined FIFO mutex over one connection's write side, with the
-    synchronous ``try_acquire`` the one-turn hit needs and ``asyncio.Lock``
-    lacks.  ``release`` hands ownership straight to the oldest waiter — the
-    lock never reads free in between — so an inline hit cannot overtake a
-    reply that was already queued."""
+    """One connection's write side: an ownership token any thread may claim
+    without blocking, and the dup'd socket it guards.
 
-    def __init__(self) -> None:
-        self._held = False
+    ``try_acquire`` is one C-level ``threading.Lock.acquire(False)``: the
+    one-turn hit on the loop and a job replying from its dispatch thread
+    claim the token so.  Loop tasks :meth:`acquire` it in FIFO order;
+    :meth:`release`, from any thread, hands it to the oldest waiter
+    through one loop callback — it never reads free in between — so a hit
+    cannot overtake a reply already queued.  The token moves between
+    threads (a job claims it, the task finishing its reply releases it),
+    so it is a plain lock, not a witnessed ``named_lock``: the witness
+    keeps a per-thread stack of held locks.
+
+    The socket is closed only by a holder of the token, once the
+    connection is retired (:meth:`retire`), and the token is then never
+    freed: a sender's descriptor number is never closed under it, where
+    the next ``accept`` could reuse it and take the reply.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, sock: socket.socket):
+        self._lock = threading.Lock()
+        self._loop, self._sock = loop, sock
         self._waiters: deque = deque()
-
-    def try_acquire(self) -> bool:
-        free = not self._held
-        self._held = True
-        return free
+        self._retired = False
+        self.try_acquire = partial(self._lock.acquire, False)
 
     async def acquire(self) -> None:
+        """On the loop: wait for the token, behind every earlier waiter."""
         if self.try_acquire():
             return
-        fut = asyncio.get_running_loop().create_future()
+        fut = self._loop.create_future()
         self._waiters.append(fut)
+        if self.try_acquire():  # freed before we queued: no releaser saw us
+            self._hand_off()
         try:
             await fut
         except asyncio.CancelledError:
@@ -135,37 +156,68 @@ class _WriteLock:
             raise
 
     def release(self) -> None:
+        """From any thread: free the token, or hand it to the oldest waiter."""
+        if not (self._waiters or self._retired):
+            self._lock.release()
+            # check after set: a waiter queued, or the connection retired, while we held it
+            if not (self._waiters or self._retired) or not self.try_acquire():
+                return
+        if self._retired:
+            return self._sock.close()
+        try:
+            self._loop.call_soon_threadsafe(self._hand_off)
+        except RuntimeError:  # loop closed: no waiter is left, and nothing sends here again
+            self._sock.close()
+
+    def _hand_off(self) -> None:  # on the loop, the token held
         while self._waiters:
             fut = self._waiters.popleft()
             if not fut.done():
                 return fut.set_result(None)
-        self._held = False
+        self.release()
+
+    def retire(self) -> None:
+        """On the loop, once the connection is lost: close the socket now if
+        the token is free, else when its holder releases it."""
+        self._retired = True
+        if self.try_acquire():
+            self._sock.close()
 
 
 class _Conn(asyncio.Protocol):
     """One client connection: frame decoding, the one-turn hit, dispatch jobs.
 
-    All state is loop-confined.  Two rules hold on every reply path:
+    Decoding, tasks and the pipeline's state live on the loop; a job
+    replies from its dispatch thread and leaves the pipeline there
+    (``jobs``, under ``jobs_lock``).  Two rules hold on every reply path,
+    on either thread:
 
-    * **write ordering** — whoever touches the transport holds ``wlock``.
-      Loop callbacks take it only synchronously — a hit only on an empty
-      write buffer (its ``os.sendfile`` must not overtake buffered bytes), a
-      job's completion only when writing is not paused; else a task awaits it.
+    * **write ordering** — whoever writes holds ``wlock``.  A sender on
+      the loop (a hit) or on a dispatch thread (a job's reply) claims it
+      without blocking and sends on ``sock`` directly only while the
+      transport's write buffer is empty and writing is not paused — a
+      direct send must not overtake buffered bytes.  What the socket did
+      not take, and a reply that found the token taken, is finished by one
+      loop task, :meth:`_send_tail`, which releases the token only after
+      its write.
     * **books before reply** — counters are bumped, the latency observed,
       the request's spans ended and its install claimed *before* the call
-      that hands the reply's last bytes to the kernel, so a client holding
-      a reply never reads server-side books that are behind it.
+      that hands the reply's last bytes to the kernel, on whichever thread
+      makes it, so a client holding a reply never reads server-side books
+      that are behind it.
     """
 
     def __init__(self, server: "FTCacheServer"):
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
-        self.sock: Optional[socket.socket] = None  # the transport's, dup'd; closed with it
+        self.sock: Optional[socket.socket] = None  # the transport's, dup'd; closed by ``wlock``
+        self.wlock: Optional[_WriteLock] = None
         self.buf = bytearray()
         self.need = 0  # buffered bytes below which the frame at buf[0] is incomplete
-        self.wlock = _WriteLock()
         self.tasks: set[asyncio.Task] = set()
-        self.jobs = 0  # dispatched, completion not yet run on the loop
+        self.jobs = 0  # dispatched, reply neither sent nor handed to a task
+        self.jobs_lock = lockwitness.named_lock("server-conn-jobs")
+        #: read by dispatch threads: set before the loop re-checks ``jobs``
         self.paused = self.eof = False
         #: pending while the transport is above its write high-water mark
         self.drain: Optional[asyncio.Future] = None
@@ -176,10 +228,11 @@ class _Conn(asyncio.Protocol):
         sock = transport.get_extra_info("socket")
         set_nodelay(sock)
         self.sock = sock.dup()
+        self.wlock = _WriteLock(self.server._loop, self.sock)
         self.server._conns.add(self)
 
     def connection_lost(self, exc) -> None:
-        self.sock.close()
+        self.wlock.retire()
         self.server._conns.discard(self)
         for task in self.tasks:
             task.cancel()  # no reply can be delivered: leave no task behind
@@ -225,9 +278,11 @@ class _Conn(asyncio.Protocol):
             del buf[:]
             return
         error = None
+        full = False
         while pos < len(buf) and not (error or self.need or transport.is_closing()):
             room = _PIPELINE_DEPTH - self.jobs - len(self.tasks)
             if room <= 0:
+                full = True
                 break
             frames = []
             hits = 0
@@ -252,75 +307,116 @@ class _Conn(asyncio.Protocol):
                     if entry is not None:
                         entry[0].close()
                 elif entry is not None:
-                    self._serve_hit(msg, *entry, t0)
+                    rest = self._send(self._hit_head(msg, entry[1], t0), b"", entry[0])
+                    if rest:
+                        self._tail(*rest)
                 else:  # a miss, a READ without a path, or not inline
                     ctx = extract(msg.header)
                     qspan = srv.tracer.start_span("server.exec_queue", ctx)
+                    with self.jobs_lock:
+                        self.jobs += 1
                     srv._executor.submit(self._job, msg, ctx, qspan)
-                    self.jobs += 1
         if error is not None:
             srv.stats.bump(errors=1)
             srv.log.warning("protocol error from %s: %s", transport.get_extra_info("peername"), error)
             del buf[:]
             return self.sever()
         del buf[:pos]
-        if self.jobs + len(self.tasks) >= _PIPELINE_DEPTH:
-            transport.pause_reading()
+        if full:  # frames wait for room: read no more until a job or a task leaves
             self.paused = True
+            transport.pause_reading()
+            if self.jobs + len(self.tasks) < _PIPELINE_DEPTH:  # one left before it saw the pause
+                srv._loop.call_soon(self._done)
         elif self.paused:
             transport.resume_reading()
             self.paused = False
 
-    def _serve_hit(self, msg: Message, f, size: int, t0: float) -> None:
-        """Answer a booked READ hit from its open entry within this loop turn:
-        the reply is with the kernel, or — what the socket did not take —
-        left to :meth:`_send_tail`.  The open entry pins its slot, so an
-        eviction after ``open_read`` is harmless."""
-        srv, transport = self.server, self.transport
+    def _hit_head(self, msg: Message, size: int, t0: float) -> bytes:
+        """The reply header of a booked READ hit, on the loop or a dispatch
+        thread, its latency observed and span ended; its open entry pins
+        its slot, so an eviction after ``open_read`` is harmless."""
+        srv = self.server
         span = srv.tracer.start_span(
             "server.read", extract(msg.header), path=msg.header["path"], mode="sendfile", nbytes=size
         )
         head = encode_binary_response_header(OP_READ, _HIT_REPLY, seq=msg.seq, payload_len=size)
         srv.telemetry.observe("op_read_s", time.perf_counter() - t0)
         span.end()
-        sent = 0
-        owned = not transport.get_write_buffer_size() and self.wlock.try_acquire()
-        if owned:
-            try:
-                # corked onto the payload; an empty entry's header is not: nothing would flush it
-                head = head[self.sock.send(head, socket.MSG_MORE if size else 0) :]
-                if head:  # what the send did not take
-                    transport.write(head)
-                    head = b""
-                if not transport.get_write_buffer_size():  # the header is with the kernel
-                    sent = os.sendfile(self.sock.fileno(), f.fileno(), f.offset, size)
-            except (BlockingIOError, InterruptedError):
-                pass
-            except OSError:
-                transport.abort()  # peer went away mid-reply (we hold the lock: no tail in flight)
-                sent = size
-            if sent == size:
-                self.wlock.release()
-                return f.close()
-        # the callback runs even if the task is cancelled before its first step
-        self._spawn(self._send_tail(f, head, sent, size, owned)).add_done_callback(
-            lambda _task: f.close()
-        )
+        return head
 
-    async def _send_tail(self, f, head: bytes, sent: int, size: int, owned: bool) -> None:
-        """Finish a hit the one-turn path could not: under the write lock,
-        the header if it is still owed, then ``loop.sendfile`` from ``sent``."""
+    def _send(self, head: bytes, payload, entry):
+        """The one reply rule, on the loop or a dispatch thread: claim the
+        write token and hand the reply to the kernel on ``sock`` — ``head``
+        and ``payload`` in one ``sendmsg``, or ``head`` corked onto an
+        ``os.sendfile`` of the open ``entry``.  Returns None once the reply
+        is sent (or its peer is gone), else what :meth:`_send_tail` must
+        finish: ``(head, payload, entry, bytes sent, token held)``."""
+        transport = self.transport
+        if transport.is_closing():  # the peer went first
+            if entry is not None:
+                entry.close()
+            return None
+        size = len(payload) if entry is None else entry.size
+        sent, owned = 0, self.wlock.try_acquire()
+        if owned and self.drain is None and not transport.get_write_buffer_size():
+            sock = self.sock
+            try:
+                if entry is None:
+                    sent = sock.sendmsg((head, payload))
+                else:
+                    # corked onto the payload; an empty entry's header is not: nothing would flush it
+                    sent = sock.send(head, socket.MSG_MORE if size else 0)
+                    if sent == len(head):
+                        sent += os.sendfile(sock.fileno(), entry.fileno(), entry.offset, size)
+            except OSError:
+                pass  # what is left goes to the tail, whose transport meets a dead peer
+            if sent == len(head) + size:
+                self.wlock.release()
+                if entry is not None:
+                    entry.close()
+                return None
+        return head, payload, entry, sent, owned
+
+    def _tail(self, head: bytes, payload, entry, sent: int, owned: bool) -> None:
+        """On the loop: finish a reply :meth:`_send` could not, in one task."""
+        if self.transport.is_closing():  # connection_lost cancels tasks: spawn none after it
+            return self._drop(head, payload, entry, sent, owned)
+        task = self._spawn(self._send_tail(head, payload, entry, sent, owned))
+        if entry is not None:
+            # the callback runs even if the task is cancelled before its first step
+            task.add_done_callback(lambda _task: entry.close())
+
+    def _drop(self, head: bytes, payload, entry, sent: int, owned: bool) -> None:
+        """A reply nobody is left to receive: free what it holds."""
+        if owned:
+            self.wlock.release()
+        if entry is not None:
+            entry.close()
+
+    async def _send_tail(self, head: bytes, payload, entry, sent: int, owned: bool) -> None:
+        """Under the write token, once writing is not paused: the header if
+        it is still owed, then the payload from where ``sent`` left it —
+        bytes by ``transport.write``, an entry by ``loop.sendfile``."""
         if not owned:
             await self.wlock.acquire()
+        transport = self.transport
         try:
-            if head:
-                self.transport.write(head)
-            if sent < size:
+            if self.drain is not None:
+                await self.drain
+            if transport.is_closing():
+                return
+            if sent < len(head):
+                transport.write(head[sent:])
+            done = max(sent - len(head), 0)  # payload bytes already sent
+            if entry is None:
+                if done < len(payload):
+                    transport.write(memoryview(payload)[done:])
+            elif done < entry.size:
                 # asyncio lseeks the shared slab descriptor when it is done:
                 # harmless, every storage I/O is positional
-                await self.server._loop.sendfile(self.transport, f, f.offset + sent, size - sent)
+                await self.server._loop.sendfile(transport, entry, entry.offset + done, entry.size - done)
         except (OSError, RuntimeError):
-            self.transport.abort()  # part of a payload is on the wire: the stream is unusable
+            transport.abort()  # part of a payload is on the wire: the stream is unusable
         finally:
             self.wlock.release()
 
@@ -338,56 +434,77 @@ class _Conn(asyncio.Protocol):
             if self.eof and not self.jobs + len(self.tasks):
                 self.transport.close()
 
+    def _post(self, callback, *args) -> bool:
+        """From a dispatch thread: run ``callback`` on the loop; False once
+        the loop is closed."""
+        try:
+            self.server._loop.call_soon_threadsafe(callback, *args)
+            return True
+        except RuntimeError:  # loop closed (shutdown): nobody is left to answer
+            return False
+
     def _job(self, msg: Message, ctx, qspan) -> None:
-        """On a dispatch thread: dispatch, encode, post the reply as one loop
-        callback, then install what the request claimed for the cache."""
+        """On a dispatch thread: serve one request and send its reply from
+        here, then install what it claimed for the cache — serve → cache.
+        A READ whose entry was installed since decode is a hit after all."""
         srv = self.server
+        t0 = time.perf_counter()
         qspan.end()  # duration == decode→executor-pickup wait
         installs: list = []
+        path = msg.header["path"] if msg.op in _INLINE_OPS else ""
+        entry = srv.nvme.open_read(path) if path else None
         try:
-            response = srv.dispatch(msg, installs)
-            sspan = srv.tracer.start_span("server.serialize", ctx, nbytes=len(response.payload))
-            reply = (encode_binary_response_header(msg.op, response, seq=msg.seq), response.payload, sspan)
+            if entry is not None:
+                f, size = entry
+                srv.stats.bump(hits=1, sendfile_serves=1)
+                head, payload = self._hit_head(msg, size, t0), b""
+            else:
+                f = None
+                response = srv.dispatch(msg, installs)
+                sspan = srv.tracer.start_span("server.serialize", ctx, nbytes=len(response.payload))
+                head, payload = encode_binary_response_header(msg.op, response, seq=msg.seq), response.payload
+                sspan.end()  # encode: closed before the send
         except Exception:  # a dispatch or encode bug: sever, leave no client waiting
             if not srv._closed:
                 srv.log.exception("unhandled error serving %s", msg.op)
                 srv.stats.bump(errors=1)
-            reply = None
-        try:
-            srv._loop.call_soon_threadsafe(self._complete, reply)
-        except RuntimeError:  # loop closed (shutdown): nobody is left to answer
-            pass
+            self._post(self._job_failed)
+        else:
+            rest = self._send(head, payload, f)
+            if rest is None:
+                self._job_left()
+            elif not self._post(self._job_tail, *rest):
+                self._drop(*rest)
         for install in installs:
             srv._install(*install)
 
-    def _complete(self, reply) -> None:
-        """A job's reply, on the loop: written now when the write lock is
-        free and writing is not paused, else by a task that waits for both."""
-        self.jobs -= 1
-        if reply is None:
-            return self.sever()
-        head, payload, sspan = reply
-        if self.transport.is_closing():
-            sspan.end(status="dropped")  # the connection went first
-        elif self.drain is None and self.wlock.try_acquire():
-            sspan.end()  # encode + hand-off to the loop: closed before the write
-            self.transport.writelines((head, payload))  # one syscall, one client wake-up
-            self.wlock.release()
-        else:
-            self._spawn(self._send_reply(head, payload, sspan))
-        self._done()
+    def _job_left(self) -> None:
+        """On a dispatch thread: the job's reply is sent.  The loop is woken
+        only if it waits on jobs — reading paused at the pipeline depth, or
+        EOF in with replies owed; it sets either before it re-checks
+        ``jobs``, and this checks them after it decrements."""
+        with self.jobs_lock:
+            self.jobs -= 1
+        if self.paused or self.eof:
+            self._post(self._done)
 
-    async def _send_reply(self, head: bytes, payload: bytes, sspan) -> None:
-        await self.wlock.acquire()
-        try:
-            if self.drain is not None:
-                await self.drain
-            sspan.end()  # encode + hand-off + lock and pause wait: closed before the write
-            if not self.transport.is_closing():
-                self.transport.writelines((head, payload))
-        finally:
-            self.wlock.release()
-            sspan.end(status="dropped")  # no-op once ended above
+    def _job_tail(self, head: bytes, payload, entry, sent: int, owned: bool) -> None:
+        """On the loop: a job's reply its thread could not finish.  One that
+        found the token taken tries once more — another dispatch thread's
+        send has usually ended by now — and what is still left goes to a
+        task, which joins the pipeline before the job leaves it."""
+        rest = (head, payload, entry, sent, owned) if owned else self._send(head, payload, entry)
+        if rest:
+            self._tail(*rest)
+        with self.jobs_lock:
+            self.jobs -= 1
+        if not rest:
+            self._done()
+
+    def _job_failed(self) -> None:
+        with self.jobs_lock:
+            self.jobs -= 1
+        self.sever()
 
 
 class FTCacheServer:
@@ -605,7 +722,7 @@ class FTCacheServer:
         """Route one request; every op gets a span (when the request carries
         a trace context) and a latency observation in the telemetry registry.
         What the request claimed for the cache is appended to ``installs``,
-        for :meth:`_install` once the reply is posted."""
+        for :meth:`_install` once the reply is sent."""
         op = msg.op.lower()
         span = self.tracer.start_span(f"server.{op}", extract(msg.header))
         t0 = time.perf_counter()
@@ -636,22 +753,13 @@ class FTCacheServer:
         )
 
     def _read(self, msg: Message, span, installs: list) -> Message:
+        """A READ that found no entry — its connection ran ``open_read`` at
+        decode and again in its job, and serves an entry it finds itself:
+        fetch from the PFS and claim the install."""
         path = msg.header["path"]
         if not path:
             self.stats.bump(errors=1)
             return Message.error_response("missing path")
-        if self.nvme.contains(path):
-            nspan = self.tracer.start_span("server.nvme_read", span, path=path)
-            try:
-                data = self.nvme.read(path)
-            except OSError:
-                # Entry raced away (eviction); fall through to the PFS.
-                nspan.end(status="race_fallthrough")
-                self.stats.bump(race_fallthroughs=1)
-            else:
-                nspan.end()
-                self.stats.bump(hits=1)
-                return Message.ok_response(payload=data, source="cache")
         pspan = self.tracer.start_span("server.pfs_read", span, path=path)
         try:
             data = self.pfs.read(path)
@@ -681,9 +789,8 @@ class FTCacheServer:
 
     def _install(self, path: str, data: bytes, ctx: Optional[TraceContext]) -> None:
         """Write one claimed entry, on the dispatch thread that claimed it,
-        after its reply is posted: it ends in ``recached``, or — larger than
+        after its reply is sent: it ends in ``recached``, or — larger than
         the whole device — in ``mover_dropped``."""
-        self.events.emit("recache_begin", node=self.node_id, path=path, nbytes=len(data))
         span = self.tracer.start_span("mover.nvme_write", ctx, path=path)
         ok = True
         try:
@@ -696,7 +803,6 @@ class FTCacheServer:
             with self._installing_lock:
                 self._installing.discard(path)
         span.end(status="ok" if ok else "error")
-        self.events.emit("recache_end", node=self.node_id, path=path, ok=ok)
 
     def _obs(self, msg: Message, span, installs: list) -> Message:
         """Observability export: one JSON payload with the unified telemetry

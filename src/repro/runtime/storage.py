@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Optional
 
 from ..analysis import lockwitness
-from ..obs.events import get_event_log
 
 __all__ = ["NVMeDir", "PFSDir"]
 
@@ -240,16 +239,12 @@ class NVMeDir:
             old = self._index.pop(digest, None)
             self._index[digest] = loc  # newest, and it fits: the loop stops short of it
             self._used += size - (old[2] if old else 0)
-            victims = []
+            retired = [old]  # the replaced slot, then every victim
             while cap is not None and self._used > cap and len(self._index) > 1:
-                victims.append(self._index.popitem(last=False))
-                self._used -= victims[-1][1][2]
-            self.evictions += len(victims)
-        self._retire([old] + [vloc for _, vloc in victims])
-        # Event emission stays outside the critical section (RT001): the
-        # counters above are the atomic truth; events are best-effort order.
-        for vdigest, (_, _, vsize) in victims:
-            get_event_log().emit("eviction", store=self.root.name, entry=vdigest.hex(), nbytes=vsize)
+                retired.append(self._index.popitem(last=False)[1])
+                self._used -= retired[-1][2]
+            self.evictions += len(retired) - 1
+        self._retire(retired)
 
     def drop(self, key: str) -> None:
         with self._lock:

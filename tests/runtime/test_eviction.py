@@ -13,6 +13,7 @@ slots whose record is valid — the record rule (``storage.NVMeDir``).
 
 import os
 import shutil
+import socket
 import sys
 import tempfile
 import threading
@@ -29,8 +30,8 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.runtime import LocalCluster, Message
-from repro.runtime.protocol import OP_READ
+from repro.runtime import LocalCluster, Message, recv_message
+from repro.runtime.protocol import OP_READ, encode_binary_request
 from repro.runtime.server import FTCacheServer
 from repro.runtime.storage import _RECORD, NVMeDir, PFSDir
 
@@ -415,31 +416,36 @@ class TestSlabRecords:
 
 class TestEvictionRaceRegression:
     def test_entry_evicted_between_check_and_read_falls_through_to_pfs(self, tmp_path):
-        """server.py _read: contains() true, read() raises -> serve from PFS."""
+        """A READ whose entry is evicted after the decode's lookup and before
+        its job's is a miss: served from the PFS, no error."""
         pfs = PFSDir(tmp_path / "pfs")
         pfs.write("/data/a.bin", b"ground truth")
         nvme = NVMeDir(tmp_path / "nvme")
         nvme.write("/data/a.bin", b"ground truth")
         server = FTCacheServer(0, nvme, pfs).start()
+        real_open = nvme.open_read
+        lookups: list[str] = []
 
-        real_read = nvme.read
+        def evict_after_first_lookup(key):
+            lookups.append(key)
+            if len(lookups) == 1:
+                return None  # the decode's lookup saw no entry...
+            nvme.drop(key)  # ...and an eviction won before the job's
+            return real_open(key)
 
-        def racing_read(key):
-            # Simulate a concurrent eviction winning the race: the entry
-            # vanishes after contains() said it was there.
-            nvme.drop(key)
-            return real_read(key)
-
-        nvme.read = racing_read
+        nvme.open_read = evict_after_first_lookup
         try:
-            resp = server.dispatch(Message.request(OP_READ, path="/data/a.bin"), [])
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(encode_binary_request(Message.request(OP_READ, path="/data/a.bin"), seq=1))
+                resp = recv_message(sock)
         finally:
             server.close()
+        assert lookups == ["/data/a.bin"] * 2
         assert resp.ok
         assert resp.payload == b"ground truth"
         assert resp.header["source"] == "pfs"
         counters = server.stats.snapshot()
-        assert counters["errors"] == 0
+        assert counters["errors"] == counters["race_fallthroughs"] == 0
         assert counters["misses"] == 1 and counters["pfs_reads"] == 1
 
     def test_concurrent_eviction_pressure_no_client_errors(self):

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.obs import reset_event_log
 from repro.runtime import LocalCluster, Message, ReadError, recv_message
 from repro.runtime.protocol import OP_READ
 from repro.runtime.server import FTCacheServer
@@ -254,24 +255,27 @@ class TestDataMoverPool:
         c = server.stats.snapshot()
         assert (c["misses"], c["mover_enqueued"], c["mover_coalesced"], c["recached"]) == (2, 1, 1, 1)
 
-    def test_serve_then_cache(self, tmp_path):
+    def test_serve_then_cache(self, tmp_path, monkeypatch):
         """Sec IV-B order: a miss's bytes reach the client while its install
-        is parked on the device, and the install was claimed when the reply
-        was posted; releasing the device brings STAT to quiescence."""
+        is parked on the device, and the install was claimed when the reply's
+        bytes went to the kernel; releasing the device brings STAT to
+        quiescence."""
         server, nvme = _gated_server(tmp_path, {"/k.bin": b"bytes"})
-        loop = server._loop
-        posted: list[int] = []  # claimed installs as each reply was handed to the loop
-
-        def post(callback, *args):
-            posted.append(server.mover_queue_len)
-            return type(loop).call_soon_threadsafe(loop, callback, *args)
-
-        loop.call_soon_threadsafe = post
+        sent: list[int] = []  # claimed installs as each reply was handed to the kernel
+        sendmsg = socket.socket.sendmsg
         try:
             with _connect(server) as sock:
+                client = sock.getsockname()
+
+                def recording_sendmsg(self, buffers, *args):  # the job's one send to this client
+                    if self.getpeername() == client:
+                        sent.append(server.mover_queue_len)
+                    return sendmsg(self, buffers, *args)
+
+                monkeypatch.setattr(socket.socket, "sendmsg", recording_sendmsg)
                 assert _rpc(sock, _read_req("/k.bin", 1)).payload == b"bytes"
-                del loop.call_soon_threadsafe
-                assert posted == [1]
+                monkeypatch.undo()
+                assert sent == [1]
                 assert nvme.entered.acquire(timeout=10) and not nvme.writes
                 stat = _rpc(sock, _stat_req(2)).header
                 assert stat["mover_queue_len"] == 1
@@ -341,26 +345,57 @@ class TestDataMoverPool:
             assert totals["mover_enqueued"] >= 1
 
 
+class TestLifecycleLog:
+    def test_evicting_installs_leave_lifecycle_events_in_the_ring(self, tmp_path):
+        """Installs and evictions are counters and spans, not events: 2 000
+        evicting installs do not push a death declaration out of the
+        lifecycle ring."""
+        log = reset_event_log()
+        try:
+            nvme = NVMeDir(tmp_path / "nvme", capacity_bytes=4 * 4096)
+            server = FTCacheServer(0, nvme, PFSDir(tmp_path / "pfs"))
+            log.emit("death_declared", node=7)
+            for i in range(2000):
+                server._install(f"/churn/{i:04d}.bin", b"x" * 4096, None)
+            server.close()
+            assert nvme.evictions == 2000 - 4
+            assert server.stats.snapshot()["recached"] == 2000
+            assert [e["kind"] for e in log.snapshot()] == ["death_declared"]
+        finally:
+            reset_event_log()
+
+
 class TestRaceFallthroughCounter:
-    def test_lost_eviction_race_is_counted(self, tmp_path):
+    def test_a_pinned_entry_never_falls_through(self, tmp_path):
+        """A READ that missed at decode finds its entry in its job, which is
+        evicted the moment it is opened: the open entry pins its slot, so
+        the cached bytes are served by sendfile and nothing falls through."""
         pfs = PFSDir(tmp_path / "pfs")
         key = "/dataset/race/sample.bin"
         pfs.write(key, b"truth" * 10)
         nvme = NVMeDir(tmp_path / "nvme")
-        server = FTCacheServer(0, nvme, pfs)
+        nvme.write(key, b"cache" * 10)
+        server = FTCacheServer(0, nvme, pfs).start()
+        real_open = nvme.open_read
+        lookups: list[str] = []
+
+        def open_then_evict(path):
+            lookups.append(path)
+            if len(lookups) == 1:
+                return None  # the decode's lookup: a miss
+            entry = real_open(path)
+            nvme.drop(path)  # the eviction wins right after the job's open
+            return entry
+
+        nvme.open_read = open_then_evict
         try:
-            nvme.write(key, b"truth" * 10)
-            real_read = nvme.read
-
-            def racing_read(k):
-                nvme.drop(k)  # the contains()→read() race, lost to an eviction
-                return real_read(k)
-
-            nvme.read = racing_read
-            resp = server.dispatch(Message.request(OP_READ, path=key), [])
-            assert resp.ok and resp.header["source"] == "pfs"
-            counters = server.stats.snapshot()
-            assert counters["race_fallthroughs"] == 1
-            assert counters["misses"] == 1  # still a miss, now with a trace
+            with _connect(server) as sock:
+                resp = _rpc(sock, _read_req(key, 1))
         finally:
             server.close()
+        assert lookups == [key, key]
+        assert resp.header["source"] == "cache" and resp.payload == b"cache" * 10
+        c = server.stats.snapshot()
+        assert c["race_fallthroughs"] == c["misses"] == c["pfs_reads"] == 0
+        assert c["hits"] == c["sendfile_serves"] == 1
+        assert not nvme.contains(key)

@@ -1,9 +1,10 @@
 """The per-connection protocol of the event-loop server (``server._Conn``).
 
 Frames are decoded from a receive buffer in ``data_received``; a READ
-that hits is answered within the loop turn, what the socket did not
-take is finished under the connection's write lock, and everything that
-may block is a dispatch job whose reply comes back as one loop callback.
+that hits is answered within the loop turn, everything that may block
+is a dispatch job that sends its own reply from its thread, and what
+the socket did not take is finished by a loop task under the
+connection's write token.
 These tests drive a real server over raw sockets and pin the contracts
 that design must keep: identical replies however the request stream is
 segmented, no interleaving on the write side, header-time rejection of
@@ -14,6 +15,7 @@ shutdown paths.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import os
@@ -24,6 +26,7 @@ import textwrap
 import threading
 import time
 import zlib
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -36,7 +39,7 @@ from repro.runtime.protocol import (
     OP_STAT,
     encode_binary_request,
 )
-from repro.runtime.server import _PIPELINE_DEPTH, FTCacheServer
+from repro.runtime.server import _PIPELINE_DEPTH, FTCacheServer, _WriteLock
 from repro.runtime.storage import NVMeDir, PFSDir
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -360,8 +363,8 @@ class TestBackpressure:
 
 
 class TestCompletionCallback:
-    """A dispatched request comes back to the loop as one callback: it
-    writes at once when it can, and otherwise keeps the write-side rules."""
+    """A dispatched request's reply is written by its job at once when it
+    can, and otherwise keeps the write-side rules."""
 
     def test_completion_while_writing_is_paused_waits_for_resume(self, node):
         with _connect(node) as sock:
@@ -524,6 +527,267 @@ class TestFailureInjectionAndShutdown:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "clean"
         assert proc.stderr == "", proc.stderr
+
+
+def _gated_pfs_server(tmp_path, files: dict, **kwargs):
+    """A started server whose PFS reads park until the returned gate is set."""
+    pfs = PFSDir(tmp_path / "pfs")
+    for key, data in files.items():
+        pfs.write(key, data)
+    server = FTCacheServer(0, NVMeDir(tmp_path / "nvme"), pfs, **kwargs)
+    gate = threading.Event()
+    real_read = pfs.read
+    pfs.read = lambda key: gate.wait(10) and real_read(key)
+    return server.start(), gate
+
+
+class TestJobReplies:
+    """A dispatch job sends its own reply from its thread; the loop finishes
+    only what the socket did not take, and hears of a job only when it
+    waits on one."""
+
+    def test_entry_installed_between_decode_and_job_is_a_sendfile_hit(self, tmp_path):
+        """A READ that missed at decode and finds its entry when its job runs
+        is served like any hit: corked header + sendfile, booked as a hit."""
+        late = "/dataset/late.bin"
+        server, gate = _gated_pfs_server(
+            tmp_path, {MISSES[0]: b"m" * 4096, late: b"p" * 4096}, dispatch_workers=1
+        )
+        try:
+            with _connect(server) as sock:
+                sock.sendall(_read_req(MISSES[0], 1) + _read_req(late, 2))
+                conn = _only_conn(server)
+                # both decoded as misses; the one dispatch thread is parked in the PFS
+                _wait(lambda: server.stats.snapshot()["binary_reqs"] == 2 and conn.jobs == 2)
+                server.nvme.write(late, b"c" * 4096)  # installed between decode and job
+                gate.set()
+                replies = {r.seq: r for r in (recv_message(sock), recv_message(sock))}
+        finally:
+            gate.set()
+            server.close()
+        assert replies[1].header["source"] == "pfs" and replies[1].payload == b"m" * 4096
+        assert replies[2].header["source"] == "cache" and replies[2].payload == b"c" * 4096
+        c = server.stats.snapshot()
+        assert c["hits"] == c["sendfile_serves"] == 1
+        assert c["misses"] == 1 and c["race_fallthroughs"] == 0
+
+    def test_a_remainder_keeps_frames_whole_and_in_order(self, tmp_path):
+        """A reader that stops reading while 1 MiB miss replies are owed —
+        more than the socket buffers hold — with hits pipelined behind them:
+        dispatch threads send what the socket takes, tasks finish the rest
+        under the write token, the hits queue behind those tasks, and every
+        frame arrives whole, matched by seq."""
+        bigs = {f"/dataset/big-miss/{i}.bin": os.urandom(1 << 20) for i in range(6)}
+        pfs = PFSDir(tmp_path / "pfs")
+        nvme = NVMeDir(tmp_path / "nvme")
+        for key, blob in bigs.items():
+            pfs.write(key, blob)
+        for i, key in enumerate(HITS[:8]):
+            pfs.write(key, bytes([i]) * 4096)
+            nvme.write(key, bytes([i]) * 4096)
+        server = FTCacheServer(0, nvme, pfs).start()
+        expected = dict(enumerate(bigs.values(), start=1))
+        expected.update((seq, bytes([i]) * 4096) for i, seq in enumerate(range(7, 15)))
+        try:
+            with _connect(server, rcvbuf=4096) as sock:
+                sock.sendall(b"".join(_read_req(k, seq) for seq, k in enumerate(bigs, start=1)))
+                conn = _only_conn(server)
+                # every job has left; what the socket did not take holds the write side
+                _wait(lambda: server.stats.snapshot()["misses"] == 6 and not conn.jobs and conn.drain is not None)
+                sock.sendall(b"".join(_read_req(k, seq) for seq, k in enumerate(HITS[:8], start=7)))
+                _wait(lambda: server.stats.snapshot()["hits"] == 8 and len(conn.tasks) >= 8)
+                replies = [recv_message(sock) for _ in expected]
+                _wait(lambda: not _inflight(conn))
+        finally:
+            server.close()
+        seqs = [r.seq for r in replies]
+        assert sorted(seqs[:6]) == list(range(1, 7)) and seqs[6:] == list(range(7, 15))
+        for r in replies:
+            assert r.ok and r.payload == expected[r.seq], r.seq
+            assert r.header["source"] == ("pfs" if r.seq <= 6 else "cache")
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_a_full_pipeline_released_at_once_resumes(self, tmp_path, workers):
+        """64 parked misses fill the pipeline and pause reading; released at
+        once, the jobs leave it from their dispatch threads, switching often,
+        and the loop still resumes and answers the 64 behind them.  One
+        thread sends every reply in place, so only a job can wake the loop;
+        eight contend for the write token, and a lost update to ``jobs``
+        would leave it non-zero."""
+        keys = [f"/dataset/gated/{i:03d}.bin" for i in range(2 * _PIPELINE_DEPTH)]
+        server, gate = _gated_pfs_server(
+            tmp_path, {k: bytes([i % 251]) * 64 for i, k in enumerate(keys)}, dispatch_workers=workers
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _connect(server) as sock:
+                sock.sendall(b"".join(_read_req(k, seq) for seq, k in enumerate(keys, start=1)))
+                conn = _only_conn(server)
+                _wait(lambda: conn.paused and conn.jobs == _PIPELINE_DEPTH)
+                gate.set()
+                got = {r.seq: r.payload for r in (recv_message(sock) for _ in keys)}
+                _wait(lambda: not conn.paused and not _inflight(conn))
+        finally:
+            sys.setswitchinterval(interval)
+            gate.set()
+            server.close()
+        assert got == {seq: bytes([(seq - 1) % 251]) * 64 for seq in range(1, len(keys) + 1)}
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_eof_with_replies_owed_gets_them_all(self, tmp_path, workers):
+        """A client that half-closes after pipelining misses still parked in
+        the PFS gets every reply, then the server's FIN."""
+        keys = [f"/dataset/eof/{i:02d}.bin" for i in range(16)]
+        server, gate = _gated_pfs_server(tmp_path, {k: k.encode() * 8 for k in keys}, dispatch_workers=workers)
+        try:
+            with _connect(server) as sock:
+                sock.sendall(b"".join(_read_req(k, seq) for seq, k in enumerate(keys, start=1)))
+                conn = _only_conn(server)
+                _wait(lambda: server.stats.snapshot()["binary_reqs"] == len(keys))
+                sock.shutdown(socket.SHUT_WR)
+                _wait(lambda: conn.eof)
+                gate.set()
+                got = {r.seq: r.payload for r in (recv_message(sock) for _ in keys)}
+                assert sock.recv(1) == b""
+        finally:
+            gate.set()
+            server.close()
+        assert got == {seq: k.encode() * 8 for seq, k in enumerate(keys, start=1)}
+
+    def test_a_pause_set_after_the_last_job_left_still_resumes(self, tmp_path):
+        """The lost wake-up, forced: every job of a full pipeline leaves
+        (in place, one dispatch thread, none of them seeing a pause) while
+        the loop is between filling the pipeline and pausing reading.  The
+        loop re-checks after it pauses, so the 64 frames behind still get
+        decoded and answered."""
+        keys = [f"/dataset/race/{i:03d}.bin" for i in range(2 * _PIPELINE_DEPTH)]
+        server, gate = _gated_pfs_server(tmp_path, {k: k.encode() for k in keys}, dispatch_workers=1)
+
+        class JobsLeaveBeforeThePause(bytearray):
+            def __delitem__(self, index):  # ``_parse`` trims what it decoded, then pauses
+                if conn.jobs == _PIPELINE_DEPTH and not gate.is_set():
+                    gate.set()
+                    _wait(lambda: not conn.jobs)
+                super().__delitem__(index)
+
+        try:
+            with _connect(server) as sock:
+                conn = _only_conn(server)
+                conn.buf = JobsLeaveBeforeThePause()
+                sock.sendall(b"".join(_read_req(k, seq) for seq, k in enumerate(keys, start=1)))
+                got = {r.seq: r.payload for r in (recv_message(sock) for _ in keys)}
+        finally:
+            gate.set()
+            server.close()
+        assert got == {seq: k.encode() for seq, k in enumerate(keys, start=1)}
+
+    def test_eof_with_a_remainder_owed_gets_it_whole(self, tmp_path):
+        """A half-closed client owed a reply larger than the socket buffers:
+        the job hands the rest to a task, which is in the pipeline before the
+        job leaves it, so the EOF close waits for the whole frame."""
+        blob = os.urandom(8 << 20)
+        server, gate = _gated_pfs_server(tmp_path, {"/dataset/huge.bin": blob})
+        try:
+            with _connect(server, rcvbuf=4096) as sock:
+                sock.sendall(_read_req("/dataset/huge.bin", 1))
+                conn = _only_conn(server)
+                _wait(lambda: conn.jobs == 1)
+                sock.shutdown(socket.SHUT_WR)
+                _wait(lambda: conn.eof)
+                gate.set()
+                _wait(lambda: not conn.jobs)  # left, its remainder with a task or the transport
+                resp = recv_message(sock)
+                assert sock.recv(1) == b""
+        finally:
+            gate.set()
+            server.close()
+        assert resp.seq == 1 and resp.payload == blob
+
+    def test_close_while_sending_leaves_no_fd_task_or_thread(self, tmp_path):
+        """Under ``-X dev -W error``: close() in the middle of a burst of
+        misses whose replies dispatch threads are sending to a slow reader.
+        No descriptor, task or thread outlives it."""
+        script = textwrap.dedent(
+            """
+            import gc, os, socket, sys, threading, time
+            from repro.runtime import Message
+            from repro.runtime.protocol import OP_READ, encode_binary_request
+            from repro.runtime.server import FTCacheServer
+            from repro.runtime.storage import NVMeDir, PFSDir
+
+            def fds():
+                return len(os.listdir("/proc/self/fd"))
+
+            root = sys.argv[1]
+            gc.collect(); base = fds()
+            pfs = PFSDir(root + "/pfs")
+            nvme = NVMeDir(root + "/nvme")
+            keys = ["/burst/%03d.bin" % i for i in range(128)]
+            for k in keys:
+                pfs.write(k, os.urandom(64 << 10))
+            server = FTCacheServer(0, nvme, pfs).start()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(server.address)
+            sock.sendall(b"".join(
+                encode_binary_request(Message.request(OP_READ, path=k), seq=i) for i, k in enumerate(keys)
+            ))
+            deadline = time.monotonic() + 5
+            while server.stats.snapshot()["misses"] < 8:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            conn = next(iter(server._conns))
+            server.close()
+            assert not server._conns and all(t.done() for t in conn.tasks)
+            sock.close()
+            del conn, server
+            gc.collect()
+            assert fds() == base, (fds(), base)
+            assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
+            print("clean")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=SRC, FTLINT_LOCKWITNESS="0")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "clean"
+        assert proc.stderr == "", proc.stderr
+
+
+class TestWriteToken:
+    def test_a_release_before_the_waiter_queues_is_not_lost(self):
+        """A dispatch thread frees the token after a loop task's claim failed
+        and before the task queued: the task re-checks after queueing, so
+        it takes the token instead of waiting for a hand-off nobody sends."""
+        loop = asyncio.new_event_loop()
+        ours, peer = socket.socketpair()
+        token = _WriteLock(loop, ours)
+        assert token.try_acquire()
+
+        class ReleasedBeforeQueued(deque):
+            def append(self, fut):
+                releaser = threading.Thread(target=token.release, name="releaser", daemon=True)
+                releaser.start()
+                releaser.join(timeout=5)
+                assert not releaser.is_alive()
+                super().append(fut)
+
+        token._waiters = ReleasedBeforeQueued()
+        try:
+            loop.run_until_complete(asyncio.wait_for(token.acquire(), timeout=5))
+            assert not token.try_acquire()  # the task holds it
+            token.retire()
+            assert ours.fileno() != -1  # never closed under its holder...
+            token.release()
+            assert ours.fileno() == -1  # ...who closes it on release
+        finally:
+            loop.close()
+            ours.close()
+            peer.close()
 
 
 class TestStatFromTheIndex:
