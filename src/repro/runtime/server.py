@@ -381,24 +381,29 @@ class _Conn(asyncio.Protocol):
         """On the loop: finish a reply :meth:`_send` could not, in one task."""
         if self.transport.is_closing():  # connection_lost cancels tasks: spawn none after it
             return self._drop(head, payload, entry, sent, owned)
-        task = self._spawn(self._send_tail(head, payload, entry, sent, owned))
-        if entry is not None:
-            # the callback runs even if the task is cancelled before its first step
-            task.add_done_callback(lambda _task: entry.close())
+        held = [owned]  # the reply holds the token until _send_tail releases it
+        task = self._spawn(self._send_tail(head, payload, entry, sent, held))
+        # runs even if the task is cancelled before its first step, when
+        # neither its body nor its ``finally`` does: a token held from
+        # birth is freed here, so ``retire`` can still close the socket
+        task.add_done_callback(lambda _task: self._drop(head, payload, entry, sent, held[0]))
 
     def _drop(self, head: bytes, payload, entry, sent: int, owned: bool) -> None:
-        """A reply nobody is left to receive: free what it holds."""
+        """A reply finished, or one nobody is left to receive: free what it
+        still holds."""
         if owned:
             self.wlock.release()
         if entry is not None:
             entry.close()
 
-    async def _send_tail(self, head: bytes, payload, entry, sent: int, owned: bool) -> None:
+    async def _send_tail(self, head: bytes, payload, entry, sent: int, held: list) -> None:
         """Under the write token, once writing is not paused: the header if
         it is still owed, then the payload from where ``sent`` left it —
-        bytes by ``transport.write``, an entry by ``loop.sendfile``."""
-        if not owned:
+        bytes by ``transport.write``, an entry by ``loop.sendfile``.
+        ``held[0]`` says whether the reply holds the token."""
+        if not held[0]:
             await self.wlock.acquire()
+            held[0] = True
         transport = self.transport
         try:
             if self.drain is not None:
@@ -418,6 +423,7 @@ class _Conn(asyncio.Protocol):
         except (OSError, RuntimeError):
             transport.abort()  # part of a payload is on the wire: the stream is unusable
         finally:
+            held[0] = False
             self.wlock.release()
 
     # -- everything that may block -----------------------------------------------------
@@ -489,17 +495,11 @@ class _Conn(asyncio.Protocol):
             self._post(self._done)
 
     def _job_tail(self, head: bytes, payload, entry, sent: int, owned: bool) -> None:
-        """On the loop: a job's reply its thread could not finish.  One that
-        found the token taken tries once more — another dispatch thread's
-        send has usually ended by now — and what is still left goes to a
+        """On the loop: a job's reply its thread could not finish goes to a
         task, which joins the pipeline before the job leaves it."""
-        rest = (head, payload, entry, sent, owned) if owned else self._send(head, payload, entry)
-        if rest:
-            self._tail(*rest)
+        self._tail(head, payload, entry, sent, owned)
         with self.jobs_lock:
             self.jobs -= 1
-        if not rest:
-            self._done()
 
     def _job_failed(self) -> None:
         with self.jobs_lock:

@@ -82,6 +82,20 @@ def _only_conn(server: FTCacheServer):
     return next(iter(server._conns))
 
 
+def _assert_runs_clean(script: str, tmp_path) -> None:
+    """Run ``script`` under ``-X dev -W error`` in a fresh interpreter: it
+    must print "clean", and nothing may reach stderr — a leaked file,
+    socket, task or un-awaited coroutine is reported there."""
+    env = dict(os.environ, PYTHONPATH=SRC, FTLINT_LOCKWITNESS="0")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "clean"
+    assert proc.stderr == "", proc.stderr
+
+
 @pytest.fixture
 def node(tmp_path):
     """One started server over fresh dirs: 32 cached 4 KiB keys + 8 PFS-only."""
@@ -519,14 +533,62 @@ class TestFailureInjectionAndShutdown:
             print("clean")
             """
         )
-        env = dict(os.environ, PYTHONPATH=SRC, FTLINT_LOCKWITNESS="0")
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-c", script, str(tmp_path)],
-            capture_output=True, text=True, timeout=60, env=env,
+        _assert_runs_clean(script, tmp_path)
+
+    def test_a_tail_severed_before_it_starts_frees_the_write_side(self, tmp_path):
+        """An 8 MiB hit the socket takes only part of, and a garbage frame in
+        the same segment: the hit's tail task holds the write token from
+        birth and is cancelled by the sever before its first step.  The
+        token still comes free, so the dup'd socket is closed with the
+        transport's: the client reads what was sent, then EOF, at once,
+        and the connection leaves no descriptor behind."""
+        script = textwrap.dedent(
+            """
+            import gc, os, socket, sys, time
+            from repro.runtime import Message
+            from repro.runtime.protocol import OP_READ, encode_binary_request
+            from repro.runtime.server import FTCacheServer
+            from repro.runtime.storage import NVMeDir, PFSDir
+
+            def fds():
+                return len(os.listdir("/proc/self/fd"))
+
+            root = sys.argv[1]
+            gc.collect(); base = fds()
+            pfs = PFSDir(root + "/pfs")
+            nvme = NVMeDir(root + "/nvme")
+            blob = os.urandom(8 << 20)  # more than the socket buffers take
+            pfs.write("/big.bin", blob); nvme.write("/big.bin", blob)
+            server = FTCacheServer(0, nvme, pfs).start()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(5)  # a socket the server never closes would hang to here
+            sock.connect(server.address)
+            deadline = time.monotonic() + 5
+            while not server._conns:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            conn = next(iter(server._conns))
+            req = encode_binary_request(Message.request(OP_READ, path="/big.bin"), seq=1)
+            sock.sendall(req + b"\\x00")  # the hit, then a frame without the magic
+            got = 0
+            try:
+                while chunk := sock.recv(1 << 16):
+                    got += len(chunk)
+            except ConnectionResetError:
+                pass
+            assert got < len(req) + len(blob), got  # severed mid-reply, not served
+            assert conn.sock.fileno() == -1  # closed with the transport, not left to gc
+            assert server.stats.snapshot()["errors"] == 1
+            server.close()
+            sock.close()
+            del conn, server
+            gc.collect()
+            assert fds() == base, (fds(), base)
+            print("clean")
+            """
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "clean"
-        assert proc.stderr == "", proc.stderr
+        _assert_runs_clean(script, tmp_path)
 
 
 def _gated_pfs_server(tmp_path, files: dict, **kwargs):
@@ -704,6 +766,26 @@ class TestJobReplies:
             server.close()
         assert resp.seq == 1 and resp.payload == blob
 
+    def test_a_job_tail_severed_in_its_turn_frees_the_write_side(self, node):
+        """A job's remainder handed to the loop with the job's token, then a
+        sever in the same turn (a node drop, a failed job): the tail task is
+        cancelled before its first step, yet the token comes free, so the
+        connection's socket is closed and the client is not left hanging."""
+        with _connect(node) as sock:
+            conn = _only_conn(node)
+            assert conn.wlock.try_acquire()  # the job's in-place send claimed it
+
+            def tail_then_sever():
+                conn._job_tail(b"head", b"payload", None, 0, True)
+                conn.sever()
+
+            with conn.jobs_lock:
+                conn.jobs += 1  # the job _job_tail retires
+            node._loop.call_soon_threadsafe(tail_then_sever)
+            _assert_severed(sock)
+            _wait(lambda: conn.sock.fileno() == -1 and not conn.tasks)
+        assert conn.jobs == 0
+
     def test_close_while_sending_leaves_no_fd_task_or_thread(self, tmp_path):
         """Under ``-X dev -W error``: close() in the middle of a burst of
         misses whose replies dispatch threads are sending to a slow reader.
@@ -748,14 +830,7 @@ class TestJobReplies:
             print("clean")
             """
         )
-        env = dict(os.environ, PYTHONPATH=SRC, FTLINT_LOCKWITNESS="0")
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-c", script, str(tmp_path)],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "clean"
-        assert proc.stderr == "", proc.stderr
+        _assert_runs_clean(script, tmp_path)
 
 
 class TestWriteToken:
