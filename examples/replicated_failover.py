@@ -35,8 +35,8 @@ def main() -> None:
             client.read(p)
         print(f"cold pass: {(time.perf_counter() - t0) * 1e3:6.1f} ms "
               f"({cluster.pfs.reads} PFS reads)")
-        time.sleep(0.4)  # background replica pushes land
-        print(f"replica pushes completed: {client.stats['replica_pushes']}")
+        time.sleep(0.4)  # the servers' installs land
+        print(f"replica pushes: {client.stats['replica_pushes']} (each sent before its read returned)")
 
         # Pick a file with two distinct replicas and kill its primary.
         path = next(p for p in paths if len(set(client.policy.replica_targets(p))) == 2)

@@ -16,9 +16,10 @@ original HVAC's hash-mod-N):
 * **Minimal movement on join** — an added node steals keys only for itself.
 
 Implementation: positions live in a sorted ``uint64`` NumPy array with a
-parallel owner-index array, so a lookup is one ``searchsorted`` (O(log V))
-and bulk lookups over hundreds of thousands of keys vectorise to a single
-``searchsorted`` call.  Membership changes rebuild the arrays from the
+parallel owner-index array, so bulk lookups over hundreds of thousands of
+keys vectorise to a single ``searchsorted`` call (O(log V) per key); a
+scalar lookup bisects list copies of the two arrays, made on the first
+one after a rebuild.  Membership changes rebuild the arrays from the
 per-node vnode cache in O(V log V) — for 1024 nodes × 100 vnodes that is
 ~10⁵ elements, a few milliseconds, and far cheaper than the data movement
 it decides.  An ordered-map variant matching the paper's ``std::map``
@@ -40,6 +41,7 @@ Two refinements serve elastic scale-out (:mod:`repro.rebalance`):
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Optional
 
 import numpy as np
@@ -121,6 +123,8 @@ class HashRing(PlacementPolicy):
         self._vnode_cache: dict[NodeId, np.ndarray] = {}
         self._positions = np.empty(0, dtype=np.uint64)
         self._owners = np.empty(0, dtype=object)
+        #: ``(positions, owners)`` as lists for scalar lookups (``bisect``)
+        self._scalar: Optional[tuple[list, list]] = None
         self._dirty = False
         for n in nodes:
             self._admit(n)
@@ -182,6 +186,7 @@ class HashRing(PlacementPolicy):
         if not self._dirty:
             return
         self._dirty = False
+        self._scalar = None
         if not self._members:
             self._positions = np.empty(0, dtype=np.uint64)
             self._owners = np.empty(0, dtype=object)
@@ -232,10 +237,11 @@ class HashRing(PlacementPolicy):
         if len(self._positions) == 0:
             raise EmptyRingError("hash ring has no nodes")
         if self.probes == 1:
-            idx = int(np.searchsorted(self._positions, np.uint64(key_hash), side="right"))
-            if idx == len(self._positions):
-                idx = 0  # wrap past the top of the ring
-            return self._owners[idx]
+            if self._scalar is None:
+                self._scalar = (self._positions.tolist(), self._owners.tolist())
+            positions, owners = self._scalar
+            idx = bisect.bisect_right(positions, key_hash)
+            return owners[idx if idx < len(positions) else 0]  # wrap past the top of the ring
         return self._probe_owners(
             self._positions, self._owners, np.array([key_hash], dtype=np.uint64)
         )[0]

@@ -22,6 +22,8 @@ The ``repro.dl.fastsim`` fluid model accepts ``replication=k`` and the
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .hash_ring import HashRing
@@ -79,8 +81,8 @@ class ReplicatedRecache(ElasticRecache):
         base = hash64(key, self.placement.algo)
         return [self.placement.lookup_hash(salt_hash(base, r)) for r in range(self.replicas)]
 
-    def read_candidates(self, key: Key) -> list[NodeId]:
-        """Surviving replica owners, data-holders first.
+    def candidates_for(self, keys: Sequence[Key]) -> list[Sequence[NodeId]]:
+        """Per key, its surviving replica owners, data-holders first.
 
         Targets whose assignment matches the pristine (pre-failure) ring
         certainly cached the entry during normal operation; re-homed
@@ -88,20 +90,21 @@ class ReplicatedRecache(ElasticRecache):
         last — a reader failing over after a node death is served by a
         warm replica instead of triggering a PFS refetch.
         """
-        base = hash64(key, self.placement.algo)
-        warm: list[NodeId] = []
-        cold: list[NodeId] = []
-        for r in range(self.replicas):
-            h = salt_hash(base, r)
-            current = self.placement.lookup_hash(h)
-            if current in self._failed:
-                continue
-            pristine = self._pristine.lookup_hash(h)
-            bucket = warm if current == pristine else cold
-            if current not in warm and current not in cold:
-                bucket.append(current)
-        out = warm + cold
-        return out if out else [self.placement.lookup(key)]
+        out = []
+        for key in keys:
+            base = hash64(key, self.placement.algo)
+            warm: list[NodeId] = []
+            cold: list[NodeId] = []
+            for r in range(self.replicas):
+                h = salt_hash(base, r)
+                current = self.placement.lookup_hash(h)
+                if current in self._failed:
+                    continue
+                bucket = warm if current == self._pristine.lookup_hash(h) else cold
+                if current not in warm and current not in cold:
+                    bucket.append(current)
+            out.append(warm + cold or [self.placement.lookup(key)])
+        return out
 
     def surviving_replica(self, key: Key) -> NodeId:
         """First replica owner not known-failed (primary under no failures)."""

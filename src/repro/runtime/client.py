@@ -11,22 +11,22 @@ exercised in both worlds.  The flow is the paper's Figure 3:
    is declared failed, the policy reacts (abort / redirect / re-ring);
 4. unserved reads re-route and retry.
 
-Detector evidence rules (what counts toward declaration):
+Every request travels one path, an **exchange**: one node's frames in
+one send, its replies drained by seq.  :meth:`FTCacheClient.read` is a
+one-key :meth:`FTCacheClient.read_many`, and cache installs, replica
+pushes and the explicit-node RPCs are exchanges too.
 
-* a **socket timeout** on any connection — the node accepted bytes and
-  went silent; that is exactly the hang the TTL exists to catch;
-* a **refused/reset on a fresh connection** — nothing is listening;
-* a reset/EOF on a **pooled, previously-idle** connection is *not*
-  evidence by itself: a server restart (or idle-connection reap) kills
-  established sockets without the node being unhealthy *now*.  The
-  client transparently reconnects and retries once; only the fresh
-  attempt's outcome feeds the detector;
-* a failed ``read_many`` batch (scatter–gather: every owner's READs are
-  sent before any reply is read) is never evidence by itself: that
-  owner's socket is retired, its keys are re-read one by one, and *those*
-  attempts feed the detector by the rules above;
-* a request the codec refuses (a key over 64 KiB) is never evidence: it
-  raises :class:`ReadError` before anything is sent.
+Detector evidence — one rule, for every read, install and ``ping``
+(the other RPCs never feed the detector): an exchange that fails is
+evidence unless a **pooled** socket was reset or hit EOF.  A timeout is
+evidence (the node accepted bytes and went silent: the hang the TTL
+exists to catch); a refusal, reset or EOF on a **fresh** socket is
+evidence (nothing is listening).  A reset or EOF on a pooled socket is
+not: a server restart or an idle-connection reap kills established
+sockets without the node being unhealthy *now*, so the exchange is
+resent once on a fresh socket and only that attempt can count.  A
+request the codec refuses (a key over 64 KiB) is never evidence: it
+raises :class:`ReadError` before anything is sent.
 
 Thread safety: a client may be shared by loader workers; the connection
 pool is per-thread, and policy/detector mutations take a lock.  Pool
@@ -47,7 +47,6 @@ from typing import Hashable, Optional
 from ..analysis import lockwitness
 from ..core.failure_detector import TimeoutFailureDetector
 from ..core.fault_policy import FaultPolicy
-from ..core.replication import ReplicatedRecache
 from ..obs import Counters, Tracer, get_event_log, inject, node_logger
 from .protocol import (
     OP_JOIN_PLAN,
@@ -61,14 +60,12 @@ from .protocol import (
     FrameReader,
     ProtocolError,
     encode_binary_request,
-    recv_message,
-    send_binary_request,
     send_vectored,
     set_nodelay,
 )
 from .storage import PFSDir
 
-__all__ = ["FTCacheClient", "ReadError", "CLIENT_COUNTER_KEYS"]
+__all__ = ["FTCacheClient", "ReadError", "CLIENT_COUNTER_KEYS", "MAX_REROUTE_ROUNDS"]
 
 NodeId = Hashable
 
@@ -88,6 +85,10 @@ CLIENT_COUNTER_KEYS = (
     "transfers_sent",
     "pipelined_reads",
 )
+
+#: routing rounds a read batch takes before it gives up on a key: each
+#: round re-routes the keys none of their candidates served
+MAX_REROUTE_ROUNDS = 32
 
 
 class ReadError(RuntimeError):
@@ -113,17 +114,24 @@ class _ConnectionPool(threading.local):
         self.conns: dict[NodeId, _PooledConn] = {}
 
 
-class _OpContext(threading.local):
-    """Per-thread state of the top-level operation in flight.
+class _Exchange:
+    """One node's requests: encoded as one send's parts, drained by seq.
 
-    ``span`` is the active root span (RPC spans parent to it and inject
-    its trace context on the wire); ``node_id`` is the node that finally
-    served the request, recorded on the root span.
+    ``replies`` maps seq → reply once drained; it stays None when the
+    exchange failed, and ``span``'s status says how (``timeout`` or
+    ``conn_error``).  ``conn`` is the socket the parts went out on and
+    ``fresh`` whether it was opened for them.
     """
 
-    def __init__(self) -> None:
-        self.span = None
-        self.node_id: Optional[NodeId] = None
+    conn: Optional[_PooledConn] = None
+    fresh = True
+    replies: Optional[dict] = None
+
+    def __init__(self, node: NodeId, parts: list, n: int, span) -> None:
+        self.node = node
+        self.parts = parts
+        self.n = n
+        self.span = span
 
 
 class FTCacheClient:
@@ -136,7 +144,6 @@ class FTCacheClient:
         pfs: PFSDir,
         ttl: float = 1.0,
         timeout_threshold: int = 3,
-        max_reroute_rounds: int = 32,
         tracer: Optional[Tracer] = None,
     ):
         """``servers`` maps node id → ``(host, port)``.
@@ -150,10 +157,11 @@ class FTCacheClient:
         self.policy = policy
         self.pfs = pfs
         self.detector = TimeoutFailureDetector(ttl=ttl, threshold=timeout_threshold)
-        self.max_reroute_rounds = max_reroute_rounds
         self.tracer = tracer if tracer is not None else Tracer(node="client", enabled=False)
         self.log = node_logger(__name__, getattr(self.tracer, "node", "client"))
-        self._op_ctx = _OpContext()
+        #: per thread, ``span``: the root span of the explicit-node operation in
+        #: flight (see :meth:`trace_op`), its RPC spans' parent
+        self._op_ctx = threading.local()
         self._pool = _ConnectionPool()
         #: every live pooled socket, across *all* threads — the pool is
         #: thread-local, so close() could otherwise never reach sockets
@@ -174,229 +182,71 @@ class FTCacheClient:
 
     # -- public API --------------------------------------------------------------
     def read(self, path: str) -> bytes:
-        """Read one file through the cache layer (blocking, thread-safe).
+        """Read one file through the cache layer (blocking, thread-safe):
+        ``read_many([path])[0]`` under a ``client.read`` trace.
 
         Returns bytes-like data: ``bytes``, or the ``bytearray`` a payload
         larger than the reader's window (68 KiB) was received into.
-        Under a :class:`~repro.core.replication.ReplicatedRecache` policy a
-        timed-out primary fails over to the next surviving replica *within
-        the same read* (the detector still counts the timeout toward
-        declaration), and any bytes that had to come from the PFS are
-        pushed to the remaining replicas in the background.
         """
-        octx = self._op_ctx
-        octx.node_id = None
-        span = self.tracer.start_trace("client.read", path=path)
-        octx.span = span
-        try:
-            data, source = self._read_routed(path)
-        except Exception:
-            octx.span = None
-            span.end(status="error")
-            raise
-        octx.span = None
-        span.set(source=source, node_id=octx.node_id).end()
-        return data
+        with self.tracer.start_trace("client.read", path=path) as span:
+            return self._read_batch([path], span)[0]
 
-    def _read_routed(self, path: str) -> tuple[bytes, str]:
-        for _ in range(self.max_reroute_rounds):
-            with self.tracer.start_span("client.route", self._op_ctx.span):
-                candidates = self._candidates(path)
-            if candidates is None:  # policy says PFS
-                self._counters.bump(pfs_direct_reads=1)
-                return self.pfs.read(path), "pfs_direct"
-            for i, node in enumerate(candidates):
-                if i > 0:
-                    self._counters.bump(failovers=1)
-                outcome = self._rpc_read(node, path)
-                if outcome is not None:
-                    data, source = outcome
-                    if source == "pfs":
-                        self._push_replicas(path, data, served_by=node)
-                    return data, source
-                # timeout / refused: feed the detector and maybe declare.
-                self._counters.bump(timeouts=1)
-                if self.detector.record_timeout(node):
-                    self._counters.bump(declared=1)
-                    self._declare_failed(node)
-        raise ReadError(f"could not read {path!r} after {self.max_reroute_rounds} attempts")
+    def read_many(self, paths: list[str]) -> list[bytes]:
+        """Read a batch of files, bytes-like; order of results matches ``paths``.
+
+        **Rounds.** Each round routes the pending keys once — one
+        :meth:`FaultPolicy.candidates_for` call under one policy-lock
+        acquisition — into each key's ordered candidates: one node, none
+        (the PFS), or the surviving replicas, warm ones first.
+        **Scatter–gather.** Every owner's READs go out — pipelined on its
+        pooled socket, a ``seq`` each — before the round's PFS-routed keys
+        are read in this thread, and only then are the owners drained:
+        the servers work in parallel and the batch waits for the slowest
+        of them, not their sum; replies, which a server may complete out
+        of order, are matched by the echoed seq.  **Drain all before
+        judging any**: every reply is off its socket before one is looked
+        at, so a missing file's error leaves no pooled socket holding
+        unread frames.  **Failover.** A failed owner is detector evidence
+        (see the module docstring), and its keys go to their next
+        candidate within the round (``failovers``); a key with no
+        candidate left is re-routed in the next round, up to
+        :data:`MAX_REROUTE_ROUNDS`.  **Write-through.** Keys a replica
+        read from the PFS are pushed to their other live replica owners
+        as one pipelined PUT batch per owner, drained before this returns.
+        **Books** — served keys, their sources, and ``pipelined_reads``
+        (keys whose READ shared a send with another READ) — are in
+        before an error is raised.
+        """
+        with self.tracer.start_trace("client.read_many", batch=len(paths)) as span:
+            return self._read_batch(paths, span)
 
     def write(self, path: str, data: bytes) -> None:
         """Write one file: durable to the PFS, write-through to the cache.
 
         The PFS is the source of truth, so the durable write can never be
         lost to a node failure; the cache install on the owning server is
-        best-effort (a timeout feeds the failure detector exactly like a
+        best-effort (a failed install is detector evidence exactly like a
         read, so sustained write traffic also detects dead nodes, but the
         write itself still succeeds — the next read misses to the PFS).
         """
-        octx = self._op_ctx
-        octx.node_id = None
-        span = self.tracer.start_trace("client.write", path=path)
-        octx.span = span
-        try:
+        with self.trace_op("client.write", path=path) as span:
             with self.tracer.start_span("client.pfs_write", span, path=path):
                 self.pfs.write(path, data)
             self._counters.bump(writes=1)
-            self._install_in_cache(path, data)
-        except Exception:
-            octx.span = None
-            span.end(status="error")
-            raise
-        octx.span = None
-        span.set(node_id=octx.node_id).end()
-
-    def _install_in_cache(self, path: str, data: bytes) -> None:
-        """Best-effort synchronous OP_PUT of fresh bytes to the owner node."""
-        candidates = self._candidates(path)
-        if not candidates:
-            return
-        node = candidates[0]
-        msg = Message.request(OP_PUT, path=path)
-        msg.payload = data
-        resp = self._rpc(node, msg)
-        if resp is None:
-            self._counters.bump(timeouts=1)
-            if self.detector.record_timeout(node):
-                self._counters.bump(declared=1)
-                self._declare_failed(node)
-            return
-        if resp.ok:
-            self.detector.record_success(node)
-            self._counters.bump(cache_installs=1)
-
-    def _candidates(self, path: str) -> Optional[list]:
-        """Ordered server targets for this read, or None for direct PFS."""
-        with self._policy_lock:
-            if isinstance(self.policy, ReplicatedRecache):
-                return self.policy.read_candidates(path)
-            target = self.policy.target_for(path)
-        if target.kind == "pfs":
-            return None
-        return [target.node]
-
-    def _push_replicas(self, path: str, data: bytes, served_by) -> None:
-        """Background write-through of a PFS-sourced read to the other replicas."""
-        if not isinstance(self.policy, ReplicatedRecache) or self.policy.replicas < 2:
-            return
-        with self._policy_lock:
-            targets = [
-                n
-                for n in set(self.policy.replica_targets(path))
-                if n != served_by and n not in self.policy.failed_nodes
-            ]
-        if not targets:
-            return
-
-        def _push() -> None:
-            for node in targets:
-                try:
-                    with socket.create_connection(self._addr(node), timeout=self.detector.ttl) as sock:
-                        sock.settimeout(self.detector.ttl)
-                        set_nodelay(sock)
-                        msg = Message.request(OP_PUT, path=path)
-                        msg.payload = data
-                        send_binary_request(sock, msg)
-                        resp = recv_message(sock)
-                        if resp.ok:
-                            self._counters.bump(replica_pushes=1)
-                except OSError:
-                    continue
-
-        threading.Thread(target=_push, name="replica-push", daemon=True).start()
-
-    def read_many(self, paths: list[str]) -> list[bytes]:
-        """Read a batch of files, bytes-like; order of results matches ``paths``.
-
-        **Scatter–gather**: every owner's READs go out — pipelined on its
-        pooled socket, a ``seq`` each — before the first reply is read, so
-        the owners work in parallel and the batch waits for the slowest of
-        them, not their sum; replies, which a server may complete out of
-        order, are matched by the echoed seq.  **Drain all before judging
-        any** spans owners: every reply is off its socket before one is
-        looked at, so a missing file's :class:`ReadError` leaves no pooled
-        socket holding unread frames.  **Fallback is per owner**: a socket
-        error or timeout in one owner's send or drain retires that socket
-        (a half-drained pipeline is never reused) and sends only that
-        owner's keys down the sequential :meth:`read` path with its full
-        detection/re-route semantics — where PFS-direct routes and
-        replicated reads go from the start.  **Once per batch**: the whole
-        batch is routed in one :meth:`FaultPolicy.targets_for` call under
-        one policy-lock acquisition, and booked in one counter bump plus one
-        detector success per owner that answered — the books of every
-        pipelined reply are in before a missing file's error is raised.
-        """
-        if len(paths) < 2 or isinstance(self.policy, ReplicatedRecache):
-            return [self.read(p) for p in paths]
-        with self._policy_lock:
-            targets = self.policy.targets_for(paths)
-        groups: dict[NodeId, list[tuple[int, str]]] = {}
-        for i, (path, target) in enumerate(zip(paths, targets)):
-            if target.kind == "node":
-                groups.setdefault(target.node, []).append((i, path))
-        results: dict[int, bytes] = {}
-        sources = {"cache": 0, "pfs": 0}
-        error: Optional[ReadError] = None
-        with self.tracer.start_trace("client.read_many", owners=len(groups), batch=len(paths)) as span:
-            # every frame is encoded before any is sent: a key the codec refuses raises here
-            frames = {node: self._encode_batch(OP_READ, [(p, b"") for _, p in batch], span)
-                      for node, batch in groups.items()}
-            sent = [(node, batch, self._send_batch(node, frames[node])) for node, batch in groups.items()]
-            drained = [(node, batch, conn and self._drain_batch(node, conn, len(batch)))
-                       for node, batch, conn in sent]
-            for node, batch, replies in drained:
-                if not replies:
-                    continue  # socket retired: this owner's keys go the sequential way
+            with self._policy_lock:
+                route = self.policy.candidates_for([path])[0]
+            if not route:
+                return
+            node = route[0]
+            msg = Message.request(OP_PUT, path=path)
+            msg.payload = data
+            resp = self._call(node, msg)
+            if resp is None:
+                self._strike(node)
+            elif resp.ok:
                 self.detector.record_success(node)
-                for seq, (i, path) in enumerate(batch, start=1):
-                    if seq in replies:
-                        try:
-                            results[i], source = self._verdict(path, replies[seq])
-                        except ReadError as exc:
-                            error = error or exc
-                        else:
-                            sources[source] += 1
-            self._counters.bump(server_cache_reads=sources["cache"], server_pfs_reads=sources["pfs"],
-                                pipelined_reads=len(results))
-            if error is not None:
-                raise error
-        # the rest (PFS routes, retired owners, unmatched seqs): sequential path
-        return [results[i] if i in results else self.read(p) for i, p in enumerate(paths)]
-
-    def _encode_batch(self, op: str, items: list[tuple[str, bytes]], span) -> list:
-        """``op`` requests for ``(path, payload)`` items, seq 1…n, as one
-        send's parts: each payload its own part, never concatenated, and
-        the frames between payloads joined into one."""
-        msg = Message.request(op)
-        if span.ctx is not None:
-            inject(msg.header, span.ctx)
-        frames, parts = [], []
-        for seq, (path, payload) in enumerate(items, start=1):
-            msg.header["path"] = path
-            msg.payload = payload
-            frames.append(self._encode(msg, seq))
-            if payload:
-                parts += (b"".join(frames), payload)
-                frames.clear()
-        return [*parts, b"".join(frames)]
-
-    def _send_batch(self, node: NodeId, parts: list) -> Optional[_PooledConn]:
-        """Scatter half: one node's encoded requests in one send; None — socket retired — if it fails."""
-        try:
-            conn, _ = self._checkout(node)
-            send_vectored(conn.sock, *parts)
-            return conn
-        except (OSError, ReadError):  # an unknown node's ReadError the sequential path re-raises
-            self._drop_conn(node)
-            return None
-
-    def _drain_batch(self, node: NodeId, conn: _PooledConn, n: int) -> Optional[dict]:
-        """Gather half: ``n`` replies off ``conn`` by seq, none judged; None — socket retired — on failure."""
-        try:
-            return {resp.seq: resp for resp in (conn.reader.recv() for _ in range(n))}
-        except (OSError, ProtocolError):  # timeout, EOF, reset, desync
-            self._drop_conn(node)
-            return None
+                self._counters.bump(cache_installs=1)
+                span.set(node_id=node)
 
     def admit_node(self, node: NodeId, addr: tuple, weight: Optional[float] = None) -> None:
         """(Re-)admit a server: elastic scale-up / rejoin after repair.
@@ -441,7 +291,7 @@ class FTCacheClient:
         any policy would route.  Outcomes deliberately do not feed the
         failure detector: warmup traffic must not declare nodes.
         """
-        replies = self._pipeline(node, OP_READ, [(p, b"") for p in paths])
+        replies = self._exchange(node, Message.request(OP_READ), [(p, b"") for p in paths])
         if replies is None:
             return None
         outcomes = [(r.payload, r.header["source"]) if r is not None and r.ok else None for r in replies]
@@ -460,7 +310,7 @@ class FTCacheClient:
         its claimed-but-unwritten installs, for the caller's throttle.
         Like :meth:`read_from`, never detector evidence.
         """
-        replies = self._pipeline(node, OP_TRANSFER, items)
+        replies = self._exchange(node, Message.request(OP_TRANSFER), items)
         if replies is None:
             return None
         out = [{"accepted": r.header["accepted"], "queue_len": r.header["queue_len"]}
@@ -473,7 +323,7 @@ class FTCacheClient:
     ) -> bool:
         """Announce a move plan to the joining ``node``; True iff it
         acknowledged (doubles as the pre-warmup liveness check)."""
-        resp = self._rpc(
+        resp = self._call(
             node,
             Message.request(
                 OP_JOIN_PLAN,
@@ -498,7 +348,7 @@ class FTCacheClient:
         """
         span = self.tracer.start_trace(name, **attrs)
         octx = self._op_ctx
-        prev = octx.span
+        prev = getattr(octx, "span", None)
         octx.span = span
         try:
             yield span
@@ -515,7 +365,7 @@ class FTCacheClient:
         telemetry snapshot plus its recent spans and events, or None on
         timeout/refusal.  Outcomes do not feed the failure detector —
         monitoring must not declare nodes."""
-        resp = self._rpc(
+        resp = self._call(
             node,
             Message.request(OP_OBS, spans_limit=int(spans_limit),
                             events_limit=int(events_limit)),
@@ -529,10 +379,7 @@ class FTCacheClient:
 
     def server_stat(self, node: NodeId) -> Optional[dict]:
         """STAT one server (None on timeout); for tests and monitoring."""
-        try:
-            resp = self._rpc(node, Message.request(OP_STAT))
-        except OSError:  # pragma: no cover - unexpected transport error
-            return None
+        resp = self._call(node, Message.request(OP_STAT))
         if resp is None or not resp.ok:
             return None
         return dict(resp.header)
@@ -541,23 +388,236 @@ class FTCacheClient:
         """Liveness probe: one PING round-trip against ``node``.
 
         Outcomes feed the failure detector exactly like a data request —
-        a timeout counts toward the declaration threshold, an answer
-        clears the node's strike history.  True only when the node
+        a failed exchange counts toward the declaration threshold, an
+        answer clears the node's strike history.  True only when the node
         answered with its *own* identity: a listener that replies as a
         different node (port reused by another instance after a crash)
         is not alive for our purposes.
         """
-        resp = self._rpc(node, Message.request(OP_PING))
+        resp = self._call(node, Message.request(OP_PING))
         if resp is None:
-            self._counters.bump(timeouts=1)
-            if self.detector.record_timeout(node):
-                self._counters.bump(declared=1)
-                self._declare_failed(node)
+            self._strike(node)
             return False
         if not resp.ok:
             return False
         self.detector.record_success(node)
         return resp.header["node_id"] == node
+
+    # -- the read loop -------------------------------------------------------------
+    def _read_batch(self, paths: list[str], span) -> list:
+        """:meth:`read_many`'s rounds under the root ``span``; each round
+        sends its keys out in waves, a failed owner's keys making the next."""
+        results: list = [None] * len(paths)
+        pushes: dict[NodeId, list] = {}
+        pending, keys = range(len(paths)), paths
+        for _ in range(MAX_REROUTE_ROUNDS):
+            with self.tracer.start_span("client.route", span):
+                with self._policy_lock:
+                    routes = self.policy.candidates_for(keys)
+                groups: dict[NodeId, list] = {}  # first candidate → its (index, candidates) keys
+                direct: list = []  # PFS-routed indices
+                for key in zip(pending, routes):
+                    route = key[1]
+                    if not route:
+                        direct.append(key[0])
+                    elif route[0] in groups:
+                        groups[route[0]].append(key)
+                    else:
+                        groups[route[0]] = [key]
+            failed: set = set()
+            pending = []
+            while True:
+                exchanges: list[_Exchange] = []
+                try:  # every frame is encoded before any is sent: a key the codec refuses raises here
+                    for node, batch in groups.items():
+                        exchanges.append(self._prepare(node, Message.request(OP_READ),
+                                                       [(paths[i], b"") for i, _ in batch], span))
+                except ReadError:
+                    for ex in exchanges:
+                        ex.span.end(status="error")
+                    raise
+                for ex in exchanges:
+                    self._scatter(ex)
+                error: Optional[Exception] = None
+                for i in direct:
+                    try:
+                        results[i] = self.pfs.read(paths[i])
+                    except (OSError, ValueError) as exc:  # raised once the owners are drained
+                        error = error or exc
+                if direct:
+                    self._counters.bump(pfs_direct_reads=sum(results[i] is not None for i in direct))
+                for ex in exchanges:
+                    self._gather(ex)
+                lost: list = []
+                cache = pfs = pipelined = 0
+                for ex, batch in zip(exchanges, groups.values()):
+                    if ex.replies is None:
+                        failed.add(ex.node)
+                        lost += batch
+                        continue
+                    self.detector.record_success(ex.node)
+                    served = 0
+                    for seq, (i, route) in enumerate(batch, start=1):
+                        resp = ex.replies.get(seq)
+                        if resp is None:  # a seq the node never answered
+                            pending.append(i)
+                        elif not resp.ok:
+                            error = error or self._read_error(paths[i], resp)
+                        else:
+                            results[i] = resp.payload
+                            served += 1
+                            if resp.header["source"] == "cache":
+                                cache += 1
+                            else:
+                                pfs += 1
+                                for n in route:  # write-through to the other replicas
+                                    if n != ex.node:
+                                        pushes.setdefault(n, []).append((paths[i], resp.payload))
+                    if len(batch) > 1:
+                        pipelined += served
+                    ex.span.end()
+                self._counters.bump(server_cache_reads=cache, server_pfs_reads=pfs, pipelined_reads=pipelined)
+                if lost:
+                    for ex in exchanges:
+                        if ex.replies is None:
+                            self._strike(ex.node)
+                if error is not None:
+                    raise error
+                if not lost:
+                    break
+                groups, direct = {}, []
+                for i, route in lost:
+                    node = next((n for n in route if n not in failed), None)
+                    if node is None:
+                        pending.append(i)
+                    else:
+                        groups.setdefault(node, []).append((i, route))
+                if groups:  # every key of this wave goes to a candidate after a failed one
+                    self._counters.bump(failovers=sum(map(len, groups.values())))
+            if not pending:
+                break
+            keys = [paths[i] for i in pending]
+        else:
+            raise ReadError(f"could not read {paths[pending[0]]!r} after {MAX_REROUTE_ROUNDS} attempts")
+        if pushes:
+            self._push(pushes, span)
+        return results
+
+    def _push(self, pushes: dict, span) -> None:
+        """Replica write-through: one pipelined PUT batch per replica owner
+        the detector holds no strike against, drained here.  Never
+        detector evidence."""
+        detector = self.detector
+        exchanges = [self._prepare(node, Message.request(OP_PUT), items, span)
+                     for node, items in pushes.items()
+                     if not detector.pending_count(node) and not detector.is_declared(node)]
+        for ex in exchanges:
+            self._scatter(ex)
+        pushed = 0
+        for ex in exchanges:
+            if self._gather(ex) is not None:
+                pushed += sum(resp.ok for resp in ex.replies.values())
+                ex.span.end()
+        self._counters.bump(replica_pushes=pushed)
+
+    @staticmethod
+    def _read_error(path: str, resp: Message) -> ReadError:
+        """The :class:`ReadError` a READ's error reply stands for."""
+        if resp.header.get("code") == "ENOENT":
+            return ReadError(f"no such file: {path}")
+        return ReadError(f"server error for {path!r}: {resp.header.get('reason')}")
+
+    def _strike(self, node: NodeId) -> None:
+        """One piece of detector evidence against ``node``; at the
+        threshold the node is declared failed."""
+        self._counters.bump(timeouts=1)
+        if self.detector.record_timeout(node):
+            self._counters.bump(declared=1)
+            self._declare_failed(node)
+
+    # -- the exchange ----------------------------------------------------------------
+    def _call(self, node: NodeId, msg: Message) -> Optional[Message]:
+        """``msg`` alone: its reply, or None when the exchange failed."""
+        replies = self._exchange(node, msg, [(None, msg.payload)])
+        return replies and replies[0]
+
+    def _exchange(self, node: NodeId, msg: Message, items: list) -> Optional[list]:
+        """``msg`` once per ``(path, payload)`` item, under the active op's
+        span: the replies in item order (None for a seq never answered),
+        or None when the exchange failed."""
+        ex = self._prepare(node, msg, items, getattr(self._op_ctx, "span", None))
+        self._scatter(ex)
+        replies = self._gather(ex)
+        if replies is None:
+            return None
+        ex.span.end()
+        return [replies.get(seq) for seq in range(1, len(items) + 1)]
+
+    def _prepare(self, node: NodeId, msg: Message, items: list, parent) -> _Exchange:
+        """``msg`` once per ``(path, payload)`` item (a None path keeps
+        ``msg``'s), seq 1…n, as one send's parts — each payload its own
+        part, never concatenated, the frames between payloads joined into
+        one — under a ``client.rpc_<op>`` child span of ``parent``.  A
+        request the codec refuses (a key over 64 KiB) is the caller's
+        mistake, raised as :class:`ReadError` before anything is sent."""
+        span = self.tracer.start_span(f"client.rpc_{msg.op.lower()}", parent, node_id=node)
+        if span.ctx is not None:
+            inject(msg.header, span.ctx)
+        frames, parts = [], []
+        try:
+            for seq, (path, payload) in enumerate(items, start=1):
+                if path is not None:
+                    msg.header["path"] = path
+                msg.payload = payload
+                frames.append(encode_binary_request(msg, seq))
+                if payload:
+                    parts += (b"".join(frames), payload)
+                    frames.clear()
+        except ProtocolError as exc:
+            span.end(status="error")
+            raise ReadError(f"cannot send {msg.op}: {exc}") from None
+        return _Exchange(node, [*parts, b"".join(frames)], len(items), span)
+
+    def _scatter(self, ex: _Exchange) -> None:
+        """Send half: ``ex``'s parts in one send on this thread's socket to its node."""
+        ex.fresh = True
+        try:
+            ex.conn, ex.fresh = self._checkout(ex.node)
+            send_vectored(ex.conn.sock, *ex.parts)
+        except OSError as exc:
+            self._failed(ex, exc)
+
+    def _gather(self, ex: _Exchange) -> Optional[dict]:
+        """Drain half: ``ex``'s replies by seq, none judged; None once the
+        exchange failed.  A drained exchange's span is left for the caller
+        to end once the replies are judged."""
+        while ex.conn is not None:
+            replies = {}
+            recv = ex.conn.reader.recv
+            try:
+                for _ in range(ex.n):
+                    resp = recv()
+                    replies[resp.seq] = resp
+            except (OSError, ProtocolError) as exc:  # a desynced reader may hold half a frame
+                self._failed(ex, exc)
+            else:
+                ex.replies = replies
+                break
+        return ex.replies
+
+    def _failed(self, ex: _Exchange, exc: Exception) -> None:
+        """Retire ``ex``'s socket (it may hold half a frame).  A reset or
+        EOF on a pooled socket resends once on a fresh one; anything else
+        ends the exchange."""
+        self._drop_conn(ex.node)
+        ex.conn = None
+        if isinstance(exc, TimeoutError):
+            ex.span.end(status="timeout")
+        elif ex.fresh:
+            ex.span.end(status="conn_error")
+        else:
+            self._counters.bump(reconnects=1)
+            self._scatter(ex)
 
     # -- internals -----------------------------------------------------------------
     def _addr(self, node: NodeId) -> tuple[str, int]:
@@ -619,109 +679,11 @@ class FTCacheClient:
         if pooled is not None:
             self._discard_sock(pooled.sock)
 
-    def _rpc(self, node: NodeId, msg: Message) -> Optional[Message]:
-        """One request/response against ``node``; None means *detector
-        evidence* (timeout, or connection failure on a fresh socket).
-
-        A reset/EOF on a pooled socket gets one transparent
-        reconnect-and-retry first — a restarted server kills established
-        connections without being unhealthy now, so only the fresh
-        attempt's outcome may count against the node.
-        """
-        octx = self._op_ctx
-        span = self.tracer.start_span(
-            f"client.rpc_{(msg.op or 'op').lower()}", octx.span, node_id=node
-        )
-        if span.ctx is not None:
-            inject(msg.header, span.ctx)
-        try:
-            frame = self._encode(msg)
-        except ReadError:
-            span.end(status="error")
-            raise
-        for _ in range(2):
-            fresh = True
-            try:
-                conn, fresh = self._checkout(node)
-                send_vectored(conn.sock, frame, msg.payload)
-                resp = conn.reader.recv()
-                octx.node_id = node
-                span.end()
-                return resp
-            except (socket.timeout, TimeoutError):
-                # The node accepted the connection and went silent: the
-                # very hang the TTL exists to catch.  Always evidence.
-                self._drop_conn(node)
-                span.end(status="timeout")
-                return None
-            except (OSError, ProtocolError):  # a desynced reader may hold half a frame
-                self._drop_conn(node)
-                if fresh:
-                    # Nothing listening / reset on a brand-new socket.
-                    span.end(status="conn_error")
-                    return None
-                self._counters.bump(reconnects=1)  # stale pooled socket: retry once
-        span.end(status="error")
-        return None  # pragma: no cover - loop always returns
-
-    def _rpc_read(self, node: NodeId, path: str) -> Optional[tuple[bytes, str]]:
-        """One READ attempt: ``(data, source)``, or None on timeout/refusal."""
-        resp = self._rpc(node, Message.request(OP_READ, path=path))
-        if resp is None:
-            return None
-        data, source = self._verdict(path, resp)
-        self.detector.record_success(node)
-        if source == "pfs":
-            self._counters.bump(server_pfs_reads=1)
-        else:
-            self._counters.bump(server_cache_reads=1)
-        return data, source
-
-    def _pipeline(self, node: NodeId, op: str, items: list[tuple[str, bytes]]) -> Optional[list]:
-        """``op`` requests for ``(path, payload)`` items, seq 1…n in one
-        send, drained by seq under one child span of the active op: the
-        replies in item order (None for a seq never answered), or None when
-        the socket failed and was retired.  Never detector evidence."""
-        span = self.tracer.start_span(f"client.rpc_{op.lower()}", self._op_ctx.span,
-                                      node_id=node, batch=len(items))
-        try:
-            parts = self._encode_batch(op, items, span)
-        except ReadError:
-            span.end(status="error")
-            raise
-        conn = self._send_batch(node, parts)
-        replies = conn and self._drain_batch(node, conn, len(items))
-        span.end(status="error" if replies is None else None)
-        return None if replies is None else [replies.get(seq) for seq in range(1, len(items) + 1)]
-
-    @staticmethod
-    def _encode(msg: Message, seq: int = 0) -> bytes:
-        """``msg``'s request frame.  A request the codec refuses (a key over
-        64 KiB) is the caller's mistake, raised as :class:`ReadError`: it
-        is no detector evidence and retires no socket."""
-        try:
-            return encode_binary_request(msg, seq)
-        except ProtocolError as exc:
-            raise ReadError(f"cannot send {msg.op}: {exc}") from None
-
-    @staticmethod
-    def _verdict(path: str, resp: Message) -> tuple[bytes, str]:
-        """One READ reply's ``(data, source)`` — ``source`` is ``cache`` or
-        ``pfs`` — or the :class:`ReadError` its error reply stands for."""
-        if not resp.ok:
-            if resp.header.get("code") == "ENOENT":
-                raise ReadError(f"no such file: {path}")
-            raise ReadError(f"server error for {path!r}: {resp.header.get('reason')}")
-        return resp.payload, resp.header["source"]
-
     def close(self) -> None:
         """Close every pooled socket this client ever opened, including
         those pooled by worker threads that are long gone."""
         self._pool.conns.clear()
         with self._socks_lock:
-            socks, self._live_socks = list(self._live_socks), set()
+            socks = list(self._live_socks)
         for sock in socks:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            self._discard_sock(sock)

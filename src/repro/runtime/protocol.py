@@ -44,7 +44,7 @@ fixed header — on the server's buffer and under both receivers here.
 :class:`FrameReader`, buffered (one ``recv_into`` yields every frame that
 arrived), serves sockets that live across requests: the client's pooled
 connections.  :func:`recv_message`, unbuffered (it never reads past its
-frame), serves the rest: the replica push, tests, the bench ladder.  Both
+frame), serves the rest: the CLI's STAT, tests, the bench ladder.  Both
 receive a payload once, into the object they hand back.  The codec pays
 for what a frame carries — a key or ext is sliced only when
 there is one, JSON only under ``_FLAG_FIELDS`` — so a READ request or

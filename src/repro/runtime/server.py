@@ -93,10 +93,6 @@ STAT_COUNTER_KEYS = (
     "pfs_reads",
     "recached",
     "errors",
-    #: always 0 — a READ pins its entry (``open_read``) rather than checking
-    #: and then reading it, so none can lose a race to an eviction; kept
-    #: because cluster totals and the benchmark sum it
-    "race_fallthroughs",
     #: recache accounting (see FTCacheServer._claim): installs claimed,
     #: duplicates of a claimed key, installs the device refused
     "mover_enqueued",

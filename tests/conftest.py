@@ -31,7 +31,6 @@ from repro.sim import Environment
 #: suite means a handler/chaos thread leaked past its owner's close()
 _RUNTIME_THREAD_PREFIXES = (
     "ftcache-server-",
-    "replica-push",
     "chaos-monkey",
 )
 

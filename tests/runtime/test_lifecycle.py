@@ -334,12 +334,11 @@ class TestDataMoverPool:
                 client.read(p)
             stat = client.server_stat(0)
             assert stat is not None
-            for key in ("mover_enqueued", "mover_coalesced", "mover_dropped",
-                        "mover_queue_len", "race_fallthroughs"):
+            for key in ("mover_enqueued", "mover_coalesced", "mover_dropped", "mover_queue_len"):
                 assert key in stat
             assert "mover_workers" not in stat
             snap = c.server_snapshots()[0]
-            for key in ("mover_enqueued", "mover_dropped", "race_fallthroughs", "mover_queue_len"):
+            for key in ("mover_enqueued", "mover_dropped", "mover_queue_len"):
                 assert key in snap
             totals = c.total_stats()
             assert totals["mover_enqueued"] >= 1
@@ -396,6 +395,6 @@ class TestRaceFallthroughCounter:
         assert lookups == [key, key]
         assert resp.header["source"] == "cache" and resp.payload == b"cache" * 10
         c = server.stats.snapshot()
-        assert c["race_fallthroughs"] == c["misses"] == c["pfs_reads"] == 0
+        assert c["misses"] == c["pfs_reads"] == 0
         assert c["hits"] == c["sendfile_serves"] == 1
         assert not nvme.contains(key)

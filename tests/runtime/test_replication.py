@@ -20,12 +20,12 @@ def cluster():
 
 
 def warm(cluster, client):
-    """Cold-read every path, then wait out the background replica pushes (one
-    per further distinct replica of a path) and every primary's recache."""
+    """Cold-read every path — each read pushes its bytes to every further
+    distinct replica before it returns — then wait out every install."""
     for p in cluster.paths:
         client.read(p)
     pushes = sum(len(set(client.policy.replica_targets(p))) - 1 for p in cluster.paths)
-    _wait(lambda: client.stats["replica_pushes"] == pushes)
+    assert client.stats["replica_pushes"] == pushes
     _wait(lambda: _recached(client, cluster.servers) == len(cluster.paths) + pushes)
 
 
