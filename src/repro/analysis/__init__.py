@@ -6,8 +6,8 @@ dead, thread-per-miss recaching, the contains→read eviction race):
 
 * :mod:`repro.analysis.lint` surface — an AST lint engine
   (:func:`lint_paths`, ``python -m repro.analysis``) with rules that
-  catch those hazard *patterns* at review time: lock-held-while-blocking
-  (RT001 directly, RT003 through a call chain — acquiring a lock counts
+  catch those hazard *patterns* at review time, one module at a time:
+  a blocking call written under a lock (RT001 — acquiring a lock counts
   as blocking, since every named lock is a leaf), untracked thread
   spawns (RT002), determinism violations in the simulator/experiment
   stack (SIM001), and silently swallowed exceptions in thread targets
@@ -15,7 +15,8 @@ dead, thread-per-miss recaching, the contains→read eviction race):
 * :mod:`repro.analysis.lockwitness` — lightweight runtime
   instrumentation for named locks that, while the test suite runs,
   fails on any nested acquisition (a named lock taken while another is
-  held) or an over-budget hold time.
+  held), on any blocking primitive called under a named lock through
+  any call chain, or on an over-budget hold time.
 
 The lint names below resolve on first use: the runtime imports
 ``lockwitness`` without loading the linter.

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .engine import ALL_PROJECT_RULES, lint_paths
+from .engine import lint_paths
 from .rules import ALL_RULES
 
 __all__ = ["main"]
@@ -23,9 +23,6 @@ __all__ = ["main"]
 
 def _rule_catalogue() -> dict:
     rules = {cls.rule_id: cls.description for cls in ALL_RULES}
-    for cls in ALL_PROJECT_RULES:
-        for rule_id, description in cls.rules:
-            rules[rule_id] = description
     rules["SUP001"] = "suppression without a justification"
     rules["SUP002"] = "suppression whose rule never fires"
     return rules

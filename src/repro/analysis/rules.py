@@ -1,8 +1,8 @@
 """Project-specific lint rules.
 
 ==========  =====================================================================
-RT001       blocking call (socket/file I/O, sleep, join, queue get/put) or a
-            nested lock acquisition inside a ``with <lock>:`` body — the
+RT001       blocking call (socket/file I/O, sleep, wait, join, queue get/put)
+            or a nested lock acquisition inside a ``with <lock>:`` body — the
             stall amplifier behind most of the runtime's past latency
             cliffs, and (for nesting) the precondition of every deadlock
 RT002       ``threading.Thread(...)`` without ``name=`` and ``daemon=`` — the
@@ -20,6 +20,10 @@ SUP002      ftlint suppression whose rule never fires on that line
 RT001 heuristics (documented so suppressions can argue against them):
 a *lock expression* is any ``with X:`` where the dotted name of ``X``
 ends in something matching ``lock|cond|mutex`` (case-insensitive).
+The blocking calls are the lock witness's
+:data:`~repro.analysis.lockwitness.BLOCKING_CALLS` plus what only a
+reader of names can see (connect/accept, pathlib file I/O, thread join,
+the protocol helpers).
 Acquiring a lock is itself a blocking call: every lock is a leaf, so a
 ``with <lock>:`` inside a held lock (including the later items of one
 ``with a, b:``) is flagged.
@@ -35,6 +39,7 @@ import ast
 import re
 from typing import Optional
 
+from .lockwitness import BLOCKING_CALLS
 from .visitor import RuleVisitor, dotted_name
 
 __all__ = [
@@ -52,7 +57,11 @@ _THREADISH_RE = re.compile(r"(^t\d*$|^th$|thread|worker|proc|monkey)", re.IGNORE
 _QUEUEISH_RE = re.compile(r"(^q\d*$|queue|_q$|jobs|work$)", re.IGNORECASE)
 
 #: attribute calls that block regardless of receiver
-_SOCKET_ATTRS = {"recv", "recv_into", "recvfrom", "sendall", "send", "accept", "connect", "connect_ex"}
+_SOCKET_ATTRS = {*BLOCKING_CALLS["socket.socket"], "recvfrom", "accept", "connect", "connect_ex"}
+_OS_CALLS = {f"os.{name}" for name in BLOCKING_CALLS["os"]}
+_SLEEP_ATTRS = set(BLOCKING_CALLS["time"])
+_WAIT_ATTRS = set(BLOCKING_CALLS["threading.Event"])
+_QUEUE_ATTRS = set(BLOCKING_CALLS["queue.Queue"])
 _FILE_IO_ATTRS = {
     "read_bytes", "write_bytes", "read_text", "write_text",
     "unlink", "replace", "rename", "stat", "iterdir", "mkdir", "rmdir",
@@ -60,7 +69,7 @@ _FILE_IO_ATTRS = {
 }
 #: bare-name calls that block (project protocol helpers included: they do
 #: full-frame socket I/O)
-_BLOCKING_NAME_CALLS = {"open", "sleep", "send_binary_request", "recv_message"}
+_BLOCKING_NAME_CALLS = {*BLOCKING_CALLS["builtins"], *_SLEEP_ATTRS, "send_binary_request", "recv_message"}
 
 _BROAD_EXC = {"Exception", "BaseException"}
 
@@ -76,9 +85,10 @@ def lock_name(expr: ast.expr) -> Optional[str]:
 
 
 def blocking_reason(node: ast.Call, held_locks: tuple = ()) -> Optional[str]:
-    """Why this call blocks, or None.  Shared by RT001 (direct) and the
-    RT003 summary builder; ``held_locks`` are the dotted names of locks
-    held at the call, used only for the cond.wait-on-held exemption."""
+    """Why this call blocks, or None.  ``held_locks`` are the dotted names
+    of locks held at the call, used only for the cond.wait-on-held
+    exemption.  The same calls reached through a helper are the lock
+    witness's to catch at runtime."""
     func = node.func
     name = dotted_name(func)
     if isinstance(func, ast.Name) and func.id in _BLOCKING_NAME_CALLS:
@@ -88,9 +98,11 @@ def blocking_reason(node: ast.Call, held_locks: tuple = ()) -> Optional[str]:
     attr = func.attr
     recv = dotted_name(func.value)
     recv_term = _terminal(recv)
-    if name == "time.sleep" or attr == "sleep":
+    if name in _OS_CALLS:
+        return f"'{name}()'"
+    if attr in _SLEEP_ATTRS:
         return "'time.sleep()'"
-    if attr == "wait":
+    if attr in _WAIT_ATTRS:
         # cond.wait() on the held condition releases it — the idiom, not a bug
         if recv in held_locks:
             return None
@@ -101,7 +113,7 @@ def blocking_reason(node: ast.Call, held_locks: tuple = ()) -> Optional[str]:
         return f"file I/O '{recv or '?'}.{attr}()'"
     if attr == "join" and _THREADISH_RE.search(recv_term):
         return f"thread join '{recv}.join()'"
-    if attr in ("get", "put") and _QUEUEISH_RE.search(recv_term):
+    if attr in _QUEUE_ATTRS and _QUEUEISH_RE.search(recv_term):
         if _has_false_block_kwarg(node):
             return None
         return f"blocking queue op '{recv}.{attr}()'"

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional
 
 from .findings import Finding, Suppression, scan_suppressions
 
-__all__ = ["ModuleContext", "Rule", "RuleVisitor", "ProjectRule", "dotted_name"]
+__all__ = ["ModuleContext", "Rule", "RuleVisitor", "dotted_name"]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -80,22 +80,6 @@ class Rule:
             message=message,
             anchor_lines=tuple(anchors),
         )
-
-
-class ProjectRule:
-    """A rule family that needs the whole project, not one module.
-
-    ``check_project`` receives the shared
-    :class:`~repro.analysis.callgraph.CallGraph` (which carries every
-    parsed :class:`ModuleContext`) and yields findings across any file.
-    ``rules`` is the catalogue of (rule_id, description) pairs this
-    family can emit, for ``--list-rules``.
-    """
-
-    rules: tuple = ()
-
-    def check_project(self, graph) -> Iterable[Finding]:
-        raise NotImplementedError
 
 
 class RuleVisitor(Rule, ast.NodeVisitor):

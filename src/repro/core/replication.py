@@ -22,13 +22,14 @@ The ``repro.dl.fastsim`` fluid model accepts ``replication=k`` and the
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .hash_ring import HashRing
 from .fault_policy import ElasticRecache
-from .hashing import hash64, splitmix64
+from .hashing import bulk_hash64, hash64, splitmix64
 from .placement import Key, NodeId
 
 __all__ = ["ReplicatedRecache", "salted_hashes", "salt_hash"]
@@ -36,20 +37,23 @@ __all__ = ["ReplicatedRecache", "salted_hashes", "salt_hash"]
 _U64 = np.uint64
 
 
+@functools.lru_cache(maxsize=None)
+def _salt(replica: int) -> int:
+    return hash64(f"replica-salt:{replica}")
+
+
 def salt_hash(key_hash: int, replica: int) -> int:
     """Scalar salted re-hash: replica ``r``'s independent placement hash."""
     if replica == 0:
         return key_hash
-    salt = hash64(f"replica-salt:{replica}")
-    return int(splitmix64(np.array([key_hash ^ salt], dtype=_U64))[0])
+    return int(splitmix64(np.array([key_hash ^ _salt(replica)], dtype=_U64))[0])
 
 
 def salted_hashes(key_hashes: np.ndarray, replica: int) -> np.ndarray:
     """Vectorised salted re-hash of a ``uint64`` key-hash array."""
     if replica == 0:
         return key_hashes.astype(_U64, copy=False)
-    salt = _U64(hash64(f"replica-salt:{replica}"))
-    return splitmix64(key_hashes.astype(_U64, copy=False) ^ salt)
+    return splitmix64(key_hashes.astype(_U64, copy=False) ^ _U64(_salt(replica)))
 
 
 class ReplicatedRecache(ElasticRecache):
@@ -88,22 +92,26 @@ class ReplicatedRecache(ElasticRecache):
         certainly cached the entry during normal operation; re-homed
         targets are empty until the recache path fills them, so they come
         last — a reader failing over after a node death is served by a
-        warm replica instead of triggering a PFS refetch.
+        warm replica instead of triggering a PFS refetch.  The batch is
+        hashed once, and each ring looks up every replica's salted hashes
+        in one bulk call.
         """
+        n = len(keys)
+        hashes = bulk_hash64(keys, self.placement.algo)
+        # replica r of key i sits at r * n + i
+        salted = np.concatenate([salted_hashes(hashes, r) for r in range(self.replicas)])
+        current = self.placement.lookup_hashes(salted).tolist()
+        pristine = self._pristine.lookup_hashes(salted).tolist()
         out = []
-        for key in keys:
-            base = hash64(key, self.placement.algo)
+        for i in range(n):
             warm: list[NodeId] = []
             cold: list[NodeId] = []
-            for r in range(self.replicas):
-                h = salt_hash(base, r)
-                current = self.placement.lookup_hash(h)
-                if current in self._failed:
+            for j in range(i, len(salted), n):
+                node = current[j]
+                if node in self._failed or node in warm or node in cold:
                     continue
-                bucket = warm if current == self._pristine.lookup_hash(h) else cold
-                if current not in warm and current not in cold:
-                    bucket.append(current)
-            out.append(warm + cold or [self.placement.lookup(key)])
+                (warm if node == pristine[j] else cold).append(node)
+            out.append(warm + cold or [current[i]])
         return out
 
     def surviving_replica(self, key: Key) -> NodeId:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis.engine import lint_source
 
 RUNTIME_PATH = "src/repro/runtime/snippet.py"
@@ -77,6 +79,27 @@ class TestRT001:
             """
         )
         assert rules_of(findings) == ["RT001"]
+
+    @pytest.mark.parametrize("call", [
+        "os.pread(fd, 4096, 0)",
+        "os.pwrite(fd, data, 0)",
+        "os.sendfile(sock.fileno(), fd, 0, 4096)",
+        "sock.sendmsg([data])",
+        "os.open(path, os.O_RDONLY)",
+        "os.write(fd, data)",
+    ])
+    def test_witnessed_primitive_under_lock_flagged(self, call):
+        # every name the lock witness wraps is one RT001 flags too
+        findings = lint(
+            f"""
+            import os
+            def f(self, fd, sock, path, data):
+                with self._lock:
+                    {call}
+            """
+        )
+        assert rules_of(findings) == ["RT001"]
+        assert call.split("(")[0].rsplit(".", 1)[-1] in findings[0].message
 
     def test_pure_mutation_under_lock_clean(self):
         # The false-positive guard from the issue: a lock body that only

@@ -1,4 +1,5 @@
-"""Tests for the runtime lock witness: every named lock is a leaf.
+"""Tests for the runtime lock witness: every named lock is a leaf, and no
+blocking call runs under one.
 
 Hazard-seeding tests build their own :class:`LockWitness` instances so the
 session-wide default witness (enabled by conftest, asserted clean at session
@@ -7,13 +8,20 @@ end) never sees the deliberately poisoned schedules.
 
 from __future__ import annotations
 
+import _socket
+import inspect
+import os
+import queue
+import socket
+import textwrap
 import threading
 import time
+import types
 
 import pytest
 
 from repro.analysis import lockwitness
-from repro.analysis.lockwitness import LockOrderViolation, LockWitness
+from repro.analysis.lockwitness import BLOCKING_CALLS, LockOrderViolation, LockWitness
 
 
 def _run_sequential(*targets):
@@ -214,6 +222,235 @@ class TestFactories:
         _run_sequential(nested_and_slow)
         rep = w.report()
         assert rep["nestings"] and rep["hold_violations"]
+        assert rep["blocking"] or not lockwitness.is_enabled()
         w.reset()
-        assert w.report() == {"nestings": [], "hold_violations": []}
+        assert w.report() == {"nestings": [], "blocking": [], "hold_violations": []}
         w.assert_clean()
+
+
+# -- blocking calls under a named lock --------------------------------------------
+
+
+@pytest.fixture
+def wrapped():
+    """The blocking primitives wrapped, as in a witnessed session."""
+    was_enabled = lockwitness.is_enabled()
+    lockwitness.enable()
+    yield
+    if not was_enabled:
+        lockwitness.disable()
+
+
+def _line_of(fn, text: str) -> str:
+    """``file:line`` of the first line of ``fn`` that contains ``text``."""
+    lines, first = inspect.getsourcelines(fn)
+    return f"{inspect.getsourcefile(fn)}:{first + next(i for i, s in enumerate(lines) if text in s)}"
+
+
+def _sleep_helper():
+    time.sleep(0.001)
+
+
+_SLEEP_SITE = _line_of(_sleep_helper, "time.sleep")
+
+
+def _module(name: str, source: str, **names) -> types.ModuleType:
+    """A module compiled from ``source`` as ``<name>.py``, so a site inside
+    it reads as that file."""
+    mod = types.ModuleType(name)
+    mod.__dict__.update(names)
+    exec(compile(textwrap.dedent(source), f"{name}.py", "exec"), mod.__dict__)
+    return mod
+
+
+def _assert_one_blocking(w: LockWitness, held: list, call: str, chain: list) -> None:
+    """One record, at the last site of ``chain``, which runs from the call
+    made under the lock down to the primitive's caller."""
+    [b] = w.report()["blocking"]
+    assert (b["held"], b["call"], b["site"], b["chain"]) == (held, call, chain[-1], chain)
+    with pytest.raises(LockOrderViolation, match=f"blocking call '{call}'") as exc:
+        w.assert_clean()
+    assert f"reached via {' -> '.join(chain)}" in str(exc.value)
+
+
+@pytest.mark.usefixtures("wrapped")
+class TestBlockingUnderLock:
+    """A blocking call is caught wherever the call chain that reached it
+    started; the record names the primitive's own caller."""
+
+    def test_helper_that_sleeps_reported_at_the_helper(self):
+        w = LockWitness()
+        lock = w.named_lock("client-policy")
+
+        def route():
+            with lock:
+                _sleep_helper()
+
+        _run_sequential(route)
+        _assert_one_blocking(
+            w, ["client-policy"], "time.sleep", [_line_of(route, "_sleep_helper()"), _SLEEP_SITE]
+        )
+
+    def test_method_chain_through_self(self, tmp_path):
+        w = LockWitness()
+        (tmp_path / "blob").write_bytes(b"x" * 64)
+
+        class Mover:
+            def __init__(self, fd):
+                self._lock = w.named_lock("nvme-lru")
+                self._fd = fd
+
+            def drain(self):
+                with self._lock:
+                    self._flush()
+
+            def _flush(self):
+                self._peek()
+
+            def _peek(self):
+                return os.pread(self._fd, 16, 0)
+
+        fd = os.open(tmp_path / "blob", os.O_RDONLY)
+        try:
+            _run_sequential(Mover(fd).drain)
+        finally:
+            os.close(fd)
+        chain = [
+            _line_of(Mover.drain, "self._flush()"),
+            _line_of(Mover._flush, "self._peek()"),
+            _line_of(Mover._peek, "os.pread"),
+        ]
+        _assert_one_blocking(w, ["nvme-lru"], "os.pread", chain)
+
+    def test_two_hop_cross_module_chain(self):
+        w = LockWitness()
+        slowio = _module("slowio", """
+            import time
+
+            def slow():
+                time.sleep(0.001)
+            """)
+        caller = _module("caller", """
+            def middle():
+                slow()
+
+            def f(lock):
+                with lock:
+                    middle()
+            """, slow=slowio.slow)
+        lock = w.named_lock("server-installs")
+        _run_sequential(lambda: caller.f(lock))
+        _assert_one_blocking(
+            w, ["server-installs"], "time.sleep", ["caller.py:7", "caller.py:3", "slowio.py:5"]
+        )
+
+    def test_helper_that_takes_a_second_lock_is_a_nesting(self):
+        w = LockWitness()
+        policy, epoch = w.named_lock("client-policy"), w.named_lock("client-epoch")
+
+        def bump():
+            with epoch:
+                pass
+
+        def declare():
+            with policy:
+                bump()
+
+        _run_sequential(declare)
+        [n] = w.report()["nestings"]
+        assert (n["held"], n["lock"]) == (["client-policy"], "client-epoch")
+        assert n["chain"] == [_line_of(declare, "bump()"), _line_of(bump, "with epoch")]
+        assert n["site"] == n["chain"][-1]
+        with pytest.raises(LockOrderViolation, match="must be a leaf"):
+            w.assert_clean()
+
+    def test_helper_called_after_the_release_clean(self):
+        w = LockWitness()
+        lock = w.named_lock("client-policy")
+
+        def route():
+            with lock:
+                pass
+            _sleep_helper()
+
+        _run_sequential(route)
+        assert w.report()["blocking"] == []
+        w.assert_clean()
+
+    def test_helper_that_does_not_block_clean(self):
+        w = LockWitness()
+        lock = w.named_lock("counters")
+
+        def bump(xs):
+            with lock:
+                return sum(xs)
+
+        _run_sequential(lambda: bump([1, 2, 3]))
+        w.assert_clean()
+
+    def test_thread_started_under_a_lock_blocks_on_its_own_thread_clean(self):
+        # Thread.start waits for the new thread to boot; the sleep then runs
+        # on that thread, which holds no lock
+        w = LockWitness()
+        lock = w.named_lock("server-conn-jobs")
+        spawned = []
+
+        def spawn():
+            with lock:
+                t = threading.Thread(target=_sleep_helper, name="lw-own-thread", daemon=True)
+                t.start()
+            spawned.append(t)
+
+        _run_sequential(spawn)
+        spawned[0].join(timeout=5)
+        w.assert_clean()
+
+    def test_nonblocking_queue_ops_clean(self):
+        w = LockWitness()
+        lock = w.named_lock("obs-events")
+        jobs: queue.Queue = queue.Queue(maxsize=4)
+
+        def enqueue():
+            with lock:
+                jobs.put(1, block=False)
+                jobs.put_nowait(2)
+                jobs.get(False)
+                jobs.get(block=False)
+
+        _run_sequential(enqueue)
+        w.assert_clean()
+
+    def test_blocking_queue_get_reported(self):
+        w = LockWitness()
+        lock = w.named_lock("obs-events")
+        jobs: queue.Queue = queue.Queue()
+        jobs.put(1)
+
+        def dequeue():
+            with lock:
+                return jobs.get(timeout=1)  # ftlint: disable=RT001 -- seeds the hazard the witness must catch
+
+        _run_sequential(dequeue)
+        [b] = w.report()["blocking"]
+        assert (b["held"], b["call"]) == (["obs-events"], "queue.Queue.get")
+
+
+class TestWrapLifecycle:
+    def test_disable_restores_every_original(self):
+        was_enabled = lockwitness.is_enabled()
+        owners = {path: lockwitness._owner(path) for path in BLOCKING_CALLS}
+        try:
+            lockwitness.disable()
+            plain = {(p, n): getattr(owners[p], n) for p, names in BLOCKING_CALLS.items() for n in names}
+            lockwitness.enable()
+            lockwitness.enable()  # idempotent: one layer of wrapping
+            for (p, n), original in plain.items():
+                assert getattr(owners[p], n) is not original, f"{p}.{n} not wrapped"
+                assert getattr(owners[p], n).__wrapped__ is original
+            lockwitness.disable()
+            for (p, n), original in plain.items():
+                assert getattr(owners[p], n) is original, f"{p}.{n} not restored"
+            assert socket.socket.sendall is _socket.socket.sendall
+            assert "sendall" not in vars(socket.socket)
+        finally:
+            (lockwitness.enable if was_enabled else lockwitness.disable)()

@@ -8,10 +8,13 @@ Two post-suite assertions protect the threaded runtime:
   for the session) so the failure is actionable, not a bare count;
 * **lock witness** — :mod:`repro.analysis.lockwitness` is enabled for
   the whole session (opt out with ``FTLINT_LOCKWITNESS=0``), so every
-  named runtime lock is watched; a nested acquisition (a named lock taken
-  while another is held — every lock is a leaf, so no deadlock can form)
-  or an over-budget hold (``FTLINT_LOCK_BUDGET`` seconds, default 2.0)
-  fails the run with its site, even when no schedule ever deadlocked.
+  named runtime lock is watched and every blocking primitive of
+  ``lockwitness.BLOCKING_CALLS`` is wrapped; a nested acquisition (a
+  named lock taken while another is held — every lock is a leaf, so no
+  deadlock can form), a blocking call made while a named lock is held
+  (through any call chain) or an over-budget hold
+  (``FTLINT_LOCK_BUDGET`` seconds, default 2.0) fails the run with its
+  site, even when no schedule ever deadlocked or stalled.
 """
 
 from __future__ import annotations

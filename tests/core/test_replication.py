@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import HashRing, ReplicatedRecache, bulk_hash64, salt_hash, salted_hashes
+from repro.core import HashRing, ReplicatedRecache, bulk_hash64, hash64, salt_hash, salted_hashes
 
 KEYS = bulk_hash64(np.arange(10_000))
 
@@ -68,6 +68,25 @@ class TestReplicatedRecache:
             both_lost = (owners[0] == victim) & (owners[1] == victim)
             # Collisions make this possible but rare (~1/N of victim's keys).
             assert both_lost.mean() < 0.01
+
+    def test_bulk_routes_equal_the_per_key_routes(self):
+        p = make(n=8, k=3)
+        p.on_node_failed(3)
+        keys = [f"/data/{i}.bin" for i in np.random.default_rng(7).integers(0, 10**9, 2000)]
+
+        def per_key(key):
+            warm, cold = [], []
+            for r in range(p.replicas):
+                h = salt_hash(hash64(key), r)
+                node = p.placement.lookup_hash(h)
+                if node in p.failed_nodes or node in warm or node in cold:
+                    continue
+                (warm if node == p._pristine.lookup_hash(h) else cold).append(node)
+            return warm + cold or [p.placement.lookup(key)]
+
+        routes = p.candidates_for(keys)
+        assert routes == [per_key(k) for k in keys]
+        assert any(len(r) == 1 for r in routes) and any(len(r) == 3 for r in routes)
 
     def test_owner_matrix_shape(self):
         p = make(k=3)
