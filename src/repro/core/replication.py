@@ -29,7 +29,7 @@ import numpy as np
 
 from .hash_ring import HashRing
 from .fault_policy import ElasticRecache
-from .hashing import bulk_hash64, hash64, splitmix64
+from .hashing import bulk_hash64, hash64, splitmix64, splitmix64_int
 from .placement import Key, NodeId
 
 __all__ = ["ReplicatedRecache", "salted_hashes", "salt_hash"]
@@ -46,7 +46,7 @@ def salt_hash(key_hash: int, replica: int) -> int:
     """Scalar salted re-hash: replica ``r``'s independent placement hash."""
     if replica == 0:
         return key_hash
-    return int(splitmix64(np.array([key_hash ^ _salt(replica)], dtype=_U64))[0])
+    return splitmix64_int(key_hash ^ _salt(replica))
 
 
 def salted_hashes(key_hashes: np.ndarray, replica: int) -> np.ndarray:

@@ -7,12 +7,16 @@ retrieve → serve → cache sequence, now with actual files over an asyncio
 data plane.
 
 The core is **one event loop per server** and **one
-``asyncio.Protocol`` per connection** (:class:`_Conn`), not a thread or a
-reader coroutine per socket: ``data_received`` appends to a receive
-buffer and decodes every complete frame in it (``protocol.parse_frame``;
-every length bound is checked the moment a fixed header is in), so a
-pipelined ``read_many`` batch costs one ``recv`` and one loop turn, and is
-booked once: the turn decodes the frames, opens each READ's cache entry
+``asyncio.BufferedProtocol`` per connection** (:class:`_Conn`), not a
+thread or a reader coroutine per socket.  Each connection receives into
+one fixed window (``protocol.RecvWindow``, the client's ``FrameReader``
+drives the same one): the kernel writes straight into it, and every
+complete frame is decoded in place (``protocol.parse_frame``; every
+length bound is checked the moment a fixed header is in), so a request
+costs no receive buffer of its own — asyncio's plain ``Protocol`` would
+allocate 256 KiB per read, above glibc's mmap threshold.  A pipelined
+``read_many`` batch costs one ``recv`` and one loop turn, and is booked
+once: the turn decodes the frames, opens each READ's cache entry
 (``NVMeDir.open_read``), books them all in one counter bump, and only then
 replies.  A hit is answered **in that same turn, with no task and no
 await**: a header of one ``struct`` pack, corked (``MSG_MORE``) onto one
@@ -68,8 +72,8 @@ from .protocol import (
     OP_READ,
     Message,
     ProtocolError,
+    RecvWindow,
     encode_binary_response_header,
-    parse_frame,
     set_nodelay,
 )
 from .storage import NVMeDir, PFSDir
@@ -180,9 +184,14 @@ class _WriteLock:
             self._sock.close()
 
 
-class _Conn(asyncio.Protocol):
+class _Conn(asyncio.BufferedProtocol):
     """One client connection: frame decoding, the one-turn hit, dispatch jobs.
 
+    The transport receives into ``window``: :meth:`get_buffer` hands it
+    the window's free tail (or the rest of a payload larger than the
+    window), and :meth:`buffer_updated` decodes once the frame at the
+    window's front can be judged.  Every message decoded owns its bytes,
+    so a job never holds a view into the window the next read overwrites.
     Decoding, tasks and the pipeline's state live on the loop; a job
     replies from its dispatch thread and leaves the pipeline there
     (``jobs``, under ``jobs_lock``).  Two rules hold on every reply path,
@@ -208,8 +217,7 @@ class _Conn(asyncio.Protocol):
         self.transport: Optional[asyncio.Transport] = None
         self.sock: Optional[socket.socket] = None  # the transport's, dup'd; closed by ``wlock``
         self.wlock: Optional[_WriteLock] = None
-        self.buf = bytearray()
-        self.need = 0  # buffered bytes below which the frame at buf[0] is incomplete
+        self.window = RecvWindow(requests_only=True)
         self.tasks: set[asyncio.Task] = set()
         self.jobs = 0  # dispatched, reply neither sent nor handed to a task
         self.jobs_lock = lockwitness.named_lock("server-conn-jobs")
@@ -254,28 +262,29 @@ class _Conn(asyncio.Protocol):
         self.eof = True
         return bool(self.jobs + len(self.tasks))  # keep the write side open for replies still owed
 
-    def data_received(self, data: bytes) -> None:
-        self.buf += data
-        if len(self.buf) >= self.need:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.window.get_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self.window.buffer_updated(nbytes):
             self._parse()
 
     # -- decode + one-turn hit ---------------------------------------------------------
     def _parse(self) -> None:
-        """Serve every complete frame in the buffer, up to the pipeline depth:
+        """Serve every complete frame in the window, up to the pipeline depth:
         in rounds of as many frames as the pipeline has room for, each round
         booked in one counter bump before its first reply."""
-        srv, buf, transport = self.server, self.buf, self.transport
-        pos = self.need = 0
+        srv, window, transport = self.server, self.window, self.transport
         if srv.dropped.is_set():
             return self.sever()  # hard failure: the connection dies mid-conversation
         if srv.hung.is_set():
             # Drained node: swallow requests until shutdown; the client's TTL
             # is the only way it learns anything (Sec IV-A).
-            del buf[:]
+            window.clear()
             return
         error = None
-        full = False
-        while pos < len(buf) and not (error or self.need or transport.is_closing()):
+        full = incomplete = False
+        while window.lo < window.hi and not (error or incomplete or transport.is_closing()):
             room = _PIPELINE_DEPTH - self.jobs - len(self.tasks)
             if room <= 0:
                 full = True
@@ -283,12 +292,11 @@ class _Conn(asyncio.Protocol):
             frames = []
             hits = 0
             try:
-                while len(frames) < room and pos < len(buf):
-                    msg, end = parse_frame(buf, pos, requests_only=True)
+                while len(frames) < room:
+                    msg = window.next()
                     if msg is None:
-                        self.need = end - pos
+                        incomplete = True
                         break
-                    pos = end
                     path = msg.header["path"] if msg.op in _INLINE_OPS else ""
                     t0 = time.perf_counter()
                     entry = srv.nvme.open_read(path) if path else None
@@ -315,9 +323,8 @@ class _Conn(asyncio.Protocol):
         if error is not None:
             srv.stats.bump(errors=1)
             srv.log.warning("protocol error from %s: %s", transport.get_extra_info("peername"), error)
-            del buf[:]
+            window.clear()
             return self.sever()
-        del buf[:pos]
         if full:  # frames wait for room: read no more until a job or a task leaves
             self.paused = True
             transport.pause_reading()

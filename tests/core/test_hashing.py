@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.hashing import HASH_ALGOS, bulk_hash64, fnv1a64, hash64, hash_unit, splitmix64
+from repro.core.hashing import HASH_ALGOS, bulk_hash64, fnv1a64, hash64, hash_unit, splitmix64, splitmix64_int
+from repro.core.replication import salt_hash, salted_hashes
 
 
 class TestHash64:
@@ -81,6 +82,18 @@ class TestSplitmix64:
         flips = np.unpackbits((a ^ b).view(np.uint8)).mean() * 8  # bits per word... normalised below
         bits = np.unpackbits((a ^ b).view(np.uint8)).sum() / len(x)
         assert 24 < bits < 40  # ~32 of 64
+
+    def test_scalar_equals_bulk(self):
+        keys = [0, 2**64 - 1, *np.random.default_rng(44).integers(0, 2**64, 10_000, dtype=np.uint64).tolist()]
+        bulk = splitmix64(np.array(keys, dtype=np.uint64)).tolist()
+        assert [splitmix64_int(k) for k in keys] == bulk
+        assert [hash64(k) for k in keys] == bulk
+        h = np.array(keys, dtype=np.uint64)
+        assert [salt_hash(k, 2) for k in keys] == salted_hashes(h, 2).tolist()
+
+    def test_int_key_beyond_64_bits_rejected(self):
+        with pytest.raises(OverflowError):
+            hash64(2**64)
 
     def test_uniformity(self):
         y = splitmix64(np.arange(100_000, dtype=np.uint64)).astype(np.float64) / 2.0**64

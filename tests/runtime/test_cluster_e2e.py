@@ -228,7 +228,7 @@ class TestBooksAheadOfReplies:
                          "pipelined_reads": len(warm) + len(cold)}
         assert len(client._pool.conns) == len(cluster.servers)
         for conn in client._pool.conns.values():
-            assert conn.reader._lo == conn.reader._hi  # nothing buffered ...
+            assert conn.reader.window.lo == conn.reader.window.hi  # nothing buffered ...
             conn.sock.setblocking(False)
             with pytest.raises(BlockingIOError):  # ... and nothing left in the kernel
                 conn.sock.recv(1, socket.MSG_PEEK)
