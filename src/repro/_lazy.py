@@ -4,9 +4,9 @@ A façade ``__init__`` names the submodule that defines each of its public
 names and takes its module ``__getattr__``/``__dir__`` from
 :func:`lazy_exports`.  A submodule is imported the first time one of its
 names is read — attribute access, ``from pkg import name``, ``import *`` —
-so importing one submodule of a package (``repro.analysis.lockwitness``)
-does not import its siblings (the linter), and a cache server process
-loads neither numpy nor the simulator it never uses.
+so importing one submodule of a package (``repro.runtime.server``) does
+not import its siblings (the client), and a cache server process loads
+neither numpy nor the simulator it never uses.
 """
 
 from __future__ import annotations

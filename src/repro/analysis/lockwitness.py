@@ -16,8 +16,9 @@ that, per thread, the witness records:
   violation, whether or not a schedule that deadlocks ever fired.  Two
   instances of one role nested are a nesting too, and re-acquiring the
   *same* instance is flagged as a guaranteed self-deadlock.
-* **blocking calls**: a wrapped primitive (socket or file I/O, a sleep,
-  an ``Event.wait``, a blocking ``Queue.get``/``put``) called while this
+* **blocking calls**: a wrapped primitive (socket or file I/O, a connect
+  or accept, a sleep, an ``Event.wait``, a ``Thread.join``, a blocking
+  ``Queue.get``/``put``) called while this
   thread holds a named lock is recorded as ``(held roles, primitive,
   site)``, the site being the primitive's caller.  However deep the call
   chain that reached it, every reader queued on that lock waits for the
@@ -30,9 +31,10 @@ A nesting or blocking record also keeps its ``chain``: the sites from the
 frame that took the innermost held lock down to the offending call, so a
 report names every helper in between.
 
-The static twin is RT001: a ``with <lock>:`` or a call of
-:data:`BLOCKING_CALLS` written inside a held lock.  It reads one function
-at a time; the witness sees every call the tests run, through any chain.
+The witness sees only the code the tests run, and only named locks: the
+runtime's two plain locks are the connection write token, only ever
+claimed with ``acquire(False)``, and ``obs.events``' bootstrap lock,
+which guards one assignment.
 """
 
 from __future__ import annotations
@@ -62,14 +64,17 @@ _THIS_FILE = __file__
 _MAX_RECORDS = 50
 
 #: The blocking calls the runtime makes, by owner (a module, or a class as
-#: ``module.Class``).  While the witness is enabled each one is wrapped;
-#: RT001 flags the same names when they are written under a ``with <lock>:``.
+#: ``module.Class``).  While the witness is enabled each one is wrapped.
+#: ``io.open`` is listed beside ``builtins.open`` because pathlib's
+#: ``Path.open``/``read_bytes``/``write_bytes`` call it by that name.
 BLOCKING_CALLS = {
-    "socket.socket": ("send", "sendall", "recv", "recv_into", "sendmsg"),
+    "socket.socket": ("send", "sendall", "recv", "recv_into", "sendmsg", "connect", "accept"),
     "os": ("sendfile", "pread", "pwrite", "open", "write"),
     "builtins": ("open",),
+    "io": ("open",),
     "time": ("sleep",),
     "threading.Event": ("wait",),
+    "threading.Thread": ("join",),
     "queue.Queue": ("get", "put"),
 }
 

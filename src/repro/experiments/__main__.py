@@ -38,6 +38,72 @@ def _scale(name: str) -> ExperimentScale:
         raise SystemExit(f"unknown scale {name!r}; choose paper/quick/smoke")
 
 
+def run_experiment(name: str, scale: ExperimentScale, seed: int = 2024, model: str = "fluid"):
+    """The result object of experiment ``name``: what :func:`main` prints
+    and exports.  ``model`` is fig5's engine."""
+    runners = {
+        "table1": lambda: run_table1(seed=seed),
+        "table2": run_table2,
+        "fig1": lambda: run_fig1(seed=seed),
+        "fig2": lambda: run_fig2(seed=seed),
+        "fig3": lambda: run_fig3(seed=seed),
+        "fig4": run_fig4,
+        "fig5": lambda: run_fig5(scale=scale, model=model),
+        "fig6a": lambda: run_fig6a(scale=scale),
+        "fig6b": lambda: run_fig6b(scale=scale, seed=seed),
+        "placement": run_placement_ablation,
+        "detector": lambda: run_detector_ablation(seed=seed),
+        "recovery": lambda: run_recovery_ablation(scale=scale),
+        "replication": lambda: run_replication_ablation(scale=scale),
+        "timelimit": lambda: run_timelimit_ablation(scale=scale),
+        "interference": lambda: run_interference_ablation(scale=scale),
+        "scorecard": lambda: run_scorecard(scale=scale, seed=seed),
+    }
+    return runners[name]()
+
+
+_FORMATS = {
+    "table1": format_table1, "table2": format_table2, "fig1": format_fig1, "fig2": format_fig2,
+    "fig3": format_fig3, "fig4": format_fig4, "fig5": format_fig5, "fig6a": format_fig6a,
+    "fig6b": format_fig6b, "placement": format_placement_ablation,
+    "detector": format_detector_ablation, "recovery": format_recovery_ablation,
+    "replication": format_replication_ablation, "timelimit": format_timelimit_ablation,
+    "interference": format_interference_ablation, "scorecard": format_scorecard,
+}
+
+
+def _chart_fig1(result) -> str:
+    w = result.weekly
+    return line_plot(
+        {t: (w.weeks + 1, series) for t, series in w.by_type.items()},
+        title="Fig 1 — mean elapsed minutes per week",
+        y_label="minutes",
+    )
+
+
+def _chart_fig5(result) -> str:
+    labels, values = [], []
+    for row in result.rows:
+        labels.append(f"{row.n_nodes} no-fail")
+        values.append(row.nofail["FT w/ NVMe"] / 60)
+        labels.append(f"{row.n_nodes} PFS+5f")
+        values.append(row.withfail["FT w/ PFS"] / 60)
+        labels.append(f"{row.n_nodes} NVMe+5f")
+        values.append(row.withfail["FT w/ NVMe"] / 60)
+    return bar_chart(labels, values, title="Fig 5 — end-to-end time (min)", unit=" min")
+
+
+def _chart_fig6b(result) -> str:
+    return bar_chart(
+        [r.vnodes_per_node for r in result.rows],
+        [r.receiver_nodes_mean for r in result.rows],
+        title="Fig 6(b) — receiver nodes vs vnodes/node",
+    )
+
+
+_CHARTS = {"fig1": _chart_fig1, "fig5": _chart_fig5, "fig6b": _chart_fig6b}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ftcache-experiments",
@@ -59,105 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     todo = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     collected: dict = {}
     for name in todo:
-        if name == "table1":
-            result = run_table1(seed=args.seed)
-            collected[name] = result
-            print(format_table1(result))
-        elif name == "fig1":
-            result = run_fig1(seed=args.seed)
-            collected[name] = result
-            print(format_fig1(result))
-            if args.chart:
-                w = result.weekly
-                print()
-                print(
-                    line_plot(
-                        {
-                            t: (w.weeks + 1, series)
-                            for t, series in w.by_type.items()
-                        },
-                        title="Fig 1 — mean elapsed minutes per week",
-                        y_label="minutes",
-                    )
-                )
-        elif name == "table2":
-            rows = run_table2()
-            collected[name] = rows
-            print(format_table2(rows))
-        elif name == "fig2":
-            result = run_fig2(seed=args.seed)
-            collected[name] = result
-            print(format_fig2(result))
-        elif name == "fig3":
-            result = run_fig3(seed=args.seed)
-            collected[name] = result
-            print(format_fig3(result))
-        elif name == "fig4":
-            result = run_fig4()
-            collected[name] = result
-            print(format_fig4(result))
-        elif name == "fig5":
-            result = run_fig5(scale=scale, model=args.model)
-            collected[name] = result
-            print(format_fig5(result))
-            if args.chart:
-                print()
-                labels, values = [], []
-                for row in result.rows:
-                    labels.append(f"{row.n_nodes} no-fail")
-                    values.append(row.nofail["FT w/ NVMe"] / 60)
-                    labels.append(f"{row.n_nodes} PFS+5f")
-                    values.append(row.withfail["FT w/ PFS"] / 60)
-                    labels.append(f"{row.n_nodes} NVMe+5f")
-                    values.append(row.withfail["FT w/ NVMe"] / 60)
-                print(bar_chart(labels, values, title="Fig 5 — end-to-end time (min)", unit=" min"))
-        elif name == "fig6a":
-            result = run_fig6a(scale=scale)
-            collected[name] = result
-            print(format_fig6a(result))
-        elif name == "fig6b":
-            result = run_fig6b(scale=scale, seed=args.seed)
-            collected[name] = result
-            print(format_fig6b(result))
-            if args.chart:
-                print()
-                print(
-                    bar_chart(
-                        [r.vnodes_per_node for r in result.rows],
-                        [r.receiver_nodes_mean for r in result.rows],
-                        title="Fig 6(b) — receiver nodes vs vnodes/node",
-                    )
-                )
-        elif name == "placement":
-            result = run_placement_ablation()
-            collected[name] = result
-            print(format_placement_ablation(result))
-        elif name == "detector":
-            result = run_detector_ablation(seed=args.seed)
-            collected[name] = result
-            print(format_detector_ablation(result))
-        elif name == "recovery":
-            result = run_recovery_ablation(scale=scale)
-            collected[name] = result
-            print(format_recovery_ablation(result))
-        elif name == "replication":
-            result = run_replication_ablation(scale=scale)
-            collected[name] = result
-            print(format_replication_ablation(result))
-        elif name == "timelimit":
-            result = run_timelimit_ablation(scale=scale)
-            collected[name] = result
-            print(format_timelimit_ablation(result))
-        elif name == "interference":
-            result = run_interference_ablation(scale=scale)
-            collected[name] = result
-            print(format_interference_ablation(result))
-        elif name == "scorecard":
-            card = run_scorecard(scale=scale, seed=args.seed)
-            collected[name] = card
-            print(format_scorecard(card))
-            if not card.all_passed:
-                return 1
+        result = collected[name] = run_experiment(name, scale, seed=args.seed, model=args.model)
+        print(_FORMATS[name](result))
+        if args.chart and name in _CHARTS:
+            print()
+            print(_CHARTS[name](result))
+        if name == "scorecard" and not result.all_passed:
+            return 1
         print()
     if args.json:
         path = export_results(collected, args.json, seed=args.seed, scale=args.scale)

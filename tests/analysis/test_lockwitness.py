@@ -142,7 +142,7 @@ class TestHoldBudget:
 
         def holder():
             with lock:
-                time.sleep(0.06)  # ftlint: disable=RT001 -- deliberate over-budget hold: this test seeds the hazard the witness must catch
+                time.sleep(0.06)  # a deliberate over-budget hold
 
         _run_sequential(holder)
         rep = w.report()
@@ -216,7 +216,7 @@ class TestFactories:
 
         def nested_and_slow():
             with lock:
-                time.sleep(0.03)  # ftlint: disable=RT001 -- deliberate over-budget hold: seeds a record for reset() to clear
+                time.sleep(0.03)  # an over-budget hold for reset() to clear
             _nest(w.named_lock("A"), w.named_lock("B"))()
 
         _run_sequential(nested_and_slow)
@@ -428,11 +428,69 @@ class TestBlockingUnderLock:
 
         def dequeue():
             with lock:
-                return jobs.get(timeout=1)  # ftlint: disable=RT001 -- seeds the hazard the witness must catch
+                return jobs.get(timeout=1)
 
         _run_sequential(dequeue)
         [b] = w.report()["blocking"]
         assert (b["held"], b["call"]) == (["obs-events"], "queue.Queue.get")
+
+    def test_connect_reported(self):
+        w = LockWitness()
+        lock = w.named_lock("client-socks")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            addr = listener.getsockname()
+
+            def dial():
+                with lock:
+                    socket.create_connection(addr, timeout=5).close()
+
+            _run_sequential(dial)
+        [b] = w.report()["blocking"]
+        assert (b["held"], b["call"]) == (["client-socks"], "socket.socket.connect")
+
+    def test_accept_reported(self):
+        w = LockWitness()
+        lock = w.named_lock("server-installs")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with socket.create_connection(listener.getsockname(), timeout=5):
+
+                def take():
+                    with lock:
+                        listener.accept()[0].close()
+
+                _run_sequential(take)
+        [b] = w.report()["blocking"]
+        assert (b["held"], b["call"]) == (["server-installs"], "socket.socket.accept")
+
+    def test_thread_join_reported(self):
+        w = LockWitness()
+        lock = w.named_lock("server-installs")
+        worker = threading.Thread(target=_sleep_helper, name="lw-joined", daemon=True)
+        worker.start()
+
+        def stop():
+            with lock:
+                worker.join(timeout=5)
+
+        _run_sequential(stop)
+        [b] = w.report()["blocking"]
+        assert (b["held"], b["call"], b["site"]) == (
+            ["server-installs"], "threading.Thread.join", _line_of(stop, "worker.join")
+        )
+
+    def test_pathlib_read_reported(self, tmp_path):
+        # pathlib opens through io.open, not through builtins.open
+        w = LockWitness()
+        lock = w.named_lock("nvme-lru")
+        (tmp_path / "entry").write_bytes(b"x")
+
+        def peek():
+            with lock:
+                return (tmp_path / "entry").read_bytes()
+
+        _run_sequential(peek)
+        [b] = w.report()["blocking"]
+        assert (b["held"], b["call"]) == (["nvme-lru"], "io.open")
 
 
 class TestWrapLifecycle:

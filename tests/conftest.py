@@ -2,10 +2,13 @@
 
 Two post-suite assertions protect the threaded runtime:
 
-* **leaked-thread gate** — any runtime-owned thread still alive after the
-  suite fails the build, reported with its *name and creation site* (we
-  record the spawning ``file:line`` by wrapping ``threading.Thread.__init__``
-  for the session) so the failure is actionable, not a bare count;
+* **leaked-thread gate** — a thread that the runtime created and that is
+  still alive after the suite fails the build, reported with its *name and
+  creation site*.  A thread is the runtime's when a frame under
+  ``src/repro`` is on the stack that constructed it (we wrap
+  ``threading.Thread.__init__`` for the session and walk that stack), so
+  the gate needs no thread name: an executor's workers, created inside
+  ``concurrent.futures`` for a runtime ``submit``, count too;
 * **lock witness** — :mod:`repro.analysis.lockwitness` is enabled for
   the whole session (opt out with ``FTLINT_LOCKWITNESS=0``), so every
   named runtime lock is watched and every blocking primitive of
@@ -27,15 +30,12 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import lockwitness
 from repro.sim import Environment
 
-#: thread-name prefixes owned by the runtime; anything still alive after the
-#: suite means a handler/chaos thread leaked past its owner's close()
-_RUNTIME_THREAD_PREFIXES = (
-    "ftcache-server-",
-    "chaos-monkey",
-)
+#: the package directory: a thread built by a frame under it is the runtime's
+_RUNTIME_DIR = os.path.dirname(repro.__file__) + os.sep
 
 _LOCKWITNESS_ON = os.environ.get("FTLINT_LOCKWITNESS", "1") != "0"
 
@@ -43,15 +43,15 @@ _original_thread_init = threading.Thread.__init__
 
 
 def _recording_thread_init(self, *args, **kwargs):
-    """Stamp every Thread with the file:line that constructed it, so the
-    leaked-thread gate can say *who* leaked, not just how many."""
+    """Stamp a Thread built by runtime code with the innermost runtime
+    ``file:line`` on its creation stack, so the leaked-thread gate knows
+    it for the runtime's and can say *who* leaked it."""
     _original_thread_init(self, *args, **kwargs)
     frame = sys._getframe(1)
-    # Skip frames inside threading.py itself (e.g. Timer subclass __init__).
-    while frame is not None and frame.f_code.co_filename == threading.__file__:
+    while frame is not None and not frame.f_code.co_filename.startswith(_RUNTIME_DIR):
         frame = frame.f_back
     if frame is not None:
-        self._ftlint_created_at = f"{frame.f_code.co_filename}:{frame.f_lineno}"
+        self._runtime_created_at = f"{frame.f_code.co_filename}:{frame.f_lineno}"
 
 
 def pytest_configure(config):  # noqa: D103 - pytest hook
@@ -66,16 +66,11 @@ def pytest_unconfigure(config):  # noqa: D103 - pytest hook
 
 
 def _leaked_runtime_threads() -> list[threading.Thread]:
-    return [
-        t
-        for t in threading.enumerate()
-        if t.is_alive() and any(t.name.startswith(p) for p in _RUNTIME_THREAD_PREFIXES)
-    ]
+    return [t for t in threading.enumerate() if t.is_alive() and hasattr(t, "_runtime_created_at")]
 
 
 def _describe(thread: threading.Thread) -> str:
-    site = getattr(thread, "_ftlint_created_at", "<creation site unknown>")
-    return f"  {thread.name}  (created at {site})"
+    return f"  {thread.name}  (created at {thread._runtime_created_at})"
 
 
 def pytest_sessionfinish(session, exitstatus):  # noqa: D103 - pytest hook

@@ -18,10 +18,8 @@ from repro.experiments import (
     run_fig1,
     run_fig2,
     run_fig5,
-    run_fig6a,
     run_fig6b,
     run_placement_ablation,
-    run_recovery_ablation,
     run_table1,
 )
 
@@ -66,8 +64,8 @@ class TestFig2:
 
 class TestFig5:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_fig5(scale=SMOKE, model="fluid")
+    def result(self, smoke_results):
+        return smoke_results["fig5"]
 
     def test_rows_cover_node_counts(self, result):
         assert [r.n_nodes for r in result.rows] == list(SMOKE.node_counts)
@@ -90,11 +88,8 @@ class TestFig5:
         for r in result.rows:
             assert r.failures_injected == SMOKE.n_failures
 
-    def test_des_model_smoke(self):
-        tiny = ExperimentScale(
-            name="tiny", dataset_scale=1 / 2048, node_counts=(8,), n_failures=1, repeats=1
-        )
-        res = run_fig5(scale=tiny, model="des")
+    def test_des_model_smoke(self, smoke_results):
+        res = smoke_results["fig5-des"]
         assert res.model == "des"
         row = res.rows[0]
         assert row.withfail["FT w/ NVMe"] > row.nofail["FT w/ NVMe"] > 0
@@ -110,8 +105,8 @@ class TestFig5:
 
 class TestFig6a:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_fig6a(scale=SMOKE)
+    def result(self, smoke_results):
+        return smoke_results["fig6a"]
 
     def test_ordering_no_failure_fastest(self, result):
         for row in result.rows:
@@ -188,11 +183,11 @@ class TestAblations:
     def test_detector_format(self):
         assert "TTL" in format_detector_ablation(run_detector_ablation(trials=20))
 
-    def test_recovery_ablation(self):
-        r = run_recovery_ablation(scale=SMOKE)
+    def test_recovery_ablation(self, smoke_results):
+        r = smoke_results["recovery"]
         for row in r.rows:
             assert row.epoch_recovery >= row.step_recovery
             assert row.step_recovery > row.nofail
 
-    def test_recovery_format(self):
-        assert "Recovery" in format_recovery_ablation(run_recovery_ablation(scale=SMOKE))
+    def test_recovery_format(self, smoke_results):
+        assert "Recovery" in format_recovery_ablation(smoke_results["recovery"])

@@ -4,7 +4,6 @@ from repro.experiments import (
     ExperimentScale,
     format_replication_ablation,
     format_timelimit_ablation,
-    run_replication_ablation,
     run_timelimit_ablation,
 )
 
@@ -12,19 +11,19 @@ SMOKE = ExperimentScale.smoke()
 
 
 class TestReplicationAblation:
-    def test_replication_never_worse(self):
-        r = run_replication_ablation(scale=SMOKE)
+    def test_replication_never_worse(self, smoke_results):
+        r = smoke_results["replication"]
         for row in r.rows:
             assert row.replicated <= row.single_copy * 1.02
             assert row.replicated_pfs_files < row.single_pfs_files
 
-    def test_refetches_nearly_eliminated(self):
-        r = run_replication_ablation(scale=SMOKE)
+    def test_refetches_nearly_eliminated(self, smoke_results):
+        r = smoke_results["replication"]
         for row in r.rows:
             assert row.replicated_pfs_files <= 0.2 * max(row.single_pfs_files, 1)
 
-    def test_format(self):
-        text = format_replication_ablation(run_replication_ablation(scale=SMOKE))
+    def test_format(self, smoke_results):
+        text = format_replication_ablation(smoke_results["replication"])
         assert "Replication" in text and "PFS refetches" in text
 
 

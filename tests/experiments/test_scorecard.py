@@ -1,6 +1,6 @@
 """Tests for the reproduction scorecard."""
 
-from repro.experiments import ExperimentScale, format_scorecard, run_scorecard
+from repro.experiments import format_scorecard
 from repro.experiments.scorecard import Scorecard
 
 
@@ -19,12 +19,12 @@ class TestScorecardMechanics:
 
 
 class TestScorecardRun:
-    def test_all_criteria_pass_at_smoke_scale(self):
-        card = run_scorecard(scale=ExperimentScale.smoke(), seed=2024)
+    def test_all_criteria_pass_at_smoke_scale(self, smoke_results):
+        card = smoke_results["scorecard"]
         failing = [c for c in card.criteria if not c.passed]
         assert not failing, f"failing criteria: {[(c.experiment, c.name) for c in failing]}"
 
-    def test_covers_every_experiment(self):
-        card = run_scorecard(scale=ExperimentScale.smoke(), seed=2024)
+    def test_covers_every_experiment(self, smoke_results):
+        card = smoke_results["scorecard"]
         exps = {c.experiment for c in card.criteria}
         assert {"table1", "fig1", "fig2", "fig5a", "fig5b", "fig6a", "fig6b"} <= exps

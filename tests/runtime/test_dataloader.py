@@ -1,5 +1,8 @@
 """Tests for the PyTorch-style cached data loader."""
 
+import queue
+import threading
+
 import pytest
 
 from repro.runtime import CachedDataLoader, LocalCluster, ReadError
@@ -90,5 +93,14 @@ class TestThreadedWorkers:
         client = cluster.client()
         bad = cluster.paths[:3] + ["/dataset/train/not-there.bin"]
         loader = CachedDataLoader(bad, client, batch_size=2, shuffle=False, num_workers=2)
-        with pytest.raises(ReadError):
-            list(loader)
+        raised: queue.Queue = queue.Queue()
+
+        def consume() -> None:
+            try:
+                list(loader)
+            except ReadError as exc:
+                raised.put(exc)
+
+        threading.Thread(target=consume, name="loader-consumer", daemon=True).start()
+        # a worker that swallowed the error would leave the consumer waiting
+        raised.get(timeout=30)

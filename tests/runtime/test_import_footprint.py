@@ -3,8 +3,8 @@
 Every compute node starts one ``python -m repro.runtime serve`` per job,
 and a joining node starts one inside the join, so what a server imports is
 paid on every boot.  The server needs its codec, storage, :mod:`repro.obs`
-and the lock witness — not numpy, the ring, the client, the simulator or
-the linter.  The check serves one request of every op first, so an import
+and the lock witness — not numpy, the ring, the client or the simulator.
+The check serves one request of every op first, so an import
 that was merely deferred from boot to the first request fails it too.
 """
 
@@ -32,8 +32,6 @@ FORBIDDEN = (
     "repro.runtime.cluster",
     "repro.runtime.chaos",
     "repro.runtime.dataloader",
-    "repro.analysis.engine",
-    "repro.analysis.rules",
 )
 
 _SCRIPT = textwrap.dedent(

@@ -13,6 +13,7 @@ Two failure modes this file pins down:
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
 import time
@@ -21,7 +22,6 @@ import pytest
 
 from repro.obs import reset_event_log
 from repro.runtime import LocalCluster, Message, ReadError, recv_message
-from repro.runtime.protocol import OP_READ
 from repro.runtime.server import FTCacheServer
 from repro.runtime.storage import NVMeDir, PFSDir
 
@@ -68,6 +68,25 @@ def _gated_server(tmp_path, files: dict[str, bytes]) -> tuple[FTCacheServer, _Ga
         pfs.write(key, data)
     nvme = _GatedNVMeDir(tmp_path / "nvme")
     return FTCacheServer(0, nvme, pfs).start(), nvme
+
+
+class TestEventLoopThread:
+    def test_loop_failure_reaches_excepthook(self, tmp_path, monkeypatch):
+        seen: queue.Queue = queue.Queue()
+        monkeypatch.setattr(threading, "excepthook", seen.put)
+        server = FTCacheServer(0, NVMeDir(tmp_path / "nvme"), PFSDir(tmp_path / "pfs"))
+
+        async def broken() -> None:
+            raise RuntimeError("loop setup failed")
+
+        monkeypatch.setattr(server, "_serve_main", broken)
+        server.start()
+        try:
+            args = seen.get(timeout=10)  # a swallowing loop thread never reports
+        finally:
+            server.close()
+        assert (args.exc_type, str(args.exc_value)) == (RuntimeError, "loop setup failed")
+        assert args.thread.name == "ftcache-server-0"
 
 
 class TestStaleSocketRegression:

@@ -1,5 +1,7 @@
 """Tests for elastic rejoin and the chaos harness (real sockets/threads)."""
 
+import queue
+import threading
 import time
 
 import pytest
@@ -122,6 +124,20 @@ class TestChaosMonkey:
             assert "kills" in monkey.summary()
             kinds = {a.kind for a in monkey.actions}
             assert kinds <= {"kill", "restart"}
+
+    def test_error_in_the_loop_reaches_excepthook(self, monkeypatch):
+        seen: queue.Queue = queue.Queue()
+        monkeypatch.setattr(threading, "excepthook", seen.put)
+
+        class _Unreadable:
+            @property
+            def alive_servers(self):
+                raise RuntimeError("cluster state unreadable")
+
+        with ChaosMonkey(_Unreadable(), interval=0.01):
+            args = seen.get(timeout=10)  # a swallowing loop never reports
+        assert (args.exc_type, str(args.exc_value)) == (RuntimeError, "cluster state unreadable")
+        assert args.thread.name == "chaos-monkey"
 
     def test_double_start_rejected(self):
         with LocalCluster(n_servers=2) as c:
